@@ -36,13 +36,16 @@ double TailPercentile(const std::vector<double>& values, double* chosen);
 
 // --- results ----------------------------------------------------------------
 
-/// One reported metric: the samples a run took and the value it reports
-/// (the median of the samples, unless a single derived value was set).
+/// One reported metric: the value it reports, the observations behind it,
+/// and — when the value is the median of separate samples — those samples.
+/// A derived value (a ratio, a mean, a percentile) keeps no samples, so no
+/// spread is claimed for it.
 struct Metric {
   std::string name;
   std::string unit;
   std::vector<double> samples;
   double value = 0.0;
+  std::size_t n = 0;  ///< observations behind the value
 };
 
 /// Ordered metric table plus the correctness tally of one run.
@@ -51,7 +54,8 @@ class Report {
   /// Records a metric whose value is the median of `samples`.
   void AddSamples(const std::string& name, const std::string& unit,
                   std::vector<double> samples);
-  /// Records a single derived value (a ratio, a count, a percentile).
+  /// Records a single derived value (a ratio, a count, a percentile)
+  /// computed from `n` observations.
   void AddValue(const std::string& name, const std::string& unit,
                 double value, std::size_t n = 1);
   const std::vector<Metric>& Metrics() const { return metrics_; }
@@ -133,7 +137,8 @@ struct Prepared {
 };
 
 /// One set-up: kernel construction and golden runs, campaign expansion,
-/// state-directory creation, daemon start up to HELLO. Returns its seconds.
+/// daemon start on a fresh state directory (made before the clock starts)
+/// up to HELLO. Returns its seconds.
 double SetupOnce(const Mix& mix, const RunOptions& options,
                  Prepared* prepared);
 
@@ -171,22 +176,24 @@ struct ServeStats {
   std::vector<double> run_ms;         ///< "state running" -> DONE
   std::vector<double> submit_ms;      ///< SUBMIT round trip
   std::vector<double> result_bytes;
+  std::vector<double> jobs_per_s;     ///< completed jobs / wall, per burst
   double busy_s = 0.0;                ///< summed burst wall time
+  std::size_t empty_bursts = 0;       ///< bursts that completed no job
 };
 
 /// Bursts of four tenants, one connection each, in a closed loop against
 /// an in-process axdse-serve daemon (job_workers=2, engine_workers=1):
-/// SUBMIT, WATCH, WAIT, RESULTS over the mix's serve requests plus, when
-/// the mix has one, a small campaign every few jobs. Every RESULTS document
-/// is compared with the in-process Engine export of the same job.
+/// SUBMIT, WATCH, WAIT, RESULTS over a mix's serve requests plus, when the
+/// mix has one, a small campaign every few jobs. Every RESULTS document is
+/// compared with the in-process Engine export of the same job.
 class ServeLoad {
  public:
-  /// Computes the expected documents.
-  ServeLoad(const Mix& mix, const RunOptions& options);
+  explicit ServeLoad(const RunOptions& options);
 
-  /// Starts a daemon on a fresh state directory, runs the tenants for about
+  /// Computes the expected documents of `inputs` (untimed), starts a daemon
+  /// on a fresh state directory, runs the tenants on those inputs for about
   /// `seconds` (each finishes its job in flight) and stops the daemon.
-  void Burst(double seconds, Report& report);
+  void Burst(const Mix& inputs, double seconds, Report& report);
   const ServeStats& Stats() const { return stats_; }
 
  private:
@@ -196,15 +203,25 @@ class ServeLoad {
     axdse::dse::CampaignSpec spec;
     std::string expected;
   };
-  const Item& Pick(std::size_t tenant, std::size_t job) const;
+  struct Items {
+    std::vector<Item> requests;
+    Item campaign;
+    std::size_t campaign_every = 0;
+    const Item& Pick(std::size_t tenant, std::size_t job) const;
+  };
+  static Items Expected(const Mix& inputs);
 
-  Mix mix_;
   RunOptions options_;
-  std::vector<Item> requests_;
-  Item campaign_;
   std::vector<std::size_t> jobs_;  ///< jobs sent so far, per tenant
   ServeStats stats_;
 };
+
+/// Jobs a serve phase must complete: enough for a p95 with ten samples
+/// beyond it.
+constexpr std::size_t kMinServeJobs = 200;
+/// Counts one check that at least `min_jobs` serve jobs completed.
+void CheckServeJobs(const ServeStats& stats, std::size_t min_jobs,
+                    Report& report);
 
 /// Campaign::Run on `workers` engine workers, in memory: checkpoint I/O
 /// is the shard path's share (see README.md). Returns the wall seconds and

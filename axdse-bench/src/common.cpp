@@ -62,14 +62,15 @@ double TailPercentile(const std::vector<double>& values, double* chosen) {
 
 void Report::AddSamples(const std::string& name, const std::string& unit,
                         std::vector<double> samples) {
-  Metric metric{name, unit, std::move(samples), 0.0};
+  Metric metric{name, unit, std::move(samples), 0.0, 0};
   metric.value = Median(metric.samples);
+  metric.n = metric.samples.size();
   metrics_.push_back(std::move(metric));
 }
 
 void Report::AddValue(const std::string& name, const std::string& unit,
                       double value, std::size_t n) {
-  metrics_.push_back(Metric{name, unit, std::vector<double>(n, value), value});
+  metrics_.push_back(Metric{name, unit, {}, value, n});
 }
 
 void Report::Check(bool ok, const std::string& what) {
@@ -140,21 +141,24 @@ Mix MakeMix(const std::string& name, std::uint64_t seed, bool smoke) {
     mix.reward_cap = 1e12;  // out of reach: runs end on the step limit
     mix.seeds = 1;
     mix.search_budget = 10000;
-    mix.chunk_cells = 5;
+    // One chunk: the grid computes fast, so a few fsync'd lease and result
+    // writes per chunk would make the shard path's time follow the disk.
+    mix.chunk_cells = 25;
     mix.serve_steps = 3000;
   } else if (name == "campaign-grid") {
     // The Table-3 campaign with one shared cache per kernel identity.
     mix.kernels = Specs({"matmul@10", "fir@100", "iir@128", "conv2d@16",
                          "dct@4", "dot@64", "sobel3x3@12", "kmeans1d@96"});
     mix.agents = kAllAgents;
-    // One seed of 6000 steps per cell rather than two of 3000: the same
-    // compute with half the jobs, so the shard path's per-job snapshot
-    // writes weigh half as much against the disk's contention.
+    // One seed of 6000 steps per cell rather than two of 3000 (half the
+    // jobs), and chunks of 10 cells rather than 5 (half the fsync'd lease
+    // and result writes): the same compute with less of the shard path's
+    // I/O, whose cost follows the disk's contention from other tenants.
     mix.steps = 6000;
     mix.seeds = 1;
     mix.cache = dse::CacheMode::kShared;
     mix.search_budget = 2000;
-    mix.chunk_cells = 5;
+    mix.chunk_cells = 10;
     mix.serve_steps = 300;
   } else if (name == "serve-tenants") {
     // Small kernel-bound and cache-bound requests plus a small campaign.
@@ -164,7 +168,7 @@ Mix MakeMix(const std::string& name, std::uint64_t seed, bool smoke) {
     mix.steps = 3000;
     mix.seeds = 2;
     mix.search_budget = 5000;
-    mix.chunk_cells = 4;
+    mix.chunk_cells = 8;  // one chunk, as on explore-cache-bound
     mix.serve_steps = 800;
     mix.serve_campaign_every = 8;
   } else {

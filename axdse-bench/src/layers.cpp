@@ -8,6 +8,7 @@
 //  * direct calls into the instrument, energy, dse and serve APIs, replaying
 //    the configuration streams the traced episodes recorded.
 // Spans stay in memory and are written by WriteTrace() when the run ends.
+// trace.overhead_frac times the same decorators against undecorated runs.
 
 #include <atomic>
 #include <filesystem>
@@ -60,6 +61,14 @@ class SpanLog {
   }
 
   void BeginTrace() { ++trace_; }
+
+  /// Drops every span; layer names stay registered.
+  void Clear() {
+    spans_.clear();
+    current_ = 0;
+    trace_ = 0;
+    dropped_ = 0;
+  }
 
   /// Opens a span under the currently open one; returns its handle (0 when
   /// the store is full).
@@ -322,9 +331,9 @@ std::vector<dse::Configuration> RandomStream(const dse::SpaceShape& shape,
 
 // --- probes -------------------------------------------------------------------------
 
-/// Untraced and traced (TimedKernel through kernel_override) engine runs of
-/// the explore batch, alternated: the tracing overhead and the kernel's
-/// share of a step.
+/// The explore batch through the engine with TimedKernel (atomic totals, no
+/// spans) handed in through kernel_override: the kernel's share of a step.
+/// One undecorated run checks that the decorator changes no result.
 void ExploreProbe(const Mix& mix, const Prepared& prepared, double budget,
                   Report& report) {
   std::vector<std::shared_ptr<const TimedKernel>> timed;
@@ -333,35 +342,92 @@ void ExploreProbe(const Mix& mix, const Prepared& prepared, double budget,
     timed.push_back(std::make_shared<TimedKernel>(kernel, false));
     timed_base.push_back(timed.back());
   }
-  const auto plain_requests = ExploreRequests(mix, prepared.kernels);
   const auto traced_requests = ExploreRequests(mix, timed_base);
   const dse::Engine engine(dse::EngineOptions{1});
-  std::vector<double> plain_rates;
-  std::vector<double> traced_rates;
+  const dse::BatchResult plain =
+      engine.Run(ExploreRequests(mix, prepared.kernels));
+  report.Attempt(plain.TotalRuns());
+  const std::string expected = CostMasked(mix, report::BatchJson(plain));
   double traced_wall_ns = 0.0;
+  std::size_t runs = 0;
   const auto start = Clock::now();
-  while (plain_rates.size() < 2 || SecondsSince(start) < budget) {
-    auto t0 = Clock::now();
-    const dse::BatchResult plain = engine.Run(plain_requests);
-    plain_rates.push_back(static_cast<double>(plain.TotalSteps()) /
-                          SecondsSince(t0));
-    t0 = Clock::now();
+  while (runs < 2 || SecondsSince(start) < budget) {
+    const auto t0 = Clock::now();
     const dse::BatchResult traced = engine.Run(traced_requests);
-    const double seconds = SecondsSince(t0);
-    traced_wall_ns += seconds * 1e9;
-    traced_rates.push_back(static_cast<double>(traced.TotalSteps()) / seconds);
-    report.Attempt(plain.TotalRuns() + traced.TotalRuns() - 1);
-    report.Check(CostMasked(mix, report::BatchJson(plain)) ==
-                     CostMasked(mix, report::BatchJson(traced)),
+    traced_wall_ns += SecondsSince(t0) * 1e9;
+    ++runs;
+    report.Attempt(traced.TotalRuns() - 1);
+    report.Check(CostMasked(mix, report::BatchJson(traced)) == expected,
                  "trace: a traced explore run changed its results");
   }
   double kernel_ns = 0.0;
   for (const auto& kernel : timed) kernel_ns += kernel->RunNs();
-  report.AddValue("trace.overhead_frac", "frac",
-                  1.0 - Median(traced_rates) / Median(plain_rates),
-                  plain_rates.size());
   report.AddValue("explore.kernel_share", "frac", kernel_ns / traced_wall_ns,
-                  traced_rates.size());
+                  runs);
+}
+
+/// One Q-learning episode on mix kernel `k` through rl::RunEpisode, either
+/// undecorated or with the RL probe's decorators recording spans. Adds the
+/// episode's wall time to *seconds.
+rl::TrainResult QEpisode(const Mix& mix, const Prepared& prepared,
+                         std::size_t k, bool traced, double* seconds) {
+  dse::ExplorationRequest request;
+  request.agent_kind = dse::AgentKind::kQLearning;
+  request.max_steps = mix.steps;
+  request.seed = mix.agent_seed;
+  const dse::ExplorerConfig config = request.ToExplorerConfig();
+  const std::shared_ptr<const workloads::Kernel> kernel =
+      traced ? std::make_shared<TimedKernel>(prepared.kernels[k], true)
+             : prepared.kernels[k];
+  dse::Evaluator evaluator(*kernel);
+  dse::AxDseEnvironment env(evaluator, dse::MakePaperRewardConfig(evaluator));
+  std::unique_ptr<rl::Agent> agent =
+      dse::MakeAgent(request.agent_kind, env.NumActions(), config.agent,
+                     config.lambda, mix.agent_seed + k);
+  rl::TrainOptions train;
+  train.max_steps = mix.steps;
+  train.stop_at_cumulative_reward = mix.reward_cap;
+  rl::TrainResult result;
+  const auto start = Clock::now();
+  if (traced) {
+    TimedEnv timed_env(env);
+    TimedAgent timed_agent(std::move(agent));
+    g_spans.BeginTrace();
+    result = rl::RunEpisode(timed_env, timed_agent, train, mix.agent_seed);
+  } else {
+    result = rl::RunEpisode(env, *agent, train, mix.agent_seed);
+  }
+  *seconds += SecondsSince(start);
+  return result;
+}
+
+/// The traced run's overhead: Q-learning episodes on every mix kernel,
+/// undecorated and with the decorators and span recording of the RL probe,
+/// alternated (which arm goes first flips every pass). Each pass gives
+/// 1 - traced/untraced steps/s; both arms must end the same way. The spans
+/// recorded here are dropped after each episode.
+void OverheadProbe(const Mix& mix, const Prepared& prepared, double budget,
+                   Report& report) {
+  std::vector<double> overhead;
+  const auto start = Clock::now();
+  while (overhead.size() < 3 || SecondsSince(start) < budget) {
+    double seconds[2] = {0.0, 0.0};
+    const bool traced_first = overhead.size() % 2 == 1;
+    for (std::size_t k = 0; k < prepared.kernels.size(); ++k) {
+      rl::TrainResult results[2];
+      for (const bool traced : {traced_first, !traced_first}) {
+        results[traced] = QEpisode(mix, prepared, k, traced, &seconds[traced]);
+        g_spans.Clear();
+      }
+      report.Attempt(results[0].steps + results[1].steps - 1);
+      report.Check(results[0].steps == results[1].steps &&
+                       results[0].cumulative_reward ==
+                           results[1].cumulative_reward,
+                   "trace: a traced episode changed its result");
+    }
+    overhead.push_back(1.0 - seconds[0] / seconds[1]);
+  }
+  report.AddSamples("trace.overhead_frac", "frac", std::move(overhead));
 }
 
 /// What the RL probe leaves for the stream probes: per mix kernel, the
@@ -810,13 +876,24 @@ void ShardProbe(const Mix& mix, const Prepared& prepared,
   report.AddSamples("shard.result_write_ms", "ms", write_ms);
 }
 
+/// Serve bursts until the budget is spent and enough jobs completed; stops
+/// early on a burst that completed no job, or past four budgets, so a
+/// broken daemon ends the run as a failed check.
 void ServeProbe(const Mix& mix, const RunOptions& options, double budget,
                 Report& report) {
-  ServeLoad serve(mix, options);
-  while (serve.Stats().busy_s < budget ||
-         serve.Stats().done_ms.size() < (options.smoke ? 8u : 200u))
-    serve.Burst(0.25 * budget, report);
+  const std::size_t min_jobs = options.smoke ? 8 : kMinServeJobs;
+  ServeLoad serve(options);
+  const auto start = Clock::now();
+  for (std::size_t round = 0;
+       serve.Stats().busy_s < budget || serve.Stats().done_ms.size() < min_jobs;
+       ++round) {
+    if (serve.Stats().empty_bursts > 0 ||
+        SecondsSince(start) >= 4.0 * budget + 10.0)
+      break;
+    serve.Burst(ForRound(mix, round), 0.25 * budget, report);
+  }
   const ServeStats& stats = serve.Stats();
+  CheckServeJobs(stats, min_jobs, report);
   double tail = 0.0;
   report.AddValue("serve.done_ms.p95", "ms",
                   TailPercentile(stats.done_ms, &tail), stats.done_ms.size());
@@ -828,7 +905,8 @@ void ServeProbe(const Mix& mix, const RunOptions& options, double budget,
   double bytes = 0.0;
   for (double b : stats.result_bytes) bytes += b;
   report.AddValue("serve.result_bytes", "B",
-                  bytes / static_cast<double>(stats.result_bytes.size()),
+                  bytes / static_cast<double>(std::max<std::size_t>(
+                              1, stats.result_bytes.size())),
                   stats.result_bytes.size());
   report.AddValue("serve.manifest_write_ms", "ms",
                   Percentile(stats.submit_ms, 50), stats.submit_ms.size());
@@ -840,7 +918,8 @@ void RunLayers(const Mix& mix, const Prepared& prepared,
                const RunOptions& options, Report& report) {
   const double s = options.seconds;
   WarmUp(options.smoke ? 0.1 : 1.5);
-  ExploreProbe(mix, prepared, 0.2 * s, report);
+  ExploreProbe(mix, prepared, 0.1 * s, report);
+  OverheadProbe(mix, prepared, 0.1 * s, report);
   const std::vector<Recorded> recorded = RlProbe(mix, prepared, report);
   StreamProbe(recorded, report);
   KernelAndLaneProbe(mix, recorded, 0.15 * s, report);
@@ -862,7 +941,7 @@ void WriteTrace(const std::string& path, const std::string& header_json,
     out << (first ? "" : ",") << "{\"name\":\""
         << report::JsonEscape(metric.name) << "\",\"unit\":\"" << metric.unit
         << "\",\"value\":" << report::JsonNum(metric.value)
-        << ",\"n\":" << metric.samples.size() << "}";
+        << ",\"n\":" << metric.n << "}";
     first = false;
   }
   out << "],";

@@ -74,16 +74,17 @@ void PrintTable(const Report& report) {
   std::printf("%-34s %16s %-6s %8s %5s\n", "metric", "median", "unit",
               "spread", "n");
   for (const Metric& metric : report.Metrics()) {
-    double spread = 0.0;
+    // A spread only where the value is the median of separate samples.
+    char spread[16] = "       -";
     if (metric.samples.size() >= 2 && metric.value != 0.0) {
       double q1 = 0.0;
       double q3 = 0.0;
       Quartiles(metric.samples, &q1, &q3);
-      spread = (q3 - q1) / std::fabs(metric.value);
+      std::snprintf(spread, sizeof spread, "%7.2f%%",
+                    100.0 * (q3 - q1) / std::fabs(metric.value));
     }
-    std::printf("%-34s %16.6g %-6s %7.2f%% %5zu\n", metric.name.c_str(),
-                metric.value, metric.unit.c_str(), 100.0 * spread,
-                metric.samples.size());
+    std::printf("%-34s %16.6g %-6s %8s %5zu\n", metric.name.c_str(),
+                metric.value, metric.unit.c_str(), spread, metric.n);
   }
   for (const std::string& failure : report.Failures())
     std::printf("FAILED: %s\n", failure.c_str());

@@ -1,19 +1,22 @@
 // Set-up and the untraced end-to-end phases.
 //
 // The phases run round-robin — one round of each per cycle — until
-// --seconds passed, and every metric is the median of its rounds. Speed
-// regimes of a shared host last seconds; interleaving spreads every phase
-// over the whole run so no metric lands entirely in a slow or fast spell.
-// Each round also draws fresh inputs (see ForRound), so a run's median
-// covers many seeds.
+// --seconds passed, and every metric is the median of its samples (rounds,
+// set-ups, serve jobs or serve bursts). Speed regimes of a shared host last
+// seconds to minutes; interleaving spreads every phase over the whole run,
+// and the compute rates of each round are scaled by a host-speed probe
+// taken around them (see HostSpeed). Each round also draws fresh inputs
+// (see ForRound), so a run's median covers many seeds.
 
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 
 #include "bench.hpp"
 #include "serve/client.hpp"
@@ -29,6 +32,14 @@ namespace {
 constexpr std::size_t kServeTenants = 4;
 constexpr std::size_t kServeChunkCells = 4;
 constexpr std::size_t kMinRounds = 5;
+constexpr std::size_t kSetupsPerRound = 24;
+/// HostSpeed() passes/s that the compute throughputs are scaled to: about
+/// its median on the 4-core development host (see README.md).
+constexpr double kReferenceHostSpeed = 8e5;
+constexpr double kHostSpeedProbeS = 0.02;
+
+/// Keeps HostSpeed()'s loop from being optimized away.
+std::atomic<std::uint64_t> g_speed_sink{0};
 
 serve::ServerOptions DaemonOptions(const std::string& state_dir) {
   serve::ServerOptions options;
@@ -102,11 +113,11 @@ double SearchRound(const Mix& mix, Report& report) {
 /// path; both JSON documents must agree. The first round also runs the
 /// campaign on 2 and 4 workers, which must produce the same document.
 void CampaignRound(const Mix& mix, const RunOptions& options,
-                   std::size_t round, std::vector<double>& campaign_rates,
-                   std::vector<double>& shard_rates, Report& report) {
+                   std::size_t round, double* campaign_rate,
+                   double* shard_rate, Report& report) {
   const double cells = static_cast<double>(CampaignGrid(mix).NumCells());
   std::string reference;
-  campaign_rates.push_back(cells / RunCampaignOnce(mix, 1, &reference));
+  *campaign_rate = cells / RunCampaignOnce(mix, 1, &reference);
   report.Attempt(static_cast<std::size_t>(cells));
   for (std::size_t workers : {2, 4}) {
     if (round != 0) break;
@@ -118,10 +129,47 @@ void CampaignRound(const Mix& mix, const RunOptions& options,
                                         " engine workers");
   }
   std::string merged;
-  shard_rates.push_back(cells / RunShardOnce(mix, options, &merged));
+  *shard_rate = cells / RunShardOnce(mix, options, &merged);
   report.Attempt(static_cast<std::size_t>(cells) - 1);
   report.Check(merged == reference,
                "shard: merged JSON differs from Campaign::Run");
+}
+
+/// Passes per second, over about `seconds`, of a fixed loop that does the
+/// kinds of work a step does — small integer multiply-add chains and
+/// hash-table lookups — and runs none of the library's code.
+double HostSpeed(double seconds) {
+  static const std::unordered_map<std::uint64_t, std::uint64_t> kTable = [] {
+    std::unordered_map<std::uint64_t, std::uint64_t> table;
+    for (std::uint64_t i = 0; i < 16384; ++i)
+      table.emplace(i * 0x9E3779B97F4A7C15ULL, i);
+    return table;
+  }();
+  std::int64_t a[12][12];
+  std::int64_t c[12][12];
+  for (int i = 0; i < 12; ++i)
+    for (int j = 0; j < 12; ++j) a[i][j] = i * 31 - j * 17;
+  std::uint64_t x = 1;
+  std::uint64_t sum = 0;
+  std::size_t passes = 0;
+  const auto start = Clock::now();
+  do {
+    for (int i = 0; i < 12; ++i)
+      for (int j = 0; j < 12; ++j) {
+        std::int64_t s = 0;
+        for (int k = 0; k < 12; ++k) s += a[i][k] * a[k][j];
+        c[i][j] = s;
+      }
+    a[passes % 12][(passes / 12) % 12] ^= c[5][7];
+    for (int l = 0; l < 256; ++l) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      const auto it = kTable.find((x >> 50) * 0x9E3779B97F4A7C15ULL);
+      sum += it == kTable.end() ? 0 : it->second;
+    }
+    ++passes;
+  } while (SecondsSince(start) < seconds);
+  g_speed_sink += sum;
+  return static_cast<double>(passes) / SecondsSince(start);
 }
 
 }  // namespace
@@ -145,8 +193,11 @@ void WarmUp(double seconds) {
 
 double SetupOnce(const Mix& mix, const RunOptions& options,
                  Prepared* prepared) {
-  const std::string state_dir = (fs::path(options.out_dir) / "setup").string();
-  fs::remove_all(state_dir);
+  // The daemon's fresh, empty state directory is made before the clock
+  // starts. Making it took 0.11-0.31 ms from run to run on the development
+  // host, with the disk's contention from other tenants, while the rest of
+  // a set-up moved by about 5%.
+  const std::string state_dir = FreshDir(options, "setup");
   const auto start = Clock::now();
   Prepared fresh;
   for (const workloads::KernelSpec& spec : mix.kernels) {
@@ -158,7 +209,6 @@ double SetupOnce(const Mix& mix, const RunOptions& options,
   const dse::CampaignSpec grid = CampaignGrid(mix);
   grid.Validate();
   const std::size_t cells = grid.Expand().size();
-  fs::create_directories(state_dir);
   serve::Server server(DaemonOptions(state_dir));
   server.Start();
   double seconds = 0.0;
@@ -167,7 +217,6 @@ double SetupOnce(const Mix& mix, const RunOptions& options,
     seconds = SecondsSince(start);
   }
   server.Stop();
-  fs::remove_all(state_dir);
   if (cells != grid.NumCells())
     throw std::runtime_error("campaign expansion lost cells");
   if (prepared) *prepared = std::move(fresh);
@@ -214,33 +263,39 @@ double RunShardOnce(const Mix& mix, const RunOptions& options,
 
 // --- serve ------------------------------------------------------------------------
 
-ServeLoad::ServeLoad(const Mix& mix, const RunOptions& options)
-    : mix_(mix), options_(options), jobs_(kServeTenants, 0) {
+ServeLoad::ServeLoad(const RunOptions& options)
+    : options_(options), jobs_(kServeTenants, 0) {}
+
+ServeLoad::Items ServeLoad::Expected(const Mix& inputs) {
+  Items items;
   const dse::Engine reference(dse::EngineOptions{1});
-  for (const dse::ExplorationRequest& request : ServeRequests(mix)) {
+  for (const dse::ExplorationRequest& request : ServeRequests(inputs)) {
     Item item;
     item.request = request;
     item.expected = StripNewlines(report::BatchJson(reference.Run({request})));
-    requests_.push_back(std::move(item));
+    items.requests.push_back(std::move(item));
   }
-  if (mix.serve_campaign_every) {
-    campaign_.campaign = true;
-    campaign_.spec = ServeCampaign(mix);
+  items.campaign_every = inputs.serve_campaign_every;
+  if (items.campaign_every) {
+    items.campaign.campaign = true;
+    items.campaign.spec = ServeCampaign(inputs);
     dse::CampaignOptions copts;
     copts.chunk_cells = kServeChunkCells;
-    campaign_.expected = StripNewlines(report::CampaignJson(
-        dse::Campaign(reference).Run(campaign_.spec, copts)));
+    items.campaign.expected = StripNewlines(report::CampaignJson(
+        dse::Campaign(reference).Run(items.campaign.spec, copts)));
   }
+  return items;
 }
 
-const ServeLoad::Item& ServeLoad::Pick(std::size_t tenant,
-                                       std::size_t job) const {
-  const std::size_t every = mix_.serve_campaign_every;
-  if (every && job % every == every - 1) return campaign_;
-  return requests_[(tenant * 3 + job) % requests_.size()];
+const ServeLoad::Item& ServeLoad::Items::Pick(std::size_t tenant,
+                                              std::size_t job) const {
+  if (campaign_every && job % campaign_every == campaign_every - 1)
+    return campaign;
+  return requests[(tenant * 3 + job) % requests.size()];
 }
 
-void ServeLoad::Burst(double seconds, Report& report) {
+void ServeLoad::Burst(const Mix& inputs, double seconds, Report& report) {
+  const Items items = Expected(inputs);
   // A fresh daemon and state directory per burst: the jobs manifest is
   // rewritten whole on every state change, so a daemon that kept the run's
   // whole history would slow down as the run goes on.
@@ -248,6 +303,7 @@ void ServeLoad::Burst(double seconds, Report& report) {
   server.Start();
   const int port = server.Port();
   std::mutex mutex;  // guards stats_ and report
+  const std::size_t done_before = stats_.done_ms.size();
   const auto start = Clock::now();
   const auto deadline = start + std::chrono::duration<double>(seconds);
 
@@ -263,7 +319,7 @@ void ServeLoad::Burst(double seconds, Report& report) {
           running_at = Clock::now();
       });
       while (Clock::now() < deadline) {
-        const Item& item = Pick(index, jobs_[index]++);
+        const Item& item = items.Pick(index, jobs_[index]++);
         running_at = {};
         const auto submit = Clock::now();
         watched = item.campaign ? client.SubmitCampaign(item.spec)
@@ -301,47 +357,75 @@ void ServeLoad::Burst(double seconds, Report& report) {
   for (std::size_t t = 0; t < kServeTenants; ++t)
     tenants.emplace_back(tenant, t);
   for (std::thread& thread : tenants) thread.join();
-  stats_.busy_s += SecondsSince(start);
+  const double wall_s = SecondsSince(start);
+  const std::size_t done = stats_.done_ms.size() - done_before;
+  stats_.busy_s += wall_s;
+  stats_.jobs_per_s.push_back(static_cast<double>(done) / wall_s);
+  if (done == 0) ++stats_.empty_bursts;
   server.Stop();
+}
+
+void CheckServeJobs(const ServeStats& stats, std::size_t min_jobs,
+                    Report& report) {
+  report.Check(stats.done_ms.size() >= min_jobs,
+               "serve: " + std::to_string(stats.done_ms.size()) +
+                   " jobs completed, fewer than " + std::to_string(min_jobs));
 }
 
 // --- the untraced run ------------------------------------------------------------------
 
 void RunEndToEnd(const Mix& mix, const RunOptions& options, Report& report) {
-  const std::size_t min_jobs = options.smoke ? 8 : 200;
+  const std::size_t min_jobs = options.smoke ? 8 : kMinServeJobs;
   const double burst_s = std::max(0.2, 0.03 * options.seconds);
-  std::vector<double> setup, explore, search, campaign, shard;
-  ServeLoad serve(mix, options);
+  std::vector<double> setup, explore, search, campaign, shard, speeds;
+  ServeLoad serve(options);
   WarmUp(options.smoke ? 0.1 : 1.5);
   const auto start = Clock::now();
   for (std::size_t round = 0;; ++round) {
     const bool enough = round >= (options.smoke ? 1 : kMinRounds) &&
                         serve.Stats().done_ms.size() >= min_jobs;
     if (enough && SecondsSince(start) >= options.seconds) break;
-    // Bounded even on a host far slower than expected.
-    if (round > 0 && SecondsSince(start) >= 4.0 * options.seconds + 30.0)
+    // Bounded even on a host far slower than expected, or a broken daemon.
+    if (round > 0 && (SecondsSince(start) >= 4.0 * options.seconds + 30.0 ||
+                      serve.Stats().empty_bursts > 0))
       break;
     const Mix inputs = ForRound(mix, round);
-    for (int rep = 0; rep < 4; ++rep)
+    // A block of set-ups back to back: the first ones after the previous
+    // round's phases run on cold caches and beside that round's exiting
+    // threads and pending writeback, the later ones do not; the median
+    // over all blocks reads the set-up work itself.
+    for (std::size_t rep = 0; rep < kSetupsPerRound; ++rep)
       setup.push_back(SetupOnce(inputs, options, nullptr));
-    explore.push_back(ExploreRound(inputs, round, report));
-    search.push_back(SearchRound(inputs, report));
-    CampaignRound(inputs, options, round, campaign, shard, report);
-    serve.Burst(burst_s, report);
+    // The compute phases, between two host-speed probes. The host's speed
+    // drifts by 20-40% over seconds to minutes with other tenants' load, and
+    // moves every compute phase alike; scaling each round's rates to the
+    // reference speed keeps that drift out of the medians.
+    const double speed_before = HostSpeed(kHostSpeedProbeS);
+    const double explore_rate = ExploreRound(inputs, round, report);
+    const double search_rate = SearchRound(inputs, report);
+    double campaign_rate = 0.0;
+    double shard_rate = 0.0;
+    CampaignRound(inputs, options, round, &campaign_rate, &shard_rate, report);
+    speeds.push_back(0.5 * (speed_before + HostSpeed(kHostSpeedProbeS)));
+    const double scale = kReferenceHostSpeed / speeds.back();
+    explore.push_back(explore_rate * scale);
+    search.push_back(search_rate * scale);
+    campaign.push_back(campaign_rate * scale);
+    shard.push_back(shard_rate * scale);
+    serve.Burst(inputs, burst_s, report);
   }
+  const ServeStats& stats = serve.Stats();
+  CheckServeJobs(stats, min_jobs, report);
+  std::printf("# host_speed %.6g passes/s (median of %zu rounds), reference %.6g\n",
+              Median(speeds), speeds.size(), kReferenceHostSpeed);
 
   report.AddSamples("setup_s", "s", std::move(setup));
   report.AddSamples("explore.steps_per_s", "1/s", std::move(explore));
   report.AddSamples("search.configs_per_s", "1/s", std::move(search));
   report.AddSamples("campaign.cells_per_s.w1", "1/s", std::move(campaign));
   report.AddSamples("shard.cells_per_s", "1/s", std::move(shard));
-
-  const ServeStats& stats = serve.Stats();
-  report.AddValue("serve.done_ms.p50", "ms", Percentile(stats.done_ms, 50),
-                  stats.done_ms.size());
-  report.AddValue("serve.jobs_per_s", "1/s",
-                  static_cast<double>(stats.done_ms.size()) / stats.busy_s,
-                  stats.done_ms.size());
+  report.AddSamples("serve.done_ms.p50", "ms", stats.done_ms);
+  report.AddSamples("serve.jobs_per_s", "1/s", stats.jobs_per_s);
 
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
