@@ -1,6 +1,11 @@
 #include "common/test_support.hpp"
 
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
+
+#include <gtest/gtest.h>
 
 #include "util/number_format.hpp"
 #include "workloads/registry.hpp"
@@ -85,6 +90,28 @@ std::string PayloadField(const std::string& payload, const std::string& key) {
   const std::size_t end = payload.find(' ', pos);
   return payload.substr(pos, end == std::string::npos ? std::string::npos
                                                       : end - pos);
+}
+
+void ExpectMatchesGolden(const std::string& path, const std::string& actual) {
+  if (std::getenv("AXDSE_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << actual;
+    GTEST_SKIP() << "fixture regenerated at " << path;
+  }
+  EXPECT_EQ(actual, ReadGolden(path))
+      << "on-disk format drifted from " << path
+      << "; if intentional, bump the format version or regenerate with "
+         "AXDSE_UPDATE_GOLDEN=1 and review the diff";
+}
+
+std::string ReadGolden(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing fixture " << path
+                         << " — regenerate with AXDSE_UPDATE_GOLDEN=1";
+  std::ostringstream content;
+  content << in.rdbuf();
+  return content.str();
 }
 
 }  // namespace axdse::testsupport

@@ -82,4 +82,12 @@ dse::ExplorationRequest QuickMatmulRequest(std::size_t steps = 200,
 /// The "key=value" field of a STATUS/STATS-style payload, or "" when absent.
 std::string PayloadField(const std::string& payload, const std::string& key);
 
+/// Byte-compares `actual` with the checked-in fixture at `path`. With
+/// AXDSE_UPDATE_GOLDEN=1 in the environment it rewrites the fixture instead
+/// and marks the test skipped; review the diff before committing it.
+void ExpectMatchesGolden(const std::string& path, const std::string& actual);
+
+/// Whole content of a checked-in fixture; fails the test when it is missing.
+std::string ReadGolden(const std::string& path);
+
 }  // namespace axdse::testsupport

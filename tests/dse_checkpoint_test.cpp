@@ -481,35 +481,17 @@ std::string PinnedCheckpointBytes() {
 }
 
 TEST(GoldenCheckpoint, SerializedFormatMatchesCheckedInFixture) {
-  const std::string actual = PinnedCheckpointBytes();
-
-  if (std::getenv("AXDSE_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(GoldenFixturePath(), std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << GoldenFixturePath();
-    out << actual;
-    GTEST_SKIP() << "fixture regenerated at " << GoldenFixturePath();
-  }
-
-  std::ifstream in(GoldenFixturePath(), std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing fixture " << GoldenFixturePath()
-                         << " — regenerate with AXDSE_UPDATE_GOLDEN=1";
-  std::ostringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(actual, expected.str())
-      << "checkpoint format drifted; if intentional, bump "
-         "Checkpoint::kFormatVersion or regenerate the fixture with "
-         "AXDSE_UPDATE_GOLDEN=1 and review the diff";
+  testsupport::ExpectMatchesGolden(GoldenFixturePath(),
+                                   PinnedCheckpointBytes());
 }
 
 TEST(GoldenCheckpoint, ResumingFromTheFixtureReproducesTheFullRun) {
   // Format stability in the direction that matters: a checkpoint written by
   // a previous build (the checked-in fixture) must restore in this build
   // and finish byte-identically to the uninterrupted pinned run.
-  std::ifstream in(GoldenFixturePath(), std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing fixture " << GoldenFixturePath();
-  std::ostringstream text;
-  text << in.rdbuf();
-  const Checkpoint checkpoint = Checkpoint::Deserialize(text.str());
+  const std::string text = testsupport::ReadGolden(GoldenFixturePath());
+  const Checkpoint checkpoint = Checkpoint::Deserialize(text);
+  EXPECT_EQ(checkpoint.Serialize(), text);
   EXPECT_EQ(checkpoint.seed, 1u);
   EXPECT_FALSE(checkpoint.finished);
 
@@ -538,6 +520,29 @@ TEST(GoldenCheckpoint, ResumingFromTheFixtureReproducesTheFullRun) {
   Explorer explorer(evaluator, MakePaperRewardConfig(evaluator), config);
   explorer.ResumeFrom(checkpoint);
   EXPECT_EQ(PayloadOf(explorer.Explore()), PayloadOf(run_reference()));
+}
+
+/// A shared-cache snapshot over the pinned run's memo entries. The
+/// signature carries a space and a '%' so the fixture pins text escaping.
+std::string PinnedSharedCacheBytes() {
+  const Checkpoint pinned = Checkpoint::Deserialize(
+      testsupport::ReadGolden(GoldenFixturePath()));
+  SharedCacheCheckpoint snapshot;
+  snapshot.signature = "kernel=matmul@5 kernel-seed=2023 100%";
+  snapshot.entries = pinned.evaluator.entries;
+  snapshot.stats.hits = 3;
+  snapshot.stats.misses = snapshot.entries.size();
+  snapshot.stats.inserts = snapshot.entries.size();
+  snapshot.stats.size = snapshot.entries.size();
+  return snapshot.Serialize();
+}
+
+TEST(GoldenCheckpoint, SharedCacheFormatMatchesCheckedInFixture) {
+  const std::string path =
+      AXDSE_SOURCE_DIR "/tests/golden/matmul_shared_cache_seed1.cache";
+  testsupport::ExpectMatchesGolden(path, PinnedSharedCacheBytes());
+  const std::string text = testsupport::ReadGolden(path);
+  EXPECT_EQ(SharedCacheCheckpoint::Deserialize(text).Serialize(), text);
 }
 
 }  // namespace

@@ -160,6 +160,64 @@ TEST(ShardManifest, RoundTripAndMalformed) {
 }
 
 // ---------------------------------------------------------------------------
+// Golden fixtures: chunk documents, leases and manifests are pinned byte for
+// byte, and documents written by earlier builds must still load.
+// Regenerate intentionally with AXDSE_UPDATE_GOLDEN=1 and review the diff.
+// ---------------------------------------------------------------------------
+
+std::string GoldenPath(const char* name) {
+  return std::string(AXDSE_SOURCE_DIR "/tests/golden/") + name;
+}
+
+/// One plain kernel and one pipeline (whose runs carry `stage` lines).
+CampaignSpec GoldenSpec() {
+  return CampaignSpec::Parse(
+      "kernels=dot@16{blocks=4},jpeg-path@1 agents=q-learning"
+      " steps=40 seeds=2 seed=1 kernel-seed=2023 reward-cap=1e18");
+}
+
+TEST(GoldenRecords, CampaignChunkDocumentMatchesFixture) {
+  const CampaignSpec spec = GoldenSpec();
+  const BatchResult batch = Engine(EngineOptions{1}).Run(spec.Expand());
+  CampaignChunkCheckpoint chunk;
+  chunk.spec_hash = StableHash64(spec.ToString());
+  chunk.chunk_index = 0;
+  chunk.first_cell = 0;
+  for (const RequestResult& result : batch.results)
+    chunk.cells.push_back(CampaignAggregator::Reduce(result));
+  ASSERT_FALSE(chunk.cells.back().runs.front().stage_counts.empty());
+
+  const std::string path = GoldenPath("campaign_chunk_seed1.done");
+  testsupport::ExpectMatchesGolden(path, chunk.Serialize());
+  const std::string text = testsupport::ReadGolden(path);
+  EXPECT_EQ(CampaignChunkCheckpoint::Deserialize(text).Serialize(), text);
+}
+
+TEST(GoldenRecords, ShardLeaseMatchesFixture) {
+  ShardLease lease;
+  lease.spec_hash = 0x0123456789abcdefULL;
+  lease.chunk_index = 3;
+  lease.owner = "worker-a_1";
+  lease.generation = 2;
+  lease.heartbeat = 41;
+  const std::string path = GoldenPath("shard_lease.lease");
+  testsupport::ExpectMatchesGolden(path, lease.Serialize());
+  const std::string text = testsupport::ReadGolden(path);
+  EXPECT_EQ(ShardLease::Deserialize(text).Serialize(), text);
+}
+
+TEST(GoldenRecords, ShardManifestMatchesFixture) {
+  ShardManifest manifest;
+  manifest.spec_text = GoldenSpec().ToString();
+  manifest.chunk_cells = 1;
+  manifest.num_cells = 2;
+  const std::string path = GoldenPath("shard_campaign.manifest");
+  testsupport::ExpectMatchesGolden(path, manifest.Serialize());
+  const std::string text = testsupport::ReadGolden(path);
+  EXPECT_EQ(ShardManifest::Deserialize(text).Serialize(), text);
+}
+
+// ---------------------------------------------------------------------------
 // Single- and multi-worker byte-identity
 // ---------------------------------------------------------------------------
 
