@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <locale>
 #include <sstream>
@@ -20,21 +19,7 @@ namespace axdse::dse {
 namespace {
 
 using util::ParseDoubleToken;
-using util::ParseUnsignedToken;
 using util::ShortestDouble;
-
-/// Campaign tokens reuse the request escaping; empty strings travel as "-"
-/// (the checkpoint subsystem's convention), so a literal "-" must be
-/// encoded to keep the mapping invertible.
-std::string Encode(const std::string& text) {
-  if (text.empty()) return "-";
-  const std::string escaped = EscapeRequestToken(text);
-  return escaped == "-" ? "%2d" : escaped;
-}
-
-std::string Decode(const std::string& token) {
-  return token == "-" ? "" : UnescapeRequestToken(token);
-}
 
 std::vector<std::string> SplitOn(const std::string& text, char separator) {
   std::vector<std::string> parts;
@@ -71,361 +56,203 @@ std::vector<std::string> Tokenize(const std::string& text) {
   throw std::invalid_argument("CampaignSpec: " + message);
 }
 
-// --- chunk checkpoint line reader ------------------------------------------
+// --- chunk document schema --------------------------------------------------
+// Summary min/max of an empty sample are +-inf sentinels, so every double
+// here reads with NonNan().
 
-[[noreturn]] void ChunkError(std::size_t line, const std::string& message) {
-  throw CheckpointError("CampaignChunkCheckpoint: line " +
-                        std::to_string(line) + ": " + message);
-}
-
-/// Strict sequential reader over the snapshot's lines: every line is
-/// requested by keyword, in order; anything unexpected throws.
-class LineReader {
- public:
-  explicit LineReader(const std::string& text) {
-    std::istringstream in(text);
-    std::string line;
-    while (std::getline(in, line)) lines_.push_back(line);
-  }
-
-  /// Consumes the next line, requires its first token to be `keyword`, and
-  /// returns the remaining tokens.
-  std::vector<std::string> Expect(const std::string& keyword) {
-    if (next_ >= lines_.size())
-      ChunkError(next_ + 1, "unexpected end of input, wanted '" + keyword +
-                                "'");
-    std::vector<std::string> tokens = Tokenize(lines_[next_]);
-    ++next_;
-    if (tokens.empty() || tokens[0] != keyword)
-      ChunkError(next_, "expected '" + keyword + "', got '" +
-                            (tokens.empty() ? std::string() : tokens[0]) +
-                            "'");
-    tokens.erase(tokens.begin());
-    return tokens;
-  }
-
-  /// Like Expect, but returns everything after "<keyword> " verbatim (for
-  /// values that legitimately contain spaces, e.g. request strings).
-  std::string ExpectRest(const std::string& keyword) {
-    if (next_ >= lines_.size())
-      ChunkError(next_ + 1, "unexpected end of input, wanted '" + keyword +
-                                "'");
-    const std::string& line = lines_[next_];
-    ++next_;
-    if (line.rfind(keyword + " ", 0) != 0)
-      ChunkError(next_, "expected '" + keyword + " ...'");
-    return line.substr(keyword.size() + 1);
-  }
-
-  void ExpectEnd() {
-    if (next_ < lines_.size())
-      ChunkError(next_ + 1, "trailing content after 'end'");
-  }
-
-  std::size_t Line() const noexcept { return next_; }
-
- private:
-  std::vector<std::string> lines_;
-  std::size_t next_ = 0;
-};
-
-void RequireTokenCount(const LineReader& reader,
-                       const std::vector<std::string>& tokens,
-                       std::size_t count, const char* what) {
-  if (tokens.size() != count)
-    ChunkError(reader.Line(), std::string(what) + ": expected " +
-                                  std::to_string(count) + " fields, got " +
-                                  std::to_string(tokens.size()));
-}
-
-double ChunkDouble(const std::string& token, const char* what) {
-  // Summary min/max of an empty sample are +-inf sentinels; allow them.
-  return ParseDoubleToken(token, what, /*allow_nonfinite=*/true);
-}
-
-void WriteSummary(std::ostream& out, const char* keyword,
+void WriteSummary(util::RecordWriter& out, const char* tag,
                   const util::Summary& summary) {
-  out << keyword << " " << summary.count << " " << ShortestDouble(summary.mean)
-      << " " << ShortestDouble(summary.stddev) << " "
-      << ShortestDouble(summary.min) << " " << ShortestDouble(summary.max)
-      << " " << ShortestDouble(summary.sum) << "\n";
+  out.Line(tag)
+      .U64(summary.count)
+      .Double(summary.mean)
+      .Double(summary.stddev)
+      .Double(summary.min)
+      .Double(summary.max)
+      .Double(summary.sum);
 }
 
-util::Summary ReadSummary(LineReader& reader, const std::string& keyword) {
-  const std::vector<std::string> tokens = reader.Expect(keyword);
-  RequireTokenCount(reader, tokens, 6, "summary");
+util::Summary ReadSummary(util::RecordReader& reader, const char* tag) {
+  util::RecordCursor cursor = reader.Expect(tag, 6);
   util::Summary summary;
-  summary.count =
-      static_cast<std::size_t>(ParseUnsignedToken(tokens[0], "summary count"));
-  summary.mean = ChunkDouble(tokens[1], "summary mean");
-  summary.stddev = ChunkDouble(tokens[2], "summary stddev");
-  summary.min = ChunkDouble(tokens[3], "summary min");
-  summary.max = ChunkDouble(tokens[4], "summary max");
-  summary.sum = ChunkDouble(tokens[5], "summary sum");
+  summary.count = cursor.Size("summary count");
+  summary.mean = cursor.NonNan("summary mean");
+  summary.stddev = cursor.NonNan("summary stddev");
+  summary.min = cursor.NonNan("summary min");
+  summary.max = cursor.NonNan("summary max");
+  summary.sum = cursor.NonNan("summary sum");
   return summary;
 }
 
-void WriteConfig(std::ostream& out, const Configuration& config) {
-  out << config.AdderIndex() << " " << config.MultiplierIndex() << " "
-      << config.NumVariables();
-  for (const std::uint64_t word : config.MaskWords()) out << " " << word;
-}
-
-/// Consumes one serialized configuration from `tokens` starting at `pos`.
-Configuration ReadConfig(LineReader& reader,
-                         const std::vector<std::string>& tokens,
-                         std::size_t& pos) {
-  if (tokens.size() < pos + 3) ChunkError(reader.Line(), "truncated config");
-  const std::uint64_t adder = ParseUnsignedToken(tokens[pos], "config adder");
-  const std::uint64_t multiplier =
-      ParseUnsignedToken(tokens[pos + 1], "config multiplier");
-  if (adder > std::numeric_limits<std::uint32_t>::max() ||
-      multiplier > std::numeric_limits<std::uint32_t>::max())
-    ChunkError(reader.Line(), "config operator index exceeds 32 bits");
-  const std::size_t num_variables = static_cast<std::size_t>(
-      ParseUnsignedToken(tokens[pos + 2], "config variable count"));
-  pos += 3;
-  Configuration config(num_variables);
-  config.SetAdderIndex(static_cast<std::uint32_t>(adder));
-  config.SetMultiplierIndex(static_cast<std::uint32_t>(multiplier));
-  const std::size_t num_words = config.MaskWords().size();
-  if (tokens.size() < pos + num_words)
-    ChunkError(reader.Line(), "truncated config mask");
-  for (std::size_t w = 0; w < num_words; ++w) {
-    const std::uint64_t word =
-        ParseUnsignedToken(tokens[pos + w], "config mask word");
-    for (std::size_t bit = 0; bit < 64; ++bit) {
-      if ((word >> bit) & 1ULL) {
-        const std::size_t variable = w * 64 + bit;
-        if (variable >= num_variables)
-          ChunkError(reader.Line(),
-                     "config mask sets a bit beyond the variable count");
-        config.SetVariable(variable, true);
-      }
-    }
-  }
-  pos += num_words;
-  return config;
-}
-
 /// The five measurement fields campaign reports read (see CampaignSeedRun).
-void WriteMeasurement(std::ostream& out, const instrument::Measurement& m) {
-  out << ShortestDouble(m.delta_acc) << " " << ShortestDouble(m.delta_power_mw)
-      << " " << ShortestDouble(m.delta_time_ns) << " "
-      << ShortestDouble(m.precise_power_mw) << " "
-      << ShortestDouble(m.precise_time_ns);
+void WriteMeasurement(util::RecordWriter& out,
+                      const instrument::Measurement& m) {
+  out.Double(m.delta_acc)
+      .Double(m.delta_power_mw)
+      .Double(m.delta_time_ns)
+      .Double(m.precise_power_mw)
+      .Double(m.precise_time_ns);
 }
 
-instrument::Measurement ReadMeasurement(const std::vector<std::string>& tokens,
-                                        std::size_t& pos, LineReader& reader) {
-  if (tokens.size() < pos + 5)
-    ChunkError(reader.Line(), "truncated measurement");
+instrument::Measurement ReadMeasurement(util::RecordCursor& cursor) {
   instrument::Measurement m;
-  m.delta_acc = ChunkDouble(tokens[pos], "delta_acc");
-  m.delta_power_mw = ChunkDouble(tokens[pos + 1], "delta_power_mw");
-  m.delta_time_ns = ChunkDouble(tokens[pos + 2], "delta_time_ns");
-  m.precise_power_mw = ChunkDouble(tokens[pos + 3], "precise_power_mw");
-  m.precise_time_ns = ChunkDouble(tokens[pos + 4], "precise_time_ns");
-  pos += 5;
+  m.delta_acc = cursor.NonNan("delta_acc");
+  m.delta_power_mw = cursor.NonNan("delta_power_mw");
+  m.delta_time_ns = cursor.NonNan("delta_time_ns");
+  m.precise_power_mw = cursor.NonNan("precise_power_mw");
+  m.precise_time_ns = cursor.NonNan("precise_time_ns");
   return m;
 }
 
-void WriteCell(std::ostream& out, const CampaignCell& cell) {
-  out << "request " << cell.request.ToString() << "\n";
-  out << "kernel-name " << Encode(cell.kernel_name) << "\n";
-  out << "reward " << ShortestDouble(cell.reward.acc_threshold) << " "
-      << ShortestDouble(cell.reward.power_threshold) << " "
-      << ShortestDouble(cell.reward.time_threshold) << " "
-      << ShortestDouble(cell.reward.max_reward) << " "
-      << ShortestDouble(cell.reward.step_reward) << " "
-      << ShortestDouble(cell.reward.step_penalty) << "\n";
+void WriteCell(util::RecordWriter& out, const CampaignCell& cell) {
+  out.Line("request").Word(cell.request.ToString());
+  out.Line("kernel-name").Text(cell.kernel_name);
+  out.Line("reward")
+      .Double(cell.reward.acc_threshold)
+      .Double(cell.reward.power_threshold)
+      .Double(cell.reward.time_threshold)
+      .Double(cell.reward.max_reward)
+      .Double(cell.reward.step_reward)
+      .Double(cell.reward.step_penalty);
   WriteSummary(out, "summary-dpower", cell.solution_delta_power);
   WriteSummary(out, "summary-dtime", cell.solution_delta_time);
   WriteSummary(out, "summary-dacc", cell.solution_delta_acc);
   WriteSummary(out, "summary-steps", cell.steps);
-  out << "aggregate " << ShortestDouble(cell.feasible_fraction) << " "
-      << Encode(cell.modal_adder) << " " << Encode(cell.modal_multiplier)
-      << "\n";
-  out << "cache " << dse::ToString(cell.cache.mode) << " "
-      << cell.cache.distinct_evaluations << " " << cell.cache.executed_runs
-      << " " << cell.cache.saved_runs << " " << cell.cache.local_hits << " "
-      << cell.cache.shared_hits << " " << cell.cache.surrogate_hits << " "
-      << cell.cache.deferred_runs << "\n";
-  out << "runs " << cell.runs.size() << "\n";
+  out.Line("aggregate")
+      .Double(cell.feasible_fraction)
+      .Text(cell.modal_adder)
+      .Text(cell.modal_multiplier);
+  out.Line("cache")
+      .Word(dse::ToString(cell.cache.mode))
+      .U64(cell.cache.distinct_evaluations)
+      .U64(cell.cache.executed_runs)
+      .U64(cell.cache.saved_runs)
+      .U64(cell.cache.local_hits)
+      .U64(cell.cache.shared_hits)
+      .U64(cell.cache.surrogate_hits)
+      .U64(cell.cache.deferred_runs);
+  out.Line("runs").U64(cell.runs.size());
   for (const CampaignSeedRun& run : cell.runs) {
-    out << "run " << run.seed << " " << run.steps << " " << Encode(run.stop)
-        << " " << ShortestDouble(run.cumulative_reward) << " " << run.episodes
-        << " " << run.kernel_runs << " " << run.cache_hits << " "
-        << run.kernel_runs_executed << " " << run.shared_cache_hits << " "
-        << run.surrogate_hits << " " << run.kernel_runs_deferred << " "
-        << (run.feasible ? 1 : 0) << " " << ShortestDouble(run.objective)
-        << "\n";
-    out << "solution " << Encode(run.adder) << " " << Encode(run.multiplier)
-        << " ";
+    out.Line("run")
+        .U64(run.seed)
+        .U64(run.steps)
+        .Text(run.stop)
+        .Double(run.cumulative_reward)
+        .U64(run.episodes)
+        .U64(run.kernel_runs)
+        .U64(run.cache_hits)
+        .U64(run.kernel_runs_executed)
+        .U64(run.shared_cache_hits)
+        .U64(run.surrogate_hits)
+        .U64(run.kernel_runs_deferred)
+        .Flag(run.feasible)
+        .Double(run.objective);
+    out.Line("solution").Text(run.adder).Text(run.multiplier);
     WriteMeasurement(out, run.solution_measurement);
-    out << " ";
-    WriteConfig(out, run.solution);
-    out << "\n";
-    out << "best " << (run.has_best_feasible ? 1 : 0);
+    WriteConfigRecord(out, run.solution);
+    out.Line("best").Flag(run.has_best_feasible);
     if (run.has_best_feasible) {
-      out << " ";
       WriteMeasurement(out, run.best_feasible_measurement);
-      out << " ";
-      WriteConfig(out, run.best_feasible);
+      WriteConfigRecord(out, run.best_feasible);
     }
-    out << "\n";
-    out << "stages " << run.stage_counts.size() << "\n";
+    out.Line("stages").U64(run.stage_counts.size());
     for (const workloads::StageOpCounts& stage : run.stage_counts)
-      out << "stage " << Encode(stage.stage) << " "
-          << stage.counts.precise_adds << " " << stage.counts.approx_adds
-          << " " << stage.counts.precise_muls << " "
-          << stage.counts.approx_muls << "\n";
+      out.Line("stage")
+          .Text(stage.stage)
+          .U64(stage.counts.precise_adds)
+          .U64(stage.counts.approx_adds)
+          .U64(stage.counts.precise_muls)
+          .U64(stage.counts.approx_muls);
   }
 }
 
-CampaignCell ReadCell(LineReader& reader) {
+CampaignCell ReadCell(util::RecordReader& reader) {
   CampaignCell cell;
-  cell.request = ExplorationRequest::Parse(reader.ExpectRest("request"));
+  cell.request =
+      ExplorationRequest::Parse(std::string(reader.ExpectRest("request")));
+  cell.kernel_name = reader.Expect("kernel-name", 1).Text("kernel name");
   {
-    const std::vector<std::string> tokens = reader.Expect("kernel-name");
-    RequireTokenCount(reader, tokens, 1, "kernel-name");
-    cell.kernel_name = Decode(tokens[0]);
-  }
-  {
-    const std::vector<std::string> tokens = reader.Expect("reward");
-    RequireTokenCount(reader, tokens, 6, "reward");
-    cell.reward.acc_threshold = ChunkDouble(tokens[0], "acc_threshold");
-    cell.reward.power_threshold = ChunkDouble(tokens[1], "power_threshold");
-    cell.reward.time_threshold = ChunkDouble(tokens[2], "time_threshold");
-    cell.reward.max_reward = ChunkDouble(tokens[3], "max_reward");
-    cell.reward.step_reward = ChunkDouble(tokens[4], "step_reward");
-    cell.reward.step_penalty = ChunkDouble(tokens[5], "step_penalty");
+    util::RecordCursor cursor = reader.Expect("reward", 6);
+    cell.reward.acc_threshold = cursor.NonNan("acc_threshold");
+    cell.reward.power_threshold = cursor.NonNan("power_threshold");
+    cell.reward.time_threshold = cursor.NonNan("time_threshold");
+    cell.reward.max_reward = cursor.NonNan("max_reward");
+    cell.reward.step_reward = cursor.NonNan("step_reward");
+    cell.reward.step_penalty = cursor.NonNan("step_penalty");
   }
   cell.solution_delta_power = ReadSummary(reader, "summary-dpower");
   cell.solution_delta_time = ReadSummary(reader, "summary-dtime");
   cell.solution_delta_acc = ReadSummary(reader, "summary-dacc");
   cell.steps = ReadSummary(reader, "summary-steps");
   {
-    const std::vector<std::string> tokens = reader.Expect("aggregate");
-    RequireTokenCount(reader, tokens, 3, "aggregate");
-    cell.feasible_fraction = ChunkDouble(tokens[0], "feasible_fraction");
-    cell.modal_adder = Decode(tokens[1]);
-    cell.modal_multiplier = Decode(tokens[2]);
+    util::RecordCursor cursor = reader.Expect("aggregate", 3);
+    cell.feasible_fraction = cursor.NonNan("feasible_fraction");
+    cell.modal_adder = cursor.Text("modal adder");
+    cell.modal_multiplier = cursor.Text("modal multiplier");
   }
   {
-    const std::vector<std::string> tokens = reader.Expect("cache");
-    RequireTokenCount(reader, tokens, 8, "cache");
-    cell.cache.mode = CacheModeFromName(tokens[0]);
-    cell.cache.distinct_evaluations = static_cast<std::size_t>(
-        ParseUnsignedToken(tokens[1], "cache distinct"));
-    cell.cache.executed_runs = static_cast<std::size_t>(
-        ParseUnsignedToken(tokens[2], "cache executed"));
-    cell.cache.saved_runs =
-        static_cast<std::size_t>(ParseUnsignedToken(tokens[3], "cache saved"));
-    cell.cache.local_hits =
-        static_cast<std::size_t>(ParseUnsignedToken(tokens[4], "cache local"));
-    cell.cache.shared_hits = static_cast<std::size_t>(
-        ParseUnsignedToken(tokens[5], "cache shared"));
-    cell.cache.surrogate_hits = static_cast<std::size_t>(
-        ParseUnsignedToken(tokens[6], "cache surrogate"));
-    cell.cache.deferred_runs = static_cast<std::size_t>(
-        ParseUnsignedToken(tokens[7], "cache deferred"));
+    util::RecordCursor cursor = reader.Expect("cache", 8);
+    cell.cache.mode = CacheModeFromName(std::string(cursor.Word("cache mode")));
+    cell.cache.distinct_evaluations = cursor.Size("cache distinct");
+    cell.cache.executed_runs = cursor.Size("cache executed");
+    cell.cache.saved_runs = cursor.Size("cache saved");
+    cell.cache.local_hits = cursor.Size("cache local");
+    cell.cache.shared_hits = cursor.Size("cache shared");
+    cell.cache.surrogate_hits = cursor.Size("cache surrogate");
+    cell.cache.deferred_runs = cursor.Size("cache deferred");
   }
-  const std::vector<std::string> runs_tokens = reader.Expect("runs");
-  RequireTokenCount(reader, runs_tokens, 1, "runs");
-  const std::size_t num_runs = static_cast<std::size_t>(
-      ParseUnsignedToken(runs_tokens[0], "runs count"));
+  const std::size_t num_runs = reader.Expect("runs", 1).Count("runs count");
   cell.runs.reserve(num_runs);
   for (std::size_t i = 0; i < num_runs; ++i) {
     CampaignSeedRun run;
     {
-      const std::vector<std::string> tokens = reader.Expect("run");
-      RequireTokenCount(reader, tokens, 13, "run");
-      run.seed = ParseUnsignedToken(tokens[0], "run seed");
-      run.steps =
-          static_cast<std::size_t>(ParseUnsignedToken(tokens[1], "run steps"));
-      run.stop = Decode(tokens[2]);
-      run.cumulative_reward = ChunkDouble(tokens[3], "run reward");
-      run.episodes = static_cast<std::size_t>(
-          ParseUnsignedToken(tokens[4], "run episodes"));
-      run.kernel_runs = static_cast<std::size_t>(
-          ParseUnsignedToken(tokens[5], "run kernel_runs"));
-      run.cache_hits = static_cast<std::size_t>(
-          ParseUnsignedToken(tokens[6], "run cache_hits"));
-      run.kernel_runs_executed = static_cast<std::size_t>(
-          ParseUnsignedToken(tokens[7], "run kernel_runs_executed"));
-      run.shared_cache_hits = static_cast<std::size_t>(
-          ParseUnsignedToken(tokens[8], "run shared_cache_hits"));
-      run.surrogate_hits = static_cast<std::size_t>(
-          ParseUnsignedToken(tokens[9], "run surrogate_hits"));
-      run.kernel_runs_deferred = static_cast<std::size_t>(
-          ParseUnsignedToken(tokens[10], "run kernel_runs_deferred"));
-      const std::uint64_t feasible =
-          ParseUnsignedToken(tokens[11], "run feasible");
-      if (feasible > 1) ChunkError(reader.Line(), "run feasible not 0/1");
-      run.feasible = feasible == 1;
-      run.objective = ChunkDouble(tokens[12], "run objective");
+      util::RecordCursor cursor = reader.Expect("run", 13);
+      run.seed = cursor.U64("run seed");
+      run.steps = cursor.Size("run steps");
+      run.stop = cursor.Text("run stop");
+      run.cumulative_reward = cursor.NonNan("run reward");
+      run.episodes = cursor.Size("run episodes");
+      run.kernel_runs = cursor.Size("run kernel_runs");
+      run.cache_hits = cursor.Size("run cache_hits");
+      run.kernel_runs_executed = cursor.Size("run kernel_runs_executed");
+      run.shared_cache_hits = cursor.Size("run shared_cache_hits");
+      run.surrogate_hits = cursor.Size("run surrogate_hits");
+      run.kernel_runs_deferred = cursor.Size("run kernel_runs_deferred");
+      run.feasible = cursor.Flag("run feasible");
+      run.objective = cursor.NonNan("run objective");
     }
     {
-      const std::vector<std::string> tokens = reader.Expect("solution");
-      if (tokens.size() < 2) ChunkError(reader.Line(), "truncated solution");
-      run.adder = Decode(tokens[0]);
-      run.multiplier = Decode(tokens[1]);
-      std::size_t pos = 2;
-      run.solution_measurement = ReadMeasurement(tokens, pos, reader);
-      run.solution = ReadConfig(reader, tokens, pos);
-      if (pos != tokens.size())
-        ChunkError(reader.Line(), "trailing solution fields");
+      util::RecordCursor cursor = reader.Expect("solution");
+      run.adder = cursor.Text("solution adder");
+      run.multiplier = cursor.Text("solution multiplier");
+      run.solution_measurement = ReadMeasurement(cursor);
+      run.solution = ReadConfigRecord(cursor);
+      cursor.Done("solution");
     }
     {
-      const std::vector<std::string> tokens = reader.Expect("best");
-      if (tokens.empty()) ChunkError(reader.Line(), "truncated best");
-      const std::uint64_t has = ParseUnsignedToken(tokens[0], "best flag");
-      if (has > 1) ChunkError(reader.Line(), "best flag not 0/1");
-      run.has_best_feasible = has == 1;
-      std::size_t pos = 1;
+      util::RecordCursor cursor = reader.Expect("best");
+      run.has_best_feasible = cursor.Flag("best flag");
       if (run.has_best_feasible) {
-        run.best_feasible_measurement = ReadMeasurement(tokens, pos, reader);
-        run.best_feasible = ReadConfig(reader, tokens, pos);
+        run.best_feasible_measurement = ReadMeasurement(cursor);
+        run.best_feasible = ReadConfigRecord(cursor);
       }
-      if (pos != tokens.size())
-        ChunkError(reader.Line(), "trailing best fields");
+      cursor.Done("best");
     }
-    {
-      const std::vector<std::string> tokens = reader.Expect("stages");
-      RequireTokenCount(reader, tokens, 1, "stages");
-      const std::size_t num_stages = static_cast<std::size_t>(
-          ParseUnsignedToken(tokens[0], "stages count"));
-      run.stage_counts.reserve(num_stages);
-      for (std::size_t s = 0; s < num_stages; ++s) {
-        const std::vector<std::string> fields = reader.Expect("stage");
-        RequireTokenCount(reader, fields, 5, "stage");
-        workloads::StageOpCounts stage;
-        stage.stage = Decode(fields[0]);
-        stage.counts.precise_adds =
-            ParseUnsignedToken(fields[1], "stage precise_adds");
-        stage.counts.approx_adds =
-            ParseUnsignedToken(fields[2], "stage approx_adds");
-        stage.counts.precise_muls =
-            ParseUnsignedToken(fields[3], "stage precise_muls");
-        stage.counts.approx_muls =
-            ParseUnsignedToken(fields[4], "stage approx_muls");
-        run.stage_counts.push_back(std::move(stage));
-      }
+    const std::size_t num_stages =
+        reader.Expect("stages", 1).Count("stages count");
+    run.stage_counts.reserve(num_stages);
+    for (std::size_t s = 0; s < num_stages; ++s) {
+      util::RecordCursor cursor = reader.Expect("stage", 5);
+      workloads::StageOpCounts stage;
+      stage.stage = cursor.Text("stage name");
+      stage.counts.precise_adds = cursor.U64("stage precise_adds");
+      stage.counts.approx_adds = cursor.U64("stage approx_adds");
+      stage.counts.precise_muls = cursor.U64("stage precise_muls");
+      stage.counts.approx_muls = cursor.U64("stage approx_muls");
+      run.stage_counts.push_back(std::move(stage));
     }
     cell.runs.push_back(std::move(run));
   }
   return cell;
-}
-
-std::string Hex16(std::uint64_t value) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[value & 0xF];
-    value >>= 4;
-  }
-  return out;
 }
 
 }  // namespace
@@ -735,63 +562,30 @@ std::size_t CampaignResult::TotalSteps() const noexcept {
 // --- CampaignChunkCheckpoint ------------------------------------------------
 
 std::string CampaignChunkCheckpoint::Serialize() const {
-  std::ostringstream out;
-  out.imbue(std::locale::classic());  // locale-independent numbers
-  out << "axdse-campaign-chunk v" << kFormatVersion << "\n";
-  out << "spec-hash " << Hex16(spec_hash) << "\n";
-  out << "chunk " << chunk_index << " " << first_cell << " " << cells.size()
-      << "\n";
+  util::RecordWriter out("campaign-chunk", kFormatVersion);
+  out.Line("spec-hash").Hex64(spec_hash);
+  out.Line("chunk").U64(chunk_index).U64(first_cell).U64(cells.size());
   for (const CampaignCell& cell : cells) WriteCell(out, cell);
-  out << "end\n";
-  return out.str();
+  return out.End();
 }
 
 CampaignChunkCheckpoint CampaignChunkCheckpoint::Deserialize(
     const std::string& text) {
-  LineReader reader(text);
-  {
-    const std::vector<std::string> tokens =
-        reader.Expect("axdse-campaign-chunk");
-    RequireTokenCount(reader, tokens, 1, "version");
-    if (tokens[0] != "v" + std::to_string(kFormatVersion))
-      ChunkError(reader.Line(), "unsupported version '" + tokens[0] + "'");
-  }
-  CampaignChunkCheckpoint checkpoint;
-  {
-    const std::vector<std::string> tokens = reader.Expect("spec-hash");
-    RequireTokenCount(reader, tokens, 1, "spec-hash");
-    const std::string& hex = tokens[0];
-    if (hex.size() != 16) ChunkError(reader.Line(), "malformed spec hash");
-    std::uint64_t value = 0;
-    for (const char c : hex) {
-      int digit;
-      if (c >= '0' && c <= '9')
-        digit = c - '0';
-      else if (c >= 'a' && c <= 'f')
-        digit = c - 'a' + 10;
-      else
-        ChunkError(reader.Line(), "malformed spec hash");
-      value = (value << 4) | static_cast<std::uint64_t>(digit);
-    }
-    checkpoint.spec_hash = value;
-  }
-  std::size_t num_cells = 0;
-  {
-    const std::vector<std::string> tokens = reader.Expect("chunk");
-    RequireTokenCount(reader, tokens, 3, "chunk");
-    checkpoint.chunk_index = static_cast<std::size_t>(
-        ParseUnsignedToken(tokens[0], "chunk index"));
-    checkpoint.first_cell = static_cast<std::size_t>(
-        ParseUnsignedToken(tokens[1], "chunk first cell"));
-    num_cells = static_cast<std::size_t>(
-        ParseUnsignedToken(tokens[2], "chunk cell count"));
-  }
-  checkpoint.cells.reserve(num_cells);
-  for (std::size_t i = 0; i < num_cells; ++i)
-    checkpoint.cells.push_back(ReadCell(reader));
-  reader.Expect("end");
-  reader.ExpectEnd();
-  return checkpoint;
+  return util::ParseRecords<CheckpointError>(
+      text, "CampaignChunkCheckpoint", [](util::RecordReader& reader) {
+        reader.ExpectHeader("campaign-chunk", kFormatVersion);
+        CampaignChunkCheckpoint checkpoint;
+        checkpoint.spec_hash = reader.Expect("spec-hash", 1).Hex64("spec hash");
+        util::RecordCursor chunk = reader.Expect("chunk", 3);
+        checkpoint.chunk_index = chunk.Size("chunk index");
+        checkpoint.first_cell = chunk.Size("chunk first cell");
+        const std::size_t num_cells = chunk.Count("chunk cell count");
+        checkpoint.cells.reserve(num_cells);
+        for (std::size_t i = 0; i < num_cells; ++i)
+          checkpoint.cells.push_back(ReadCell(reader));
+        reader.ExpectEnd();
+        return checkpoint;
+      });
 }
 
 void CampaignChunkCheckpoint::Save(const std::string& path) const {
@@ -805,7 +599,7 @@ CampaignChunkCheckpoint CampaignChunkCheckpoint::Load(const std::string& path) {
 
 std::string CampaignChunkFileName(const std::string& spec_text,
                                   std::size_t chunk_index) {
-  return "campaign-" + Hex16(StableHash64(spec_text)) + "-chunk-" +
+  return "campaign-" + util::Hex16(StableHash64(spec_text)) + "-chunk-" +
          std::to_string(chunk_index) + ".ckpt";
 }
 

@@ -255,8 +255,8 @@ struct CampaignResult {
 };
 
 /// Persisted reduction of one completed chunk (campaign-level resume unit).
-/// Uses the checkpoint subsystem's conventions: versioned line-oriented
-/// text, strict parsing (CheckpointError), atomic Save.
+/// A util::record_io document ("axdse-campaign-chunk v3"): strict parsing
+/// (CheckpointError), atomic Save.
 struct CampaignChunkCheckpoint {
   /// v2 added the surrogate counters to the "cache" and "run" lines; v3
   /// carries the KernelSpec request grammar and per-run "stage" lines.

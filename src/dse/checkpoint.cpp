@@ -3,287 +3,42 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <limits>
-#include <locale>
-#include <optional>
-#include <sstream>
 
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "rl/state_io.hpp"
-
 #include "util/fault_injection.hpp"
-#include "util/number_format.hpp"
 
 namespace axdse::dse {
 
 namespace {
 
-using util::ParseDoubleToken;
-using util::ParseUnsignedToken;
-using util::ShortestDouble;
-
 // --------------------------------------------------------------------------
-// Token escaping: free-text fields (request serializations, operator type
-// codes) are stored as single tokens. Only the characters that would break
-// tokenization are encoded; the empty string maps to the sentinel "-".
+// Schema pieces shared by job and shared-cache snapshots: the Measurement
+// token layout, objective ranges and the sorted cache-entry lines.
 // --------------------------------------------------------------------------
 
-std::string EncodeToken(const std::string& text) {
-  if (text.empty()) return "-";
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '%':
-        out += "%25";
-        break;
-      case ' ':
-        out += "%20";
-        break;
-      case '\t':
-        out += "%09";
-        break;
-      case '\n':
-        out += "%0a";
-        break;
-      case '\r':
-        out += "%0d";
-        break;
-      default:
-        out.push_back(c);
-    }
-  }
-  if (out == "-") return "%2d";
-  return out;
+void WriteMeasurement(util::RecordWriter& out,
+                      const instrument::Measurement& m) {
+  out.Double(m.delta_acc)
+      .Double(m.delta_power_mw)
+      .Double(m.delta_time_ns)
+      .Double(m.precise_power_mw)
+      .Double(m.precise_time_ns)
+      .Double(m.approx_power_mw)
+      .Double(m.approx_time_ns)
+      .U64(m.counts.precise_adds)
+      .U64(m.counts.approx_adds)
+      .U64(m.counts.precise_muls)
+      .U64(m.counts.approx_muls);
 }
 
-std::string DecodeToken(const std::string& token) {
-  if (token == "-") return "";
-  std::string out;
-  out.reserve(token.size());
-  for (std::size_t i = 0; i < token.size(); ++i) {
-    if (token[i] == '%' && i + 2 < token.size()) {
-      const std::string hex = token.substr(i + 1, 2);
-      char* end = nullptr;
-      const long code = std::strtol(hex.c_str(), &end, 16);
-      if (end == hex.c_str() + 2) {
-        out.push_back(static_cast<char>(code));
-        i += 2;
-        continue;
-      }
-    }
-    out.push_back(token[i]);
-  }
-  return out;
-}
-
-// --------------------------------------------------------------------------
-// Strict line reader with positional diagnostics. Every structural
-// violation — truncation, a reordered or renamed field, a wrong token
-// count — surfaces as CheckpointError naming the offending line.
-// --------------------------------------------------------------------------
-
-class LineReader {
- public:
-  explicit LineReader(const std::string& text) : in_(text) {}
-
-  [[noreturn]] void Fail(const std::string& message) const {
-    throw CheckpointError("checkpoint line " + std::to_string(line_) + ": " +
-                          message);
-  }
-
-  /// Next line split into tokens; the first token must equal `tag`.
-  std::vector<std::string> Expect(const char* tag) {
-    std::vector<std::string> tokens = NextLineTokens(tag);
-    if (tokens.empty() || tokens.front() != tag)
-      Fail(std::string("expected '") + tag + "' field, found '" +
-           (tokens.empty() ? std::string("<empty>") : tokens.front()) + "'");
-    tokens.erase(tokens.begin());
-    return tokens;
-  }
-
-  /// Like Expect() but also checks the remaining token count.
-  std::vector<std::string> Expect(const char* tag, std::size_t count) {
-    std::vector<std::string> tokens = Expect(tag);
-    if (tokens.size() != count)
-      Fail(std::string("field '") + tag + "' expects " +
-           std::to_string(count) + " values, found " +
-           std::to_string(tokens.size()));
-    return tokens;
-  }
-
-  /// Next raw line (for the embedded agent block).
-  std::string RawLine() {
-    std::string line;
-    if (!std::getline(in_, line)) Fail("truncated: unexpected end of input");
-    ++line_;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    return line;
-  }
-
-  /// Consumes the trailing "end" marker and requires EOF after it.
-  void ExpectEnd() {
-    Expect("end", 0);
-    std::string extra;
-    if (std::getline(in_, extra)) {
-      ++line_;
-      Fail("trailing content after 'end'");
-    }
-  }
-
-  /// Tag of the next line WITHOUT consuming it (empty at end of input).
-  /// Used to branch on optional trailing sections; the peeked line is
-  /// buffered and served by the next Expect(). Do not mix with RawLine().
-  std::string PeekTag() {
-    if (!pending_) {
-      std::string line;
-      if (!std::getline(in_, line)) return "";
-      ++line_;
-      pending_ = rl::state_io::SplitTokens(line);
-    }
-    return pending_->empty() ? "" : pending_->front();
-  }
-
-  std::size_t LineNumber() const noexcept { return line_; }
-
- private:
-  std::vector<std::string> NextLineTokens(const char* tag) {
-    if (pending_) {
-      std::vector<std::string> tokens = std::move(*pending_);
-      pending_.reset();
-      return tokens;
-    }
-    std::string line;
-    if (!std::getline(in_, line)) {
-      throw CheckpointError("checkpoint truncated at line " +
-                            std::to_string(line_ + 1) + ": expected '" +
-                            tag + "' field, found end of input");
-    }
-    ++line_;
-    // Same splitter as the embedded agent blocks (rl/state_io): the framing
-    // and the agent-state parser must never disagree on tokenization.
-    return rl::state_io::SplitTokens(line);
-  }
-
-  std::istringstream in_;
-  std::size_t line_ = 0;
-  std::optional<std::vector<std::string>> pending_;
-};
-
-/// Sequential consumer over one line's value tokens. Owns the tokens so
-/// call sites may pass the Expect() result directly.
-class TokenCursor {
- public:
-  TokenCursor(std::vector<std::string> tokens, LineReader& reader)
-      : tokens_(std::move(tokens)), reader_(&reader) {}
-
-  const std::string& Next(const char* what) {
-    if (pos_ >= tokens_.size())
-      reader_->Fail(std::string("missing value for ") + what);
-    return tokens_[pos_++];
-  }
-
-  std::uint64_t U64(const char* what) {
-    return ParseUnsignedToken(Next(what), what);
-  }
-
-  std::size_t Size(const char* what) {
-    return static_cast<std::size_t>(U64(what));
-  }
-
-  double Finite(const char* what) { return ParseDoubleToken(Next(what), what); }
-
-  /// NaN still rejected; infinities pass (the ObjectiveRange sentinels are
-  /// legitimately infinite, never NaN — Update() drops NaN observations).
-  double NonNan(const char* what) {
-    return ParseDoubleToken(Next(what), what, /*allow_nonfinite=*/true);
-  }
-
-  /// Any double, NaN included — ONLY for raw measurement fields, which a
-  /// kernel with undefined outputs can legitimately produce (and the
-  /// writer then emits): the reader must accept exactly what the writer
-  /// wrote or a validly saved checkpoint becomes unloadable.
-  double Any(const char* what) {
-    const std::string& token = Next(what);
-    if (token == "nan" || token == "-nan")
-      return std::numeric_limits<double>::quiet_NaN();
-    return ParseDoubleToken(token, what, /*allow_nonfinite=*/true);
-  }
-
-  bool Flag(const char* what) {
-    const std::uint64_t value = U64(what);
-    if (value > 1) reader_->Fail(std::string(what) + " must be 0 or 1");
-    return value == 1;
-  }
-
-  void Done(const char* where) {
-    if (pos_ != tokens_.size())
-      reader_->Fail(std::string("trailing values after ") + where);
-  }
-
-  std::size_t Remaining() const noexcept { return tokens_.size() - pos_; }
-
- private:
-  std::vector<std::string> tokens_;
-  LineReader* reader_;
-  std::size_t pos_ = 0;
-};
-
-// --------------------------------------------------------------------------
-// Configuration and Measurement token layouts.
-// --------------------------------------------------------------------------
-
-void WriteConfig(std::ostream& out, const Configuration& config) {
-  out << config.AdderIndex() << " " << config.MultiplierIndex() << " "
-      << config.NumVariables();
-  for (const std::uint64_t word : config.MaskWords()) out << " " << word;
-}
-
-Configuration ReadConfig(TokenCursor& cursor, LineReader& reader) {
-  const std::uint64_t adder = cursor.U64("config adder index");
-  const std::uint64_t multiplier = cursor.U64("config multiplier index");
-  // Operator indices are stored as 32-bit values; a wider token is
-  // corruption and must fail loudly, not truncate to a different (and
-  // possibly in-range) configuration.
-  if (adder > std::numeric_limits<std::uint32_t>::max() ||
-      multiplier > std::numeric_limits<std::uint32_t>::max())
-    reader.Fail("config operator index exceeds 32 bits");
-  const std::size_t num_variables = cursor.Size("config variable count");
-  Configuration config(num_variables);
-  config.SetAdderIndex(static_cast<std::uint32_t>(adder));
-  config.SetMultiplierIndex(static_cast<std::uint32_t>(multiplier));
-  const std::size_t num_words = config.MaskWords().size();
-  for (std::size_t w = 0; w < num_words; ++w) {
-    const std::uint64_t word = cursor.U64("config mask word");
-    for (std::size_t b = 0; b < 64; ++b) {
-      if ((word >> b) & 1ULL) {
-        const std::size_t variable = w * 64 + b;
-        if (variable >= num_variables)
-          reader.Fail("config mask sets a bit beyond the variable count");
-        config.SetVariable(variable, true);
-      }
-    }
-  }
-  return config;
-}
-
-void WriteMeasurement(std::ostream& out, const instrument::Measurement& m) {
-  out << ShortestDouble(m.delta_acc) << " " << ShortestDouble(m.delta_power_mw)
-      << " " << ShortestDouble(m.delta_time_ns) << " "
-      << ShortestDouble(m.precise_power_mw) << " "
-      << ShortestDouble(m.precise_time_ns) << " "
-      << ShortestDouble(m.approx_power_mw) << " "
-      << ShortestDouble(m.approx_time_ns) << " " << m.counts.precise_adds
-      << " " << m.counts.approx_adds << " " << m.counts.precise_muls << " "
-      << m.counts.approx_muls;
-}
-
-instrument::Measurement ReadMeasurement(TokenCursor& cursor) {
+// Raw measurement fields take Any(): a kernel with undefined outputs can
+// legitimately produce NaN (and the writer then emits it), so the reader
+// must accept exactly what the writer wrote.
+instrument::Measurement ReadMeasurement(util::RecordCursor& cursor) {
   instrument::Measurement m;
   m.delta_acc = cursor.Any("measurement delta_acc");
   m.delta_power_mw = cursor.Any("measurement delta_power_mw");
@@ -299,15 +54,27 @@ instrument::Measurement ReadMeasurement(TokenCursor& cursor) {
   return m;
 }
 
-void WriteRange(std::ostream& out, const char* tag,
-                const ObjectiveRange& range) {
-  out << tag << " " << ShortestDouble(range.min) << " "
-      << ShortestDouble(range.max) << "\n";
+instrument::Measurement ReadMeasurementLine(util::RecordReader& reader,
+                                            const char* tag) {
+  util::RecordCursor cursor = reader.Expect(tag, 11);
+  return ReadMeasurement(cursor);
 }
 
-ObjectiveRange ReadRange(LineReader& reader, const char* tag) {
-  const std::vector<std::string> tokens = reader.Expect(tag, 2);
-  TokenCursor cursor(tokens, reader);
+Configuration ReadConfigLine(util::RecordReader& reader, const char* tag) {
+  util::RecordCursor cursor = reader.Expect(tag);
+  Configuration config = ReadConfigRecord(cursor);
+  cursor.Done(tag);
+  return config;
+}
+
+void WriteRange(util::RecordWriter& out, const char* tag,
+                const ObjectiveRange& range) {
+  out.Line(tag).Double(range.min).Double(range.max);
+}
+
+// The ObjectiveRange sentinels are legitimately infinite, never NaN.
+ObjectiveRange ReadRange(util::RecordReader& reader, const char* tag) {
+  util::RecordCursor cursor = reader.Expect(tag, 2);
   ObjectiveRange range;
   range.min = cursor.NonNan("objective range min");
   range.max = cursor.NonNan("objective range max");
@@ -324,36 +91,28 @@ bool ConfigLess(const Configuration& a, const Configuration& b) {
   return a.MaskWords() < b.MaskWords();
 }
 
-void SortEntries(
-    std::vector<std::pair<Configuration, instrument::Measurement>>& entries) {
+using Entries = std::vector<std::pair<Configuration, instrument::Measurement>>;
+
+/// Writes `entries` sorted, one "<tag> <config> <measurement>" line each.
+void WriteEntries(util::RecordWriter& out, const char* tag, Entries entries) {
   std::sort(entries.begin(), entries.end(),
             [](const auto& a, const auto& b) {
               return ConfigLess(a.first, b.first);
             });
-}
-
-void WriteEntries(
-    std::ostream& out,
-    std::vector<std::pair<Configuration, instrument::Measurement>> entries) {
-  SortEntries(entries);
   for (const auto& [config, measurement] : entries) {
-    out << "e ";
-    WriteConfig(out, config);
-    out << " ";
+    WriteConfigRecord(out.Line(tag), config);
     WriteMeasurement(out, measurement);
-    out << "\n";
   }
 }
 
-std::vector<std::pair<Configuration, instrument::Measurement>> ReadEntries(
-    LineReader& reader, std::size_t count) {
-  std::vector<std::pair<Configuration, instrument::Measurement>> entries;
+Entries ReadEntries(util::RecordReader& reader, const char* tag,
+                    std::size_t count) {
+  Entries entries;
   entries.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    const std::vector<std::string> tokens = reader.Expect("e");
-    TokenCursor cursor(tokens, reader);
-    Configuration config = ReadConfig(cursor, reader);
-    instrument::Measurement measurement = ReadMeasurement(cursor);
+    util::RecordCursor cursor = reader.Expect(tag);
+    Configuration config = ReadConfigRecord(cursor);
+    const instrument::Measurement measurement = ReadMeasurement(cursor);
     cursor.Done("cache entry");
     entries.emplace_back(std::move(config), measurement);
   }
@@ -361,6 +120,47 @@ std::vector<std::pair<Configuration, instrument::Measurement>> ReadEntries(
 }
 
 }  // namespace
+
+// --------------------------------------------------------------------------
+// Configuration token codec
+// --------------------------------------------------------------------------
+
+void WriteConfigRecord(util::RecordWriter& out, const Configuration& config) {
+  out.U64(config.AdderIndex())
+      .U64(config.MultiplierIndex())
+      .U64(config.NumVariables());
+  for (const std::uint64_t word : config.MaskWords()) out.U64(word);
+}
+
+Configuration ReadConfigRecord(util::RecordCursor& cursor) {
+  const std::uint64_t adder = cursor.U64("config adder index");
+  const std::uint64_t multiplier = cursor.U64("config multiplier index");
+  // Operator indices are stored as 32-bit values; a wider token is
+  // corruption and must fail loudly, not truncate to a different (and
+  // possibly in-range) configuration.
+  if (adder > std::numeric_limits<std::uint32_t>::max() ||
+      multiplier > std::numeric_limits<std::uint32_t>::max())
+    cursor.Fail("config operator index exceeds 32 bits");
+  const std::size_t num_variables = cursor.Size("config variable count");
+  // Checked before constructing: a corrupt count must not size the mask.
+  const std::size_t num_words = num_variables / 64 + (num_variables % 64 != 0);
+  if (num_words > cursor.Remaining()) cursor.Fail("config mask is truncated");
+  Configuration config(num_variables);
+  config.SetAdderIndex(static_cast<std::uint32_t>(adder));
+  config.SetMultiplierIndex(static_cast<std::uint32_t>(multiplier));
+  for (std::size_t w = 0; w < num_words; ++w) {
+    const std::uint64_t word = cursor.U64("config mask word");
+    for (std::size_t b = 0; b < 64; ++b) {
+      if ((word >> b) & 1ULL) {
+        const std::size_t variable = w * 64 + b;
+        if (variable >= num_variables)
+          cursor.Fail("config mask sets a bit beyond the variable count");
+        config.SetVariable(variable, true);
+      }
+    }
+  }
+  return config;
+}
 
 // --------------------------------------------------------------------------
 // File IO: durable atomic write (temp + fsync + rename + directory fsync),
@@ -455,12 +255,10 @@ void AtomicWriteCheckpointFile(const std::string& path,
 }
 
 std::string ReadCheckpointFile(const std::string& path, const char* what) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good())
+  std::optional<std::string> content = util::ReadWholeFile(path);
+  if (!content)
     throw CheckpointError(std::string(what) + ": cannot read " + path);
-  std::ostringstream content;
-  content << in.rdbuf();
-  return content.str();
+  return std::move(*content);
 }
 
 // --------------------------------------------------------------------------
@@ -468,84 +266,66 @@ std::string ReadCheckpointFile(const std::string& path, const char* what) {
 // --------------------------------------------------------------------------
 
 std::string Checkpoint::Serialize() const {
-  std::ostringstream out;
-  out.imbue(std::locale::classic());  // locale-independent numbers
-  out << "axdse-checkpoint v" << kFormatVersion << "\n";
-  out << "request " << EncodeToken(request) << "\n";
-  out << "seed " << seed << "\n";
-  out << "agent-kind " << EncodeToken(agent_kind) << "\n";
-  out << "finished " << (finished ? 1 : 0) << "\n";
-  out << "progress " << episode << " " << episode_steps << " " << state
-      << "\n";
-  out << "progress-reward " << ShortestDouble(episode_cumulative) << " "
-      << ShortestDouble(trace_cumulative) << "\n";
-  out << "env-round-robin " << env.round_robin_variable << "\n";
-  out << "env-config ";
-  WriteConfig(out, env.config);
-  out << "\n";
-  out << "env-measurement ";
-  WriteMeasurement(out, env.measurement);
-  out << "\n";
-  out << "interned " << env.interned.size() << "\n";
-  for (const Configuration& config : env.interned) {
-    out << "i ";
-    WriteConfig(out, config);
-    out << "\n";
-  }
+  util::RecordWriter out("checkpoint", kFormatVersion);
+  out.Line("request").Text(request);
+  out.Line("seed").U64(seed);
+  out.Line("agent-kind").Text(agent_kind);
+  out.Line("finished").Flag(finished);
+  out.Line("progress").U64(episode).U64(episode_steps).U64(state);
+  out.Line("progress-reward").Double(episode_cumulative).Double(trace_cumulative);
+  out.Line("env-round-robin").U64(env.round_robin_variable);
+  WriteConfigRecord(out.Line("env-config"), env.config);
+  WriteMeasurement(out.Line("env-measurement"), env.measurement);
+  out.Line("interned").U64(env.interned.size());
+  for (const Configuration& config : env.interned)
+    WriteConfigRecord(out.Line("i"), config);
   // The agent block is embedded verbatim, framed by its line count so the
   // outer parser never has to understand agent internals.
-  std::size_t agent_lines = 0;
-  for (const char c : agent_state)
-    if (c == '\n') ++agent_lines;
+  std::size_t agent_lines = static_cast<std::size_t>(
+      std::count(agent_state.begin(), agent_state.end(), '\n'));
   if (!agent_state.empty() && agent_state.back() != '\n') ++agent_lines;
-  out << "agent-lines " << agent_lines << "\n";
-  out << agent_state;
-  if (!agent_state.empty() && agent_state.back() != '\n') out << "\n";
-  out << "result-steps " << result.steps << "\n";
-  out << "result-stop " << rl::ToString(result.stop_reason) << "\n";
-  out << "result-reward " << ShortestDouble(result.cumulative_reward) << "\n";
-  out << "result-episodes " << result.episodes << "\n";
-  out << "result-counters " << result.kernel_runs << " " << result.cache_hits
-      << " " << result.kernel_runs_executed << " " << result.shared_cache_hits
-      << "\n";
+  out.Line("agent-lines").U64(agent_lines).Block(agent_state);
+  out.Line("result-steps").U64(result.steps);
+  out.Line("result-stop").Word(rl::ToString(result.stop_reason));
+  out.Line("result-reward").Double(result.cumulative_reward);
+  out.Line("result-episodes").U64(result.episodes);
+  out.Line("result-counters")
+      .U64(result.kernel_runs)
+      .U64(result.cache_hits)
+      .U64(result.kernel_runs_executed)
+      .U64(result.shared_cache_hits);
   WriteRange(out, "range-power", result.delta_power);
   WriteRange(out, "range-time", result.delta_time);
   WriteRange(out, "range-acc", result.delta_acc);
-  out << "solution ";
-  WriteConfig(out, result.solution);
-  out << "\n";
-  out << "solution-measurement ";
-  WriteMeasurement(out, result.solution_measurement);
-  out << "\n";
-  out << "solution-operators " << EncodeToken(result.solution_adder) << " "
-      << EncodeToken(result.solution_multiplier) << "\n";
-  out << "best-feasible " << (result.has_best_feasible ? 1 : 0);
-  if (result.has_best_feasible) {
-    out << " ";
-    WriteConfig(out, result.best_feasible);
-  }
-  out << "\n";
-  out << "best-measurement ";
-  WriteMeasurement(out, result.best_feasible_measurement);
-  out << "\n";
-  out << "rewards " << result.rewards.size();
-  for (const double reward : result.rewards)
-    out << " " << ShortestDouble(reward);
-  out << "\n";
-  out << "trace " << result.trace.size() << "\n";
+  WriteConfigRecord(out.Line("solution"), result.solution);
+  WriteMeasurement(out.Line("solution-measurement"),
+                   result.solution_measurement);
+  out.Line("solution-operators")
+      .Text(result.solution_adder)
+      .Text(result.solution_multiplier);
+  out.Line("best-feasible").Flag(result.has_best_feasible);
+  if (result.has_best_feasible) WriteConfigRecord(out, result.best_feasible);
+  WriteMeasurement(out.Line("best-measurement"),
+                   result.best_feasible_measurement);
+  out.Line("rewards").U64(result.rewards.size());
+  for (const double reward : result.rewards) out.Double(reward);
+  out.Line("trace").U64(result.trace.size());
   for (const StepRecord& record : result.trace) {
-    out << "t " << record.step << " " << record.action << " "
-        << ShortestDouble(record.reward) << " "
-        << ShortestDouble(record.cumulative_reward) << " ";
-    WriteConfig(out, record.config);
-    out << " ";
+    out.Line("t")
+        .U64(record.step)
+        .U64(record.action)
+        .Double(record.reward)
+        .Double(record.cumulative_reward);
+    WriteConfigRecord(out, record.config);
     WriteMeasurement(out, record.measurement);
-    out << "\n";
   }
-  out << "memo " << evaluator.entries.size() << " " << evaluator.kernel_runs
-      << " " << evaluator.cache_hits << " " << evaluator.cache_misses << " "
-      << evaluator.shared_hits << "\n";
-  WriteEntries(out, evaluator.entries);
+  out.Line("memo")
+      .U64(evaluator.entries.size())
+      .U64(evaluator.kernel_runs)
+      .U64(evaluator.cache_hits)
+      .U64(evaluator.cache_misses)
+      .U64(evaluator.shared_hits);
+  WriteEntries(out, "e", evaluator.entries);
   // Optional surrogate-tier section. Omitted entirely for surrogate-off
   // snapshots with zero counters, so the byte format (and the golden
   // fixture) of every pre-surrogate checkpoint is unchanged. Finished
@@ -553,259 +333,169 @@ std::string Checkpoint::Serialize() const {
   const Evaluator::CacheState::SurrogateState& surrogate = evaluator.surrogate;
   if (surrogate.enabled || result.surrogate_hits > 0 ||
       result.kernel_runs_deferred > 0) {
-    out << "surrogate " << (surrogate.enabled ? 1 : 0) << " "
-        << surrogate.hits << " " << surrogate.deferred << " "
-        << result.surrogate_hits << " " << result.kernel_runs_deferred
-        << "\n";
+    out.Line("surrogate")
+        .Flag(surrogate.enabled)
+        .U64(surrogate.hits)
+        .U64(surrogate.deferred)
+        .U64(result.surrogate_hits)
+        .U64(result.kernel_runs_deferred);
     if (surrogate.enabled) {
-      out << "s-state " << surrogate.model.audit_counter << " "
-          << (surrogate.model.counts_unstable ? 1 : 0) << "\n";
+      out.Line("s-state")
+          .U64(surrogate.model.audit_counter)
+          .Flag(surrogate.model.counts_unstable);
       // Observations keep their insertion order: the restore path replays
       // them through the model so refits happen at the same counts as the
       // original run.
-      out << "s-observations " << surrogate.model.observations.size() << "\n";
-      for (const Configuration& config : surrogate.model.observations) {
-        out << "o ";
-        WriteConfig(out, config);
-        out << "\n";
-      }
-      std::vector<std::pair<Configuration, instrument::Measurement>>
-          predicted = surrogate.model.predicted;
-      SortEntries(predicted);
-      out << "s-predicted " << predicted.size() << "\n";
-      for (const auto& [config, measurement] : predicted) {
-        out << "p ";
-        WriteConfig(out, config);
-        out << " ";
-        WriteMeasurement(out, measurement);
-        out << "\n";
-      }
+      out.Line("s-observations").U64(surrogate.model.observations.size());
+      for (const Configuration& config : surrogate.model.observations)
+        WriteConfigRecord(out.Line("o"), config);
+      out.Line("s-predicted").U64(surrogate.model.predicted.size());
+      WriteEntries(out, "p", surrogate.model.predicted);
     }
   }
-  out << "end\n";
-  return out.str();
+  return out.End();
 }
 
 Checkpoint Checkpoint::Deserialize(const std::string& text) {
-  LineReader reader(text);
-  Checkpoint checkpoint;
-  try {
-    {
-      const std::vector<std::string> tokens =
-          reader.Expect("axdse-checkpoint", 1);
-      const std::string expected = "v" + std::to_string(kFormatVersion);
-      if (tokens[0] != expected)
-        reader.Fail("format version mismatch: found '" + tokens[0] +
-                    "', this build reads '" + expected + "'");
-    }
-    checkpoint.request = DecodeToken(reader.Expect("request", 1)[0]);
-    {
-      TokenCursor cursor(reader.Expect("seed", 1), reader);
-      checkpoint.seed = cursor.U64("seed");
-    }
-    checkpoint.agent_kind = DecodeToken(reader.Expect("agent-kind", 1)[0]);
-    {
-      TokenCursor cursor(reader.Expect("finished", 1), reader);
-      checkpoint.finished = cursor.Flag("finished flag");
-    }
-    {
-      const std::vector<std::string> tokens = reader.Expect("progress", 3);
-      TokenCursor cursor(tokens, reader);
-      checkpoint.episode = cursor.Size("progress episode");
-      checkpoint.episode_steps = cursor.Size("progress episode steps");
-      checkpoint.state = cursor.U64("progress state id");
-    }
-    {
-      const std::vector<std::string> tokens =
-          reader.Expect("progress-reward", 2);
-      TokenCursor cursor(tokens, reader);
-      checkpoint.episode_cumulative = cursor.Finite("episode cumulative");
-      checkpoint.trace_cumulative = cursor.Finite("trace cumulative");
-    }
-    {
-      TokenCursor cursor(reader.Expect("env-round-robin", 1), reader);
-      checkpoint.env.round_robin_variable = cursor.Size("round-robin");
-    }
-    {
-      const std::vector<std::string> tokens = reader.Expect("env-config");
-      TokenCursor cursor(tokens, reader);
-      checkpoint.env.config = ReadConfig(cursor, reader);
-      cursor.Done("env-config");
-    }
-    {
-      const std::vector<std::string> tokens =
-          reader.Expect("env-measurement", 11);
-      TokenCursor cursor(tokens, reader);
-      checkpoint.env.measurement = ReadMeasurement(cursor);
-    }
-    {
-      TokenCursor count_cursor(reader.Expect("interned", 1), reader);
-      const std::size_t count = count_cursor.Size("interned count");
-      checkpoint.env.interned.reserve(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        const std::vector<std::string> tokens = reader.Expect("i");
-        TokenCursor cursor(tokens, reader);
-        checkpoint.env.interned.push_back(ReadConfig(cursor, reader));
-        cursor.Done("interned configuration");
-      }
-    }
-    {
-      TokenCursor cursor(reader.Expect("agent-lines", 1), reader);
-      const std::size_t lines = cursor.Size("agent line count");
-      std::ostringstream agent;
-      for (std::size_t l = 0; l < lines; ++l) agent << reader.RawLine() << "\n";
-      checkpoint.agent_state = agent.str();
-    }
-    ExplorationResult& result = checkpoint.result;
-    {
-      TokenCursor cursor(reader.Expect("result-steps", 1), reader);
-      result.steps = cursor.Size("result steps");
-    }
-    result.stop_reason =
-        rl::StopReasonFromName(reader.Expect("result-stop", 1)[0]);
-    {
-      TokenCursor cursor(reader.Expect("result-reward", 1), reader);
-      result.cumulative_reward = cursor.Finite("result cumulative reward");
-    }
-    {
-      TokenCursor cursor(reader.Expect("result-episodes", 1), reader);
-      result.episodes = cursor.Size("result episodes");
-    }
-    {
-      const std::vector<std::string> tokens =
-          reader.Expect("result-counters", 4);
-      TokenCursor cursor(tokens, reader);
-      result.kernel_runs = cursor.Size("result kernel runs");
-      result.cache_hits = cursor.Size("result cache hits");
-      result.kernel_runs_executed = cursor.Size("result executed runs");
-      result.shared_cache_hits = cursor.Size("result shared hits");
-    }
-    result.delta_power = ReadRange(reader, "range-power");
-    result.delta_time = ReadRange(reader, "range-time");
-    result.delta_acc = ReadRange(reader, "range-acc");
-    {
-      const std::vector<std::string> tokens = reader.Expect("solution");
-      TokenCursor cursor(tokens, reader);
-      result.solution = ReadConfig(cursor, reader);
-      cursor.Done("solution");
-    }
-    {
-      const std::vector<std::string> tokens =
-          reader.Expect("solution-measurement", 11);
-      TokenCursor cursor(tokens, reader);
-      result.solution_measurement = ReadMeasurement(cursor);
-    }
-    {
-      const std::vector<std::string> tokens =
-          reader.Expect("solution-operators", 2);
-      result.solution_adder = DecodeToken(tokens[0]);
-      result.solution_multiplier = DecodeToken(tokens[1]);
-    }
-    {
-      const std::vector<std::string> tokens = reader.Expect("best-feasible");
-      TokenCursor cursor(tokens, reader);
-      result.has_best_feasible = cursor.Flag("best-feasible flag");
-      if (result.has_best_feasible)
-        result.best_feasible = ReadConfig(cursor, reader);
-      cursor.Done("best-feasible");
-    }
-    {
-      const std::vector<std::string> tokens =
-          reader.Expect("best-measurement", 11);
-      TokenCursor cursor(tokens, reader);
-      result.best_feasible_measurement = ReadMeasurement(cursor);
-    }
-    {
-      const std::vector<std::string> tokens = reader.Expect("rewards");
-      TokenCursor cursor(tokens, reader);
-      const std::size_t count = cursor.Size("reward count");
-      if (tokens.size() != count + 1)
-        reader.Fail("rewards list length does not match its count");
-      result.rewards.reserve(count);
-      for (std::size_t i = 0; i < count; ++i)
-        result.rewards.push_back(cursor.Finite("reward value"));
-    }
-    {
-      TokenCursor count_cursor(reader.Expect("trace", 1), reader);
-      const std::size_t count = count_cursor.Size("trace count");
-      result.trace.reserve(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        const std::vector<std::string> tokens = reader.Expect("t");
-        TokenCursor cursor(tokens, reader);
-        StepRecord record;
-        record.step = cursor.Size("trace step");
-        record.action = cursor.Size("trace action");
-        record.reward = cursor.Finite("trace reward");
-        record.cumulative_reward = cursor.Finite("trace cumulative");
-        record.config = ReadConfig(cursor, reader);
-        record.measurement = ReadMeasurement(cursor);
-        cursor.Done("trace record");
-        result.trace.push_back(std::move(record));
-      }
-    }
-    {
-      const std::vector<std::string> tokens = reader.Expect("memo", 5);
-      TokenCursor cursor(tokens, reader);
-      const std::size_t count = cursor.Size("memo entry count");
-      checkpoint.evaluator.kernel_runs = cursor.Size("memo kernel runs");
-      checkpoint.evaluator.cache_hits = cursor.Size("memo cache hits");
-      checkpoint.evaluator.cache_misses = cursor.Size("memo cache misses");
-      checkpoint.evaluator.shared_hits = cursor.Size("memo shared hits");
-      checkpoint.evaluator.entries = ReadEntries(reader, count);
-    }
-    if (reader.PeekTag() == "surrogate") {
-      Evaluator::CacheState::SurrogateState& surrogate =
-          checkpoint.evaluator.surrogate;
-      {
-        TokenCursor cursor(reader.Expect("surrogate", 5), reader);
-        surrogate.enabled = cursor.Flag("surrogate enabled flag");
-        surrogate.hits = cursor.Size("surrogate hits");
-        surrogate.deferred = cursor.Size("surrogate deferred");
-        checkpoint.result.surrogate_hits =
-            cursor.Size("result surrogate hits");
-        checkpoint.result.kernel_runs_deferred =
-            cursor.Size("result kernel runs deferred");
-      }
-      if (surrogate.enabled) {
+  Checkpoint checkpoint = util::ParseRecords<CheckpointError>(
+      text, "checkpoint", [](util::RecordReader& reader) {
+        Checkpoint c;
+        reader.ExpectHeader("checkpoint", kFormatVersion);
+        c.request = reader.Expect("request", 1).Text("request");
+        c.seed = reader.Expect("seed", 1).U64("seed");
+        c.agent_kind = reader.Expect("agent-kind", 1).Text("agent kind");
+        c.finished = reader.Expect("finished", 1).Flag("finished flag");
         {
-          TokenCursor cursor(reader.Expect("s-state", 2), reader);
-          surrogate.model.audit_counter = cursor.U64("surrogate audit counter");
-          surrogate.model.counts_unstable =
-              cursor.Flag("surrogate counts-unstable flag");
+          util::RecordCursor cursor = reader.Expect("progress", 3);
+          c.episode = cursor.Size("progress episode");
+          c.episode_steps = cursor.Size("progress episode steps");
+          c.state = cursor.U64("progress state id");
         }
         {
-          TokenCursor cursor(reader.Expect("s-observations", 1), reader);
-          const std::size_t count = cursor.Size("surrogate observation count");
-          surrogate.model.observations.reserve(count);
-          for (std::size_t i = 0; i < count; ++i) {
-            TokenCursor line(reader.Expect("o"), reader);
-            surrogate.model.observations.push_back(ReadConfig(line, reader));
-            line.Done("surrogate observation");
+          util::RecordCursor cursor = reader.Expect("progress-reward", 2);
+          c.episode_cumulative = cursor.Finite("episode cumulative");
+          c.trace_cumulative = cursor.Finite("trace cumulative");
+        }
+        c.env.round_robin_variable =
+            reader.Expect("env-round-robin", 1).Size("round-robin");
+        c.env.config = ReadConfigLine(reader, "env-config");
+        c.env.measurement = ReadMeasurementLine(reader, "env-measurement");
+        const std::size_t interned =
+            reader.Expect("interned", 1).Count("interned count");
+        c.env.interned.reserve(interned);
+        for (std::size_t i = 0; i < interned; ++i)
+          c.env.interned.push_back(ReadConfigLine(reader, "i"));
+        const std::size_t agent_lines =
+            reader.Expect("agent-lines", 1).Count("agent line count");
+        for (std::size_t l = 0; l < agent_lines; ++l) {
+          c.agent_state += reader.RawLine();
+          c.agent_state += '\n';
+        }
+
+        ExplorationResult& result = c.result;
+        result.steps = reader.Expect("result-steps", 1).Size("result steps");
+        result.stop_reason = rl::StopReasonFromName(
+            std::string(reader.Expect("result-stop", 1).Word("stop reason")));
+        result.cumulative_reward =
+            reader.Expect("result-reward", 1).Finite("result cumulative reward");
+        result.episodes =
+            reader.Expect("result-episodes", 1).Size("result episodes");
+        {
+          util::RecordCursor cursor = reader.Expect("result-counters", 4);
+          result.kernel_runs = cursor.Size("result kernel runs");
+          result.cache_hits = cursor.Size("result cache hits");
+          result.kernel_runs_executed = cursor.Size("result executed runs");
+          result.shared_cache_hits = cursor.Size("result shared hits");
+        }
+        result.delta_power = ReadRange(reader, "range-power");
+        result.delta_time = ReadRange(reader, "range-time");
+        result.delta_acc = ReadRange(reader, "range-acc");
+        result.solution = ReadConfigLine(reader, "solution");
+        result.solution_measurement =
+            ReadMeasurementLine(reader, "solution-measurement");
+        {
+          util::RecordCursor cursor = reader.Expect("solution-operators", 2);
+          result.solution_adder = cursor.Text("solution adder");
+          result.solution_multiplier = cursor.Text("solution multiplier");
+        }
+        {
+          util::RecordCursor cursor = reader.Expect("best-feasible");
+          result.has_best_feasible = cursor.Flag("best-feasible flag");
+          if (result.has_best_feasible)
+            result.best_feasible = ReadConfigRecord(cursor);
+          cursor.Done("best-feasible");
+        }
+        result.best_feasible_measurement =
+            ReadMeasurementLine(reader, "best-measurement");
+        {
+          util::RecordCursor cursor = reader.Expect("rewards");
+          const std::size_t count = cursor.Size("reward count");
+          if (cursor.Remaining() != count)
+            cursor.Fail("rewards list length does not match its count");
+          result.rewards.reserve(count);
+          for (std::size_t i = 0; i < count; ++i)
+            result.rewards.push_back(cursor.Finite("reward value"));
+        }
+        const std::size_t trace = reader.Expect("trace", 1).Count("trace count");
+        result.trace.reserve(trace);
+        for (std::size_t i = 0; i < trace; ++i) {
+          util::RecordCursor cursor = reader.Expect("t");
+          StepRecord record;
+          record.step = cursor.Size("trace step");
+          record.action = cursor.Size("trace action");
+          record.reward = cursor.Finite("trace reward");
+          record.cumulative_reward = cursor.Finite("trace cumulative");
+          record.config = ReadConfigRecord(cursor);
+          record.measurement = ReadMeasurement(cursor);
+          cursor.Done("trace record");
+          result.trace.push_back(std::move(record));
+        }
+        {
+          util::RecordCursor cursor = reader.Expect("memo", 5);
+          const std::size_t count = cursor.Count("memo entry count");
+          c.evaluator.kernel_runs = cursor.Size("memo kernel runs");
+          c.evaluator.cache_hits = cursor.Size("memo cache hits");
+          c.evaluator.cache_misses = cursor.Size("memo cache misses");
+          c.evaluator.shared_hits = cursor.Size("memo shared hits");
+          c.evaluator.entries = ReadEntries(reader, "e", count);
+        }
+
+        if (reader.PeekTag() == "surrogate") {
+          Evaluator::CacheState::SurrogateState& surrogate =
+              c.evaluator.surrogate;
+          {
+            util::RecordCursor cursor = reader.Expect("surrogate", 5);
+            surrogate.enabled = cursor.Flag("surrogate enabled flag");
+            surrogate.hits = cursor.Size("surrogate hits");
+            surrogate.deferred = cursor.Size("surrogate deferred");
+            result.surrogate_hits = cursor.Size("result surrogate hits");
+            result.kernel_runs_deferred =
+                cursor.Size("result kernel runs deferred");
+          }
+          if (surrogate.enabled) {
+            {
+              util::RecordCursor cursor = reader.Expect("s-state", 2);
+              surrogate.model.audit_counter =
+                  cursor.U64("surrogate audit counter");
+              surrogate.model.counts_unstable =
+                  cursor.Flag("surrogate counts-unstable flag");
+            }
+            const std::size_t observations =
+                reader.Expect("s-observations", 1)
+                    .Count("surrogate observation count");
+            surrogate.model.observations.reserve(observations);
+            for (std::size_t i = 0; i < observations; ++i)
+              surrogate.model.observations.push_back(
+                  ReadConfigLine(reader, "o"));
+            const std::size_t predictions =
+                reader.Expect("s-predicted", 1)
+                    .Count("surrogate prediction count");
+            surrogate.model.predicted = ReadEntries(reader, "p", predictions);
           }
         }
-        {
-          TokenCursor cursor(reader.Expect("s-predicted", 1), reader);
-          const std::size_t count = cursor.Size("surrogate prediction count");
-          surrogate.model.predicted.reserve(count);
-          for (std::size_t i = 0; i < count; ++i) {
-            TokenCursor line(reader.Expect("p"), reader);
-            Configuration config = ReadConfig(line, reader);
-            instrument::Measurement measurement = ReadMeasurement(line);
-            line.Done("surrogate prediction");
-            surrogate.model.predicted.emplace_back(std::move(config),
-                                                   measurement);
-          }
-        }
-      }
-    }
-    reader.ExpectEnd();
-  } catch (const CheckpointError&) {
-    throw;
-  } catch (const std::exception& error) {
-    // Value-level parse failures (NaN injection, non-numeric tokens) arrive
-    // as std::invalid_argument from the strict token parsers.
-    reader.Fail(error.what());
-  }
+        reader.ExpectEnd();
+        return c;
+      });
 
   // Internal consistency (structural corruption that parses token-by-token).
   if (checkpoint.result.rewards.size() != checkpoint.result.steps)
@@ -842,51 +532,40 @@ Checkpoint Checkpoint::Load(const std::string& path) {
 // --------------------------------------------------------------------------
 
 std::string SharedCacheCheckpoint::Serialize() const {
-  std::ostringstream out;
-  out.imbue(std::locale::classic());  // locale-independent numbers
-  out << "axdse-cache v" << kFormatVersion << "\n";
-  out << "signature " << EncodeToken(signature) << "\n";
-  out << "stats " << stats.hits << " " << stats.misses << " " << stats.inserts
-      << " " << stats.rejected << " " << stats.size << "\n";
-  out << "entries " << entries.size() << "\n";
-  WriteEntries(out, entries);
-  out << "end\n";
-  return out.str();
+  util::RecordWriter out("cache", kFormatVersion);
+  out.Line("signature").Text(signature);
+  out.Line("stats")
+      .U64(stats.hits)
+      .U64(stats.misses)
+      .U64(stats.inserts)
+      .U64(stats.rejected)
+      .U64(stats.size);
+  out.Line("entries").U64(entries.size());
+  WriteEntries(out, "e", entries);
+  return out.End();
 }
 
 SharedCacheCheckpoint SharedCacheCheckpoint::Deserialize(
     const std::string& text) {
-  LineReader reader(text);
-  SharedCacheCheckpoint checkpoint;
-  try {
-    {
-      const std::vector<std::string> tokens = reader.Expect("axdse-cache", 1);
-      const std::string expected = "v" + std::to_string(kFormatVersion);
-      if (tokens[0] != expected)
-        reader.Fail("format version mismatch: found '" + tokens[0] +
-                    "', this build reads '" + expected + "'");
-    }
-    checkpoint.signature = DecodeToken(reader.Expect("signature", 1)[0]);
-    {
-      const std::vector<std::string> tokens = reader.Expect("stats", 5);
-      TokenCursor cursor(tokens, reader);
-      checkpoint.stats.hits = cursor.Size("cache stats hits");
-      checkpoint.stats.misses = cursor.Size("cache stats misses");
-      checkpoint.stats.inserts = cursor.Size("cache stats inserts");
-      checkpoint.stats.rejected = cursor.Size("cache stats rejected");
-      checkpoint.stats.size = cursor.Size("cache stats size");
-    }
-    {
-      TokenCursor cursor(reader.Expect("entries", 1), reader);
-      const std::size_t count = cursor.Size("cache entry count");
-      checkpoint.entries = ReadEntries(reader, count);
-    }
-    reader.ExpectEnd();
-  } catch (const CheckpointError&) {
-    throw;
-  } catch (const std::exception& error) {
-    reader.Fail(error.what());
-  }
+  SharedCacheCheckpoint checkpoint = util::ParseRecords<CheckpointError>(
+      text, "cache checkpoint", [](util::RecordReader& reader) {
+        SharedCacheCheckpoint c;
+        reader.ExpectHeader("cache", kFormatVersion);
+        c.signature = reader.Expect("signature", 1).Text("signature");
+        {
+          util::RecordCursor cursor = reader.Expect("stats", 5);
+          c.stats.hits = cursor.Size("cache stats hits");
+          c.stats.misses = cursor.Size("cache stats misses");
+          c.stats.inserts = cursor.Size("cache stats inserts");
+          c.stats.rejected = cursor.Size("cache stats rejected");
+          c.stats.size = cursor.Size("cache stats size");
+        }
+        const std::size_t count =
+            reader.Expect("entries", 1).Count("cache entry count");
+        c.entries = ReadEntries(reader, "e", count);
+        reader.ExpectEnd();
+        return c;
+      });
   if (checkpoint.stats.size != checkpoint.entries.size())
     throw CheckpointError(
         "cache checkpoint inconsistent: stored size does not match entries");
@@ -915,27 +594,15 @@ std::uint64_t StableHash64(const std::string& text) noexcept {
   return hash;
 }
 
-namespace {
-std::string Hex16(std::uint64_t value) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[value & 0xF];
-    value >>= 4;
-  }
-  return out;
-}
-}  // namespace
-
 std::string JobCheckpointFileName(const std::string& request_text,
                                   std::uint64_t seed) {
   return "job-" +
-         Hex16(StableHash64(request_text + "#" + std::to_string(seed))) +
+         util::Hex16(StableHash64(request_text + "#" + std::to_string(seed))) +
          ".ckpt";
 }
 
 std::string CacheCheckpointFileName(const std::string& signature) {
-  return "cache-" + Hex16(StableHash64(signature)) + ".ckpt";
+  return "cache-" + util::Hex16(StableHash64(signature)) + ".ckpt";
 }
 
 }  // namespace axdse::dse

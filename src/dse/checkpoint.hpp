@@ -12,11 +12,11 @@
 // to the uninterrupted run — for every agent kind, cache mode, and worker
 // count.
 //
-// Format: line-oriented text, strict field order, shortest-round-trip
-// doubles (util::ShortestDouble), version-tagged first line. Anything
-// unexpected — truncation, version or agent mismatch, reordered fields,
-// NaN-injected values — raises CheckpointError from the parser, BEFORE any
-// Explorer/Engine state is touched.
+// Format: a util::record_io document ("axdse-checkpoint v1"), strict field
+// order, shortest-round-trip doubles. Anything unexpected — truncation,
+// version or agent mismatch, reordered fields, NaN-injected values — raises
+// CheckpointError from the parser, BEFORE any Explorer/Engine state is
+// touched.
 
 #include <cstdint>
 #include <stdexcept>
@@ -28,6 +28,7 @@
 #include "dse/evaluator.hpp"
 #include "dse/explorer.hpp"
 #include "instrument/shared_evaluation_cache.hpp"
+#include "util/record_io.hpp"
 
 namespace axdse::dse {
 
@@ -113,6 +114,13 @@ struct SharedCacheCheckpoint {
   void Save(const std::string& path) const;
   static SharedCacheCheckpoint Load(const std::string& path);
 };
+
+/// The Configuration token layout every record format shares: adder index,
+/// multiplier index, variable count, then the mask words. The reader fails
+/// (through the cursor) on 32-bit overflow, a short mask, or a bit past the
+/// variable count.
+void WriteConfigRecord(util::RecordWriter& out, const Configuration& config);
+Configuration ReadConfigRecord(util::RecordCursor& cursor);
 
 /// Atomically AND durably writes `content` to `path`: unique temp file,
 /// fsync of the temp fd BEFORE the rename (so the published file can never

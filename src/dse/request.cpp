@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "util/number_format.hpp"
+#include "util/record_io.hpp"
 
 namespace axdse::dse {
 
@@ -47,57 +48,16 @@ bool ParseBool(const std::string& key, const std::string& value) {
 
 /// Free-text fields (labels, kernel names, extra keys/values) may contain
 /// whitespace, ';', or '=' — escape them so the token format stays
-/// lossless. Only '%', '=', and the token separators are encoded.
+/// lossless: the record escape set plus the two request separators.
 std::string EscapeRequestToken(const std::string& text) {
   std::string out;
   out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '%':
-        out += "%25";
-        break;
-      case ' ':
-        out += "%20";
-        break;
-      case '\t':
-        out += "%09";
-        break;
-      case '\n':
-        out += "%0a";
-        break;
-      case '\r':
-        out += "%0d";
-        break;
-      case ';':
-        out += "%3b";
-        break;
-      case '=':
-        out += "%3d";
-        break;
-      default:
-        out.push_back(c);
-    }
-  }
+  util::AppendEscaped(out, text, ";=");
   return out;
 }
 
 std::string UnescapeRequestToken(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '%' && i + 2 < text.size()) {
-      const std::string hex = text.substr(i + 1, 2);
-      char* end = nullptr;
-      const long code = std::strtol(hex.c_str(), &end, 16);
-      if (end == hex.c_str() + 2) {
-        out.push_back(static_cast<char>(code));
-        i += 2;
-        continue;
-      }
-    }
-    out.push_back(text[i]);
-  }
-  return out;
+  return util::Unescape(text);
 }
 
 namespace {

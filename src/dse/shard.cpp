@@ -8,18 +8,16 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <optional>
-#include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "dse/checkpoint.hpp"
 #include "util/fault_injection.hpp"
-#include "util/number_format.hpp"
+#include "util/record_io.hpp"
 
 namespace axdse::dse {
 
@@ -27,41 +25,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
-using util::ParseUnsignedToken;
-
-std::string Hex16(std::uint64_t value) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[value & 0xF];
-    value >>= 4;
-  }
-  return out;
-}
-
-[[noreturn]] void LeaseError(const std::string& message) {
-  throw ShardError("ShardLease: " + message);
-}
-
-[[noreturn]] void ManifestError(const std::string& message) {
-  throw ShardError("ShardManifest: " + message);
-}
-
-std::uint64_t ParseHex16(const std::string& hex, const char* what) {
-  if (hex.size() != 16) throw ShardError(std::string(what) + ": malformed hash");
-  std::uint64_t value = 0;
-  for (const char c : hex) {
-    int digit;
-    if (c >= '0' && c <= '9')
-      digit = c - '0';
-    else if (c >= 'a' && c <= 'f')
-      digit = c - 'a' + 10;
-    else
-      throw ShardError(std::string(what) + ": malformed hash");
-    value = (value << 4) | static_cast<std::uint64_t>(digit);
-  }
-  return value;
-}
 
 bool IsIdentifier(const std::string& text) {
   if (text.empty()) return false;
@@ -69,53 +32,6 @@ bool IsIdentifier(const std::string& text) {
     if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '-' || c == '_'))
       return false;
   return true;
-}
-
-std::vector<std::string> SplitLines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    lines.push_back(line);
-  }
-  return lines;
-}
-
-std::vector<std::string> SplitTokens(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::string current;
-  for (const char c : line) {
-    if (c == ' ' || c == '\t') {
-      if (!current.empty()) tokens.push_back(std::move(current));
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  if (!current.empty()) tokens.push_back(std::move(current));
-  return tokens;
-}
-
-/// ParseUnsignedToken throws std::invalid_argument; shard parsers surface
-/// ShardError instead.
-std::uint64_t ShardUnsigned(const std::string& token, const char* what) {
-  try {
-    return ParseUnsignedToken(token, what);
-  } catch (const std::exception& e) {
-    throw ShardError(e.what());
-  }
-}
-
-/// Whole-file read that never throws: nullopt when missing or unreadable.
-/// The claim path treats both the same way — as unclaimed work.
-std::optional<std::string> ReadFileIfPossible(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return std::nullopt;
-  std::ostringstream content;
-  content << in.rdbuf();
-  if (in.bad()) return std::nullopt;
-  return content.str();
 }
 
 /// O_EXCL claim of a virgin lease: kernel-level mutual exclusion between
@@ -167,71 +83,59 @@ void AtomicShardWrite(const std::string& path, const std::string& content,
 // --- on-disk formats --------------------------------------------------------
 
 std::string ShardLease::Serialize() const {
-  std::ostringstream out;
-  out << "axdse-shard-lease v" << kFormatVersion << "\n";
-  out << "lease " << Hex16(spec_hash) << " " << chunk_index << " " << owner
-      << " " << generation << " " << heartbeat << "\n";
-  out << "end\n";
-  return out.str();
+  util::RecordWriter out("shard-lease", kFormatVersion);
+  out.Line("lease")
+      .Hex64(spec_hash)
+      .U64(chunk_index)
+      .Word(owner)
+      .U64(generation)
+      .U64(heartbeat);
+  return out.End();
 }
 
 ShardLease ShardLease::Deserialize(const std::string& text) {
-  if (text.empty() || text.back() != '\n')
-    LeaseError("truncated (missing trailing newline)");
-  const std::vector<std::string> lines = SplitLines(text);
-  if (lines.size() != 3) LeaseError("expected exactly 3 lines");
-  if (lines[0] != "axdse-shard-lease v" + std::to_string(kFormatVersion))
-    LeaseError("unsupported header '" + lines[0] + "'");
-  const std::vector<std::string> tokens = SplitTokens(lines[1]);
-  if (tokens.size() != 6 || tokens[0] != "lease")
-    LeaseError("malformed lease line");
-  ShardLease lease;
-  lease.spec_hash = ParseHex16(tokens[1], "ShardLease");
-  lease.chunk_index = static_cast<std::size_t>(
-      ShardUnsigned(tokens[2], "ShardLease chunk index"));
-  lease.owner = tokens[3];
-  if (!IsIdentifier(lease.owner)) LeaseError("malformed owner id");
-  lease.generation = ShardUnsigned(tokens[4], "ShardLease generation");
-  lease.heartbeat = ShardUnsigned(tokens[5], "ShardLease heartbeat");
-  // "Future" counters beyond any value a real claim history can produce are
-  // corruption; reject them so generation+1 arithmetic can never overflow.
-  if (lease.generation == 0 || lease.generation > kMaxCounter)
-    LeaseError("generation out of bounds");
-  if (lease.heartbeat > kMaxCounter) LeaseError("heartbeat out of bounds");
-  if (lines[2] != "end") LeaseError("missing trailer");
-  return lease;
+  return util::ParseRecords<ShardError>(
+      text, "ShardLease", [](util::RecordReader& reader) {
+        reader.ExpectHeader("shard-lease", kFormatVersion);
+        util::RecordCursor cursor = reader.Expect("lease", 5);
+        ShardLease lease;
+        lease.spec_hash = cursor.Hex64("spec hash");
+        lease.chunk_index = cursor.Size("chunk index");
+        lease.owner = std::string(cursor.Word("owner"));
+        if (!IsIdentifier(lease.owner)) cursor.Fail("malformed owner id");
+        lease.generation = cursor.U64("generation");
+        lease.heartbeat = cursor.U64("heartbeat");
+        // "Future" counters beyond any value a real claim history can
+        // produce are corruption; reject them so generation+1 arithmetic
+        // can never overflow.
+        if (lease.generation == 0 || lease.generation > kMaxCounter)
+          cursor.Fail("generation out of bounds");
+        if (lease.heartbeat > kMaxCounter) cursor.Fail("heartbeat out of bounds");
+        reader.ExpectEnd();
+        return lease;
+      });
 }
 
 std::string ShardManifest::Serialize() const {
-  std::ostringstream out;
-  out << "axdse-shard-campaign v" << kFormatVersion << "\n";
-  out << "chunks " << chunk_cells << " " << num_cells << "\n";
-  out << "spec " << spec_text << "\n";
-  out << "end\n";
-  return out.str();
+  util::RecordWriter out("shard-campaign", kFormatVersion);
+  out.Line("chunks").U64(chunk_cells).U64(num_cells);
+  out.Line("spec").Word(spec_text);
+  return out.End();
 }
 
 ShardManifest ShardManifest::Deserialize(const std::string& text) {
-  if (text.empty() || text.back() != '\n')
-    ManifestError("truncated (missing trailing newline)");
-  const std::vector<std::string> lines = SplitLines(text);
-  if (lines.size() != 4) ManifestError("expected exactly 4 lines");
-  if (lines[0] != "axdse-shard-campaign v" + std::to_string(kFormatVersion))
-    ManifestError("unsupported header '" + lines[0] + "'");
-  const std::vector<std::string> tokens = SplitTokens(lines[1]);
-  if (tokens.size() != 3 || tokens[0] != "chunks")
-    ManifestError("malformed chunks line");
-  ShardManifest manifest;
-  manifest.chunk_cells = static_cast<std::size_t>(
-      ShardUnsigned(tokens[1], "ShardManifest chunk cells"));
-  manifest.num_cells = static_cast<std::size_t>(
-      ShardUnsigned(tokens[2], "ShardManifest cell count"));
-  if (manifest.chunk_cells == 0) ManifestError("chunk cells must be >= 1");
-  if (lines[2].rfind("spec ", 0) != 0) ManifestError("missing spec line");
-  manifest.spec_text = lines[2].substr(5);
-  if (manifest.spec_text.empty()) ManifestError("empty spec");
-  if (lines[3] != "end") ManifestError("missing trailer");
-  return manifest;
+  return util::ParseRecords<ShardError>(
+      text, "ShardManifest", [](util::RecordReader& reader) {
+        reader.ExpectHeader("shard-campaign", kFormatVersion);
+        util::RecordCursor cursor = reader.Expect("chunks", 2);
+        ShardManifest manifest;
+        manifest.chunk_cells = cursor.Size("chunk cells");
+        manifest.num_cells = cursor.Size("cell count");
+        if (manifest.chunk_cells == 0) cursor.Fail("chunk cells must be >= 1");
+        manifest.spec_text = std::string(reader.ExpectRest("spec"));
+        reader.ExpectEnd();
+        return manifest;
+      });
 }
 
 std::string ShardManifestFileName() { return "campaign.manifest"; }
@@ -289,7 +193,7 @@ enum class ClaimOutcome { kClaimed, kReclaimed, kOwnedByPeer, kForeign };
 /// corrupt file heals instead of wedging the campaign.
 bool HasValidChunkResult(const ShardContext& ctx, std::size_t chunk) {
   const std::optional<std::string> text =
-      ReadFileIfPossible(ctx.Path(ShardChunkResultFileName(chunk)));
+      util::ReadWholeFile(ctx.Path(ShardChunkResultFileName(chunk)));
   if (!text) return false;
   try {
     const CampaignChunkCheckpoint snapshot =
@@ -315,7 +219,7 @@ ClaimOutcome TryClaim(const ShardContext& ctx, std::size_t chunk,
                       LeaseObservation& observation,
                       std::uint64_t& my_generation) {
   const std::string lease_path = ctx.Path(ShardLeaseFileName(chunk));
-  const std::optional<std::string> text = ReadFileIfPossible(lease_path);
+  const std::optional<std::string> text = util::ReadWholeFile(lease_path);
   if (!text) {
     ShardLease lease;
     lease.spec_hash = ctx.spec_hash;
@@ -384,7 +288,7 @@ ClaimOutcome TryClaim(const ShardContext& ctx, std::size_t chunk,
   // residual both-read-back-success race only costs duplicate deterministic
   // work, never a wrong merge (results are committed atomically and folded
   // once per chunk index).
-  const std::optional<std::string> confirm = ReadFileIfPossible(lease_path);
+  const std::optional<std::string> confirm = util::ReadWholeFile(lease_path);
   if (!confirm) return ClaimOutcome::kOwnedByPeer;
   try {
     const ShardLease now_on_disk = ShardLease::Deserialize(*confirm);
@@ -446,7 +350,7 @@ bool ExecuteChunk(const ShardContext& ctx, std::size_t chunk,
     const Clock::time_point now = Clock::now();
     if (now - last_refresh < ctx.options.heartbeat_period) return;
     last_refresh = now;
-    const std::optional<std::string> text = ReadFileIfPossible(lease_path);
+    const std::optional<std::string> text = util::ReadWholeFile(lease_path);
     if (text) {
       try {
         const ShardLease on_disk = ShardLease::Deserialize(*text);
@@ -528,7 +432,7 @@ void InitOrVerifyManifest(const ShardContext& ctx) {
     AtomicShardWrite(path, mine.Serialize(), "ShardManifest::Save");
   // Read back what actually won (racing writers of the SAME campaign write
   // identical bytes; a different campaign loses here, deterministically).
-  const std::optional<std::string> text = ReadFileIfPossible(path);
+  const std::optional<std::string> text = util::ReadWholeFile(path);
   if (!text)
     throw ShardError("ShardWorker: cannot read manifest " + path);
   const ShardManifest on_disk = ShardManifest::Deserialize(*text);
@@ -630,7 +534,7 @@ CampaignResult MergeShardedCampaign(const std::string& state_directory) {
   const std::string manifest_path =
       (fs::path(state_directory) / ShardManifestFileName()).string();
   const std::optional<std::string> manifest_text =
-      ReadFileIfPossible(manifest_path);
+      util::ReadWholeFile(manifest_path);
   if (!manifest_text)
     throw ShardError("MergeShardedCampaign: cannot read manifest " +
                      manifest_path);
@@ -662,7 +566,7 @@ CampaignResult MergeShardedCampaign(const std::string& state_directory) {
     const std::string path =
         (fs::path(state_directory) / ShardChunkResultFileName(chunk))
             .string();
-    const std::optional<std::string> text = ReadFileIfPossible(path);
+    const std::optional<std::string> text = util::ReadWholeFile(path);
     if (!text)
       throw ShardError("MergeShardedCampaign: chunk " +
                        std::to_string(chunk) +
@@ -703,7 +607,7 @@ ShardStatusReport ShardStatus(const std::string& state_directory,
   const std::string manifest_path =
       (fs::path(state_directory) / ShardManifestFileName()).string();
   const std::optional<std::string> manifest_text =
-      ReadFileIfPossible(manifest_path);
+      util::ReadWholeFile(manifest_path);
   if (!manifest_text)
     throw ShardError("ShardStatus: cannot read manifest " + manifest_path);
   const ShardManifest manifest = ShardManifest::Deserialize(*manifest_text);
@@ -739,7 +643,7 @@ ShardStatusReport ShardStatus(const std::string& state_directory,
       continue;
     }
     const std::optional<std::string> text =
-        ReadFileIfPossible(ctx.Path(ShardLeaseFileName(chunk)));
+        util::ReadWholeFile(ctx.Path(ShardLeaseFileName(chunk)));
     if (!text) {
       ++report.unclaimed;
       continue;
@@ -759,7 +663,7 @@ ShardStatusReport ShardStatus(const std::string& state_directory,
     std::this_thread::sleep_for(probe);
     for (const auto& [chunk, counters] : claimed) {
       const std::optional<std::string> text =
-          ReadFileIfPossible(ctx.Path(ShardLeaseFileName(chunk)));
+          util::ReadWholeFile(ctx.Path(ShardLeaseFileName(chunk)));
       bool alive = false;
       if (text) {
         try {

@@ -51,8 +51,8 @@ class ShardError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Owner lease of one chunk work unit. Serialized line-oriented like every
-/// other on-disk format in dse/ (version-tagged, strict parse).
+/// Owner lease of one chunk work unit, a util::record_io document
+/// ("axdse-shard-lease v1") like every other on-disk format.
 struct ShardLease {
   static constexpr unsigned kFormatVersion = 1;
   /// Generations and heartbeats beyond this bound are rejected as corrupt

@@ -68,7 +68,8 @@ namespace axdse::dse {
 
 /// Tuning knobs of the surrogate tier. The defaults are deliberately
 /// conservative: a missed skip costs one kernel run, a wrong skip could cost
-/// result fidelity (guarded empirically by the BENCH_surrogate CI gate).
+/// result fidelity (guarded by the surrogate-on == surrogate-off byte
+/// identity suites in tests/dse_surrogate_test.cpp).
 struct SurrogateOptions {
   /// Ground-truth observations before the first fit (raised internally to
   /// 2x the feature dimension when that is larger).

@@ -1,36 +1,25 @@
 #include "rl/state_io.hpp"
 
 #include <stdexcept>
+#include <string_view>
+
+#include "util/record_io.hpp"
 
 namespace axdse::rl::state_io {
-
-std::vector<std::string> SplitTokens(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::string current;
-  for (const char c : line) {
-    if (c == ' ' || c == '\t' || c == '\r') {
-      if (!current.empty()) tokens.push_back(std::move(current));
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  if (!current.empty()) tokens.push_back(std::move(current));
-  return tokens;
-}
 
 std::vector<std::string> ReadTagged(std::istream& in, const char* tag) {
   std::string line;
   if (!std::getline(in, line))
     throw std::invalid_argument(std::string("truncated state: expected '") +
                                 tag + "' line, found end of input");
-  std::vector<std::string> tokens = SplitTokens(line);
-  if (tokens.empty() || tokens.front() != tag)
+  std::vector<std::string_view> views;
+  util::SplitRecord(line, views);
+  if (views.empty() || views.front() != tag)
     throw std::invalid_argument(
         std::string("malformed state: expected '") + tag + "' line, found '" +
-        (tokens.empty() ? std::string("<empty>") : tokens.front()) + "'");
-  tokens.erase(tokens.begin());
-  return tokens;
+        (views.empty() ? std::string("<empty>") : std::string(views.front())) +
+        "'");
+  return std::vector<std::string>(views.begin() + 1, views.end());
 }
 
 void RequireTokens(const std::vector<std::string>& tokens, std::size_t count,

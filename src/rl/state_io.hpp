@@ -3,6 +3,8 @@
 // agent checkpointing code. The format is deliberately strict: every line
 // starts with a fixed tag and carries a fixed token layout, so truncated,
 // reordered, or NaN-injected input fails loudly instead of half-loading.
+// Checkpoints embed these blocks verbatim; lines split with the record
+// codec's splitter (util::SplitRecord), so both layers tokenize alike.
 
 #include <istream>
 #include <ostream>
@@ -10,9 +12,6 @@
 #include <vector>
 
 namespace axdse::rl::state_io {
-
-/// Splits `line` on single spaces (empty tokens dropped).
-std::vector<std::string> SplitTokens(const std::string& line);
 
 /// Reads the next line, verifies its first token equals `tag`, and returns
 /// the remaining tokens. Throws std::invalid_argument on EOF, on a missing

@@ -4,12 +4,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <filesystem>
-#include <fstream>
-#include <locale>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -21,6 +19,7 @@
 #include "report/campaign.hpp"
 #include "report/export.hpp"
 #include "serve/net.hpp"
+#include "util/record_io.hpp"
 
 namespace axdse::serve {
 
@@ -28,7 +27,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char* kManifestHeader = "axdse-serve-manifest v1";
 constexpr const char* kManifestFile = "jobs.manifest";
 
 /// Error/detail text travels on a line protocol: newlines must not survive.
@@ -163,48 +161,55 @@ struct Server::Impl {
   // --- manifest (caller holds jobs_mutex) -----------------------------------
 
   void PersistManifest() {
-    std::ostringstream out;
-    out.imbue(std::locale::classic());  // locale-independent numbers
-    out << kManifestHeader << "\n";
-    out << "next-id " << WireUnsigned(next_id) << "\n";
-    for (const auto& [id, job] : jobs) {
-      out << "job " << WireUnsigned(id) << " " << ToString(job->kind) << " "
-          << ToString(job->state) << " "
-          << dse::EscapeRequestToken(job->tenant) << " "
-          << dse::EscapeRequestToken(job->spec) << " "
-          << (job->error.empty() ? "-" : dse::EscapeRequestToken(job->error))
-          << "\n";
-    }
-    dse::AtomicWriteCheckpointFile(ManifestPath(), out.str(),
+    util::RecordWriter out("serve-manifest", 1);
+    out.Line("next-id").U64(next_id);
+    for (const auto& [id, job] : jobs)
+      out.Line("job")
+          .U64(id)
+          .Word(ToString(job->kind))
+          .Word(ToString(job->state))
+          .Text(job->tenant)
+          .Text(job->spec)
+          .Text(job->error);
+    dse::AtomicWriteCheckpointFile(ManifestPath(), out.Take(),
                                    "serve manifest");
   }
 
+  /// Loads the manifest of a previous run, if any. Strict: a malformed
+  /// line, a duplicate id, or a next-id that does not exceed every stored
+  /// id (the next SUBMIT would overwrite that job) refuses to start.
   void LoadManifest() {
-    std::ifstream in(ManifestPath());
-    if (!in) return;  // fresh state directory
-    std::string line;
-    if (!std::getline(in, line) || line != kManifestHeader)
-      throw std::runtime_error("serve manifest: bad header in " +
-                               ManifestPath());
-    if (!std::getline(in, line) || line.rfind("next-id ", 0) != 0)
-      throw std::runtime_error("serve manifest: missing next-id line");
-    next_id = std::stoull(line.substr(8));
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      std::istringstream tokens(line);
-      std::string tag, id_text, kind, state, tenant, spec, error;
-      tokens >> tag >> id_text >> kind >> state >> tenant >> spec >> error;
-      if (tag != "job" || !tokens)
-        throw std::runtime_error("serve manifest: malformed job line");
-      auto job = std::make_shared<JobRecord>();
-      job->id = std::stoull(id_text);
-      job->kind = JobKindFromName(kind);
-      job->state = JobStateFromName(state);
-      job->tenant = dse::UnescapeRequestToken(tenant);
-      job->spec = dse::UnescapeRequestToken(spec);
-      if (error != "-") job->error = dse::UnescapeRequestToken(error);
-      jobs[job->id] = job;
-    }
+    const std::optional<std::string> text =
+        util::ReadWholeFile(ManifestPath());
+    if (!text) return;  // fresh state directory
+    auto [loaded_next_id, loaded] = util::ParseRecords<std::runtime_error>(
+        *text, "serve manifest " + ManifestPath(),
+        [](util::RecordReader& reader) {
+          reader.ExpectHeader("serve-manifest", 1);
+          const std::uint64_t next =
+              reader.Expect("next-id", 1).U64("next-id");
+          std::map<std::uint64_t, std::shared_ptr<JobRecord>> records;
+          while (reader.PeekTag() == "job") {
+            util::RecordCursor cursor = reader.Expect("job", 6);
+            auto job = std::make_shared<JobRecord>();
+            job->id = cursor.U64("job id");
+            job->kind = JobKindFromName(std::string(cursor.Word("job kind")));
+            job->state =
+                JobStateFromName(std::string(cursor.Word("job state")));
+            job->tenant = cursor.Text("tenant");
+            job->spec = cursor.Text("spec");
+            job->error = cursor.Text("error");
+            if (job->id >= next)
+              cursor.Fail("job id " + WireUnsigned(job->id) +
+                          " is not below next-id " + WireUnsigned(next));
+            if (!records.emplace(job->id, job).second)
+              cursor.Fail("duplicate job id " + WireUnsigned(job->id));
+          }
+          reader.ExpectEof();
+          return std::make_pair(next, std::move(records));
+        });
+    next_id = loaded_next_id;
+    jobs = std::move(loaded);
     // Requeue the unfinished backlog in id order: jobs caught mid-run by the
     // previous process (running/suspended) resume from their checkpoint
     // directories; queued jobs simply run.

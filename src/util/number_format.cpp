@@ -14,7 +14,7 @@ std::string ShortestDouble(double value) {
   return std::string(buffer, ptr);
 }
 
-double ParseDoubleToken(const std::string& token, const char* what,
+double ParseDoubleToken(std::string_view token, const char* what,
                         bool allow_nonfinite) {
   // std::from_chars is the exact locale-independent inverse of the
   // std::to_chars writer in ShortestDouble (strtod would mis-parse under a
@@ -23,25 +23,25 @@ double ParseDoubleToken(const std::string& token, const char* what,
   const auto [ptr, ec] =
       std::from_chars(token.data(), token.data() + token.size(), value);
   if (ec != std::errc{} || ptr != token.data() + token.size())
-    throw std::invalid_argument(std::string(what) + ": '" + token +
+    throw std::invalid_argument(std::string(what) + ": '" + std::string(token) +
                                 "' is not a number");
   if (std::isnan(value))
     throw std::invalid_argument(std::string(what) + ": NaN is not allowed");
   if (!allow_nonfinite && std::isinf(value))
-    throw std::invalid_argument(std::string(what) + ": '" + token +
+    throw std::invalid_argument(std::string(what) + ": '" + std::string(token) +
                                 "' is not finite");
   return value;
 }
 
-std::uint64_t ParseUnsignedToken(const std::string& token, const char* what) {
+std::uint64_t ParseUnsignedToken(std::string_view token, const char* what) {
   if (token.empty() || token[0] == '-' || token[0] == '+')
-    throw std::invalid_argument(std::string(what) + ": '" + token +
+    throw std::invalid_argument(std::string(what) + ": '" + std::string(token) +
                                 "' is not a non-negative integer");
   std::uint64_t value = 0;
   const auto [ptr, ec] =
       std::from_chars(token.data(), token.data() + token.size(), value, 10);
   if (ec != std::errc{} || ptr != token.data() + token.size())
-    throw std::invalid_argument(std::string(what) + ": '" + token +
+    throw std::invalid_argument(std::string(what) + ": '" + std::string(token) +
                                 "' is not a non-negative integer");
   return value;
 }

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace axdse::util {
 
@@ -17,11 +18,11 @@ std::string ShortestDouble(double value);
 /// NaN tokens are always rejected; infinities only pass when
 /// `allow_nonfinite` is set (legitimate for ObjectiveRange sentinels and
 /// raw measurements). Throws std::invalid_argument with `what` as context.
-double ParseDoubleToken(const std::string& token, const char* what,
+double ParseDoubleToken(std::string_view token, const char* what,
                         bool allow_nonfinite = false);
 
 /// Strict decimal std::uint64_t parser (whole token, no sign). Throws
 /// std::invalid_argument with `what` as context.
-std::uint64_t ParseUnsignedToken(const std::string& token, const char* what);
+std::uint64_t ParseUnsignedToken(std::string_view token, const char* what);
 
 }  // namespace axdse::util

@@ -3,35 +3,14 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "util/record_io.hpp"
+
 namespace axdse::workloads {
 
 namespace {
 
-bool NeedsEscape(char c) {
-  switch (c) {
-    case '%':
-    case ' ':
-    case '\t':
-    case '\n':
-    case '\r':
-    case ';':
-    case '=':
-    case '@':
-    case '{':
-    case '}':
-    case ',':
-      return true;
-    default:
-      return false;
-  }
-}
-
-int HexValue(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
+/// Separators of the spec grammar, escaped on top of the record set.
+constexpr const char* kSpecSeparators = ";=@{},";
 
 [[noreturn]] void Fail(const std::string& why) {
   throw std::invalid_argument("KernelSpec: " + why);
@@ -52,37 +31,23 @@ std::size_t ParseSize(const std::string& text) {
 }  // namespace
 
 std::string EscapeSpecComponent(const std::string& text) {
-  static const char* kHex = "0123456789abcdef";
   std::string out;
   out.reserve(text.size());
-  for (unsigned char c : text) {
-    if (NeedsEscape(static_cast<char>(c))) {
-      out.push_back('%');
-      out.push_back(kHex[c >> 4]);
-      out.push_back(kHex[c & 0xf]);
-    } else {
-      out.push_back(static_cast<char>(c));
-    }
-  }
+  util::AppendEscaped(out, text, kSpecSeparators);
   return out;
 }
 
 std::string UnescapeSpecComponent(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
+  // Stricter than the shared decoder, which leaves malformed escapes
+  // literal: a spec component must use only well-formed ones.
   for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] != '%') {
-      out.push_back(text[i]);
-      continue;
-    }
+    if (text[i] != '%') continue;
     if (i + 2 >= text.size()) Fail("truncated escape in '" + text + "'");
-    const int hi = HexValue(text[i + 1]);
-    const int lo = HexValue(text[i + 2]);
-    if (hi < 0 || lo < 0) Fail("bad escape in '" + text + "'");
-    out.push_back(static_cast<char>(hi * 16 + lo));
+    if (util::HexDigit(text[i + 1]) < 0 || util::HexDigit(text[i + 2]) < 0)
+      Fail("bad escape in '" + text + "'");
     i += 2;
   }
-  return out;
+  return util::Unescape(text);
 }
 
 std::string KernelSpec::ToString() const {

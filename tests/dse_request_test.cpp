@@ -117,6 +117,21 @@ TEST(ExplorationRequest, FreeTextFieldsRoundTripWithSeparators) {
   EXPECT_EQ(parsed, request);
 }
 
+TEST(ExplorationRequest, EscapeDecoderTakesExactlyTwoHexDigits) {
+  // A sign is not a hex digit: "%+a" and "%-1" used to decode to a newline
+  // and 0xFF. Anything but '%' plus two hex digits stays literal.
+  EXPECT_EQ(UnescapeRequestToken("%+a"), "%+a");
+  EXPECT_EQ(UnescapeRequestToken("%-1"), "%-1");
+  EXPECT_EQ(UnescapeRequestToken("% 9"), "% 9");
+  EXPECT_EQ(UnescapeRequestToken("%zz%4"), "%zz%4");
+  EXPECT_EQ(UnescapeRequestToken("%0a%3D%25"), "\n=%");
+  EXPECT_EQ(EscapeRequestToken("a b=c;d%\t"), "a%20b%3dc%3bd%25%09");
+  // Labels carrying those sequences survive a round trip unchanged.
+  const ExplorationRequest request =
+      RequestBuilder("dot").Label("%+a %-1").Build();
+  EXPECT_EQ(ExplorationRequest::Parse(request.ToString()).label, "%+a %-1");
+}
+
 TEST(ExplorationRequest, ParseAcceptsSemicolonsAndRejectsJunk) {
   const ExplorationRequest request =
       ExplorationRequest::Parse("kernel=dot; steps=500; seeds=2");

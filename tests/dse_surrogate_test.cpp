@@ -2,9 +2,8 @@
 // contract (enable/IsPredicted/GroundTruth/counters), the semantic claims a
 // skipped kernel run rests on — exact Δpower/Δtime and correct feasibility
 // classification of every prediction — plus byte-identity of explorer
-// suspend/resume and of engine results with the surrogate on vs off. The
-// tracked BENCH_surrogate bench pins the same fidelity property on the full
-// Table III grid; these tests pin it in-tree on small spaces.
+// suspend/resume and of engine results with the surrogate on vs off, on
+// small spaces. These suites are the tier's fidelity gate.
 
 #include <gtest/gtest.h>
 

@@ -1,23 +1,30 @@
-// Seeded mutation-fuzz tests over the project's three text grammars:
-// ExplorationRequest tokens, CampaignSpec tokens, and the axdse-serve-v1
-// wire protocol. For every mutated input the parser must either succeed —
-// and then round-trip losslessly (Parse(ToString()) is a fixed point) — or
-// fail with the documented typed error (std::invalid_argument or
-// serve::ProtocolError). Any other exception, crash, or cross-call state
-// leak is a bug. The mutation stream is driven by a fixed-seed util::Rng so
+// Seeded mutation-fuzz tests over the project's text grammars:
+// ExplorationRequest, CampaignSpec and KernelSpec tokens, the axdse-serve-v1
+// wire protocol, and the on-disk record documents (checkpoints, cache
+// snapshots, chunk documents, shard leases and manifests). For every
+// mutated input the parser must either succeed — and then round-trip
+// losslessly (Parse(ToString()) is a fixed point) — or fail with the
+// documented typed error (std::invalid_argument, serve::ProtocolError,
+// dse::CheckpointError or dse::ShardError). Any other exception, crash, or
+// cross-call state leak is a bug. The mutation stream is driven by a fixed-seed util::Rng so
 // failures replay exactly; when one shows up, log the offending input.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/test_support.hpp"
 #include "dse/campaign.hpp"
+#include "dse/checkpoint.hpp"
+#include "dse/engine.hpp"
 #include "dse/request.hpp"
 #include "dse/shard.hpp"
 #include "serve/protocol.hpp"
+#include "util/record_io.hpp"
 #include "util/rng.hpp"
 #include "workloads/kernel_spec.hpp"
 
@@ -484,6 +491,72 @@ TEST(GrammarFuzz, ShardManifestMutationsParseOrFailTyped) {
                     << input << "]";
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Record documents: job checkpoints, shared-cache snapshots, chunk documents
+// ---------------------------------------------------------------------------
+
+std::string Golden(const char* name) {
+  return testsupport::ReadGolden(
+      std::string(AXDSE_SOURCE_DIR "/tests/golden/") + name);
+}
+
+/// A mid-run job snapshot with the optional surrogate section (model
+/// state, observations and predictions), which the fixtures do not carry.
+std::string SurrogateCheckpoint() {
+  testsupport::ScopedTempDir dir("fuzz-surrogate-checkpoint");
+  dse::CheckpointOptions options;
+  options.directory = dir.Str();
+  options.step_budget = 40;
+  const dse::ExplorationRequest request =
+      dse::RequestBuilder("matmul").Size(4).MaxSteps(200).Surrogate().Build();
+  dse::Engine(dse::EngineOptions{1}).Run({request}, options);
+  const std::string path =
+      (std::filesystem::path(dir.Str()) /
+       dse::JobCheckpointFileName(request.ToString(), request.seed))
+          .string();
+  return util::ReadWholeFile(path).value_or("");
+}
+
+// Mutated record documents (torn, spliced, duplicated spans, flipped
+// bytes) must either throw the documented CheckpointError or parse — and
+// then re-serialize to a fixed point. A crash or an untyped exception here
+// would take down a resuming engine or a shard worker scanning results.
+template <class Record>
+void FuzzRecordDocument(std::uint64_t seed, std::vector<std::string> corpus) {
+  util::Rng rng(seed);
+  for (const std::string& document : corpus)
+    ASSERT_EQ(Record::Deserialize(document).Serialize(), document);
+  corpus.push_back("");  // zero-length file
+  for (std::size_t i = 0; i < kIterations; ++i) {
+    const std::string input =
+        Mutate(corpus[rng.PickIndex(corpus.size())], rng, corpus);
+    try {
+      const std::string canonical = Record::Deserialize(input).Serialize();
+      EXPECT_EQ(Record::Deserialize(canonical).Serialize(), canonical)
+          << "input: [" << input << "]";
+    } catch (const dse::CheckpointError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "untyped exception '" << e.what() << "' for input: ["
+                    << input << "]";
+    }
+  }
+}
+
+TEST(GrammarFuzz, CheckpointMutationsParseOrFailTyped) {
+  FuzzRecordDocument<dse::Checkpoint>(
+      1101, {Golden("matmul_checkpoint_seed1.ckpt"), SurrogateCheckpoint()});
+}
+
+TEST(GrammarFuzz, SharedCacheCheckpointMutationsParseOrFailTyped) {
+  FuzzRecordDocument<dse::SharedCacheCheckpoint>(
+      2202, {Golden("matmul_shared_cache_seed1.cache")});
+}
+
+TEST(GrammarFuzz, CampaignChunkMutationsParseOrFailTyped) {
+  FuzzRecordDocument<dse::CampaignChunkCheckpoint>(
+      3303, {Golden("campaign_chunk_seed1.done")});
 }
 
 TEST(GrammarFuzz, JobNameLookupsRoundTripOrThrowTyped) {

@@ -20,6 +20,8 @@
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -602,6 +604,87 @@ TEST(ServeServer, StalledWatcherDoesNotWedgeOtherTenants) {
   EXPECT_EQ(observer.WaitJob(slow_id), "done");
   EXPECT_FALSE(observer.Results(slow_id).empty());
   server.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Job manifest strictness: a daemon refuses to start on a manifest it
+// cannot trust instead of guessing (and later overwriting a job).
+// ---------------------------------------------------------------------------
+
+constexpr const char* kManifestHeader = "axdse-serve-manifest v1\n";
+constexpr const char* kDoneJob =
+    "job 1 request done alice kernel=matmul@5%20steps=200 -\n";
+
+/// A fresh state directory holding `manifest` as its job manifest.
+std::string StateDirWithManifest(const std::string& name,
+                                  const std::string& manifest) {
+  const std::string dir = FreshStateDir(name);
+  fs::create_directories(dir);
+  std::ofstream(fs::path(dir) / "jobs.manifest", std::ios::binary)
+      << manifest;
+  return dir;
+}
+
+void ExpectManifestRejected(const std::string& name,
+                            const std::string& manifest) {
+  Server server(TestOptions(StateDirWithManifest(name, manifest)));
+  EXPECT_THROW(server.Start(), std::runtime_error) << manifest;
+}
+
+TEST(ServeManifest, RejectsIdWithTrailingJunk) {
+  ExpectManifestRejected("manifest-junk-id",
+                         std::string(kManifestHeader) + "next-id 12abc\n");
+}
+
+TEST(ServeManifest, RejectsNegativeId) {
+  ExpectManifestRejected(
+      "manifest-negative-id",
+      std::string(kManifestHeader) +
+          "next-id 5\njob -3 request done alice kernel=matmul@5 -\n");
+}
+
+TEST(ServeManifest, RejectsExtraTokens) {
+  ExpectManifestRejected(
+      "manifest-extra-tokens",
+      std::string(kManifestHeader) +
+          "next-id 5\njob 1 request done alice kernel=matmul@5 - surplus\n");
+}
+
+TEST(ServeManifest, RejectsNextIdAtOrBelowAStoredJob) {
+  // With next-id 1 the next SUBMIT would reuse job 1's id and directory.
+  ExpectManifestRejected("manifest-stale-next-id",
+                         std::string(kManifestHeader) + "next-id 1\n" +
+                             kDoneJob);
+}
+
+TEST(ServeManifest, RejectsDuplicateIds) {
+  ExpectManifestRejected("manifest-duplicate-id",
+                         std::string(kManifestHeader) + "next-id 5\n" +
+                             kDoneJob + kDoneJob);
+}
+
+TEST(ServeManifest, LoadsManifestWrittenWithRequestEscaping) {
+  // Earlier builds escaped '=' (and ';') in manifest text as %3d / %3b;
+  // the shared decoder still reads them, and the rewrite uses record text.
+  const std::string dir = StateDirWithManifest(
+      "manifest-old-escaping",
+      std::string(kManifestHeader) +
+          "next-id 4\n"
+          "job 3 request done alice kernel%3dmatmul@5%20steps%3d200 -\n");
+  Server server(TestOptions(dir));
+  server.Start();
+  auto client = Client::Connect("127.0.0.1", server.Port());
+  EXPECT_EQ(Field(client.Status(3), "state"), "done");
+  EXPECT_EQ(Field(client.Status(3), "tenant"), "alice");
+  EXPECT_EQ(client.Submit(QuickRequest()), 4u);  // next-id carried over
+  server.Stop();
+  std::ifstream in(fs::path(dir) / "jobs.manifest", std::ios::binary);
+  const std::string rewritten((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+  EXPECT_NE(rewritten.find("job 3 request done alice "
+                           "kernel=matmul@5%20steps=200 -\n"),
+            std::string::npos)
+      << rewritten;
 }
 
 TEST(ServeServer, ShutdownVerbRequestsDrain) {
