@@ -12,6 +12,11 @@
 #      directory, reclaim the dead worker's stale lease, and finish
 #   4. merge the state directory and cmp against the reference documents
 #      (must be byte-identical: no chunk lost, none double-counted)
+#   5. a `run --checkpoint-dir` armed with AXDSE_FAULT=shard.executed:2 dies
+#      by SIGKILL holding the lease of its worker id "campaign"; a shard
+#      worker reclaims it once stale and finishes; merge and cmp
+#   6. a second killed `run` is resumed by `run` itself (its own id's lease
+#      is reclaimed at once); cmp, and the state directory must be empty
 #
 # Usage: scripts/shard_smoke.sh [build-dir]   (default: build)
 
@@ -91,4 +96,51 @@ echo "== merge and compare =="
   --json="$WORK/merged.json" --csv="$WORK/merged.csv"
 cmp "$WORK/merged.json" "$WORK/ref.json"
 cmp "$WORK/merged.csv" "$WORK/ref.csv"
-echo "shard_smoke OK: merged documents byte-identical after SIGKILL + reclaim"
+
+# Runs an `axdse-campaign run --checkpoint-dir=$1` armed to die by SIGKILL
+# after executing its second chunk, before committing it.
+killed_run() {
+  local rc=0
+  AXDSE_FAULT=shard.executed:2 \
+    "$CAMPAIGN" run --chunk-cells="$CHUNK_CELLS" --checkpoint-dir="$1" $SPEC \
+    >"$1.log" 2>&1 || rc=$?
+  [ "$rc" -eq 137 ] || {
+    echo "shard_smoke: armed run should have been SIGKILLed (got $rc)" >&2
+    cat "$1.log" >&2
+    exit 1
+  }
+}
+
+echo "== killed run, finished by a shard worker =="
+RUN_DIR="$WORK/run-state"
+killed_run "$RUN_DIR"
+"$CAMPAIGN" shard --shard-dir="$RUN_DIR" --chunk-cells="$CHUNK_CELLS" \
+  --lease-ttl-ms=2000 --heartbeat-ms=200 --poll-ms=100 \
+  --worker-id=rescuer $SPEC >"$WORK/rescuer.log" 2>&1 || {
+  echo "shard_smoke: rescuer did not complete the run's directory" >&2
+  cat "$WORK/rescuer.log" >&2
+  exit 1
+}
+cat "$WORK/rescuer.log"
+grep -q "reclaimed=1" "$WORK/rescuer.log" || {
+  echo "shard_smoke: rescuer did not reclaim the dead run's lease" >&2
+  exit 1
+}
+"$CAMPAIGN" merge --shard-dir="$RUN_DIR" \
+  --json="$WORK/rescued.json" --csv="$WORK/rescued.csv"
+cmp "$WORK/rescued.json" "$WORK/ref.json"
+cmp "$WORK/rescued.csv" "$WORK/ref.csv"
+
+echo "== killed run, resumed by run =="
+RESUME_DIR="$WORK/resume-state"
+killed_run "$RESUME_DIR"
+"$CAMPAIGN" run --chunk-cells="$CHUNK_CELLS" --checkpoint-dir="$RESUME_DIR" \
+  --json="$WORK/resumed.json" --csv="$WORK/resumed.csv" $SPEC
+cmp "$WORK/resumed.json" "$WORK/ref.json"
+cmp "$WORK/resumed.csv" "$WORK/ref.csv"
+[ -z "$(ls -A "$RESUME_DIR")" ] || {
+  echo "shard_smoke: completed run left files in its directory" >&2
+  ls -la "$RESUME_DIR" >&2
+  exit 1
+}
+echo "shard_smoke OK: merged and resumed documents byte-identical after SIGKILL"

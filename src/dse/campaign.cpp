@@ -1,9 +1,9 @@
 #include "dse/campaign.hpp"
 
-#include <algorithm>
 #include <filesystem>
 #include <limits>
 #include <locale>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
@@ -11,6 +11,7 @@
 
 #include "dse/baselines.hpp"
 #include "dse/checkpoint.hpp"
+#include "dse/chunk_loop.hpp"
 #include "rl/trainer.hpp"
 #include "util/number_format.hpp"
 
@@ -592,15 +593,18 @@ void CampaignChunkCheckpoint::Save(const std::string& path) const {
   AtomicWriteCheckpointFile(path, Serialize(), "CampaignChunkCheckpoint::Save");
 }
 
-CampaignChunkCheckpoint CampaignChunkCheckpoint::Load(const std::string& path) {
-  return Deserialize(
-      ReadCheckpointFile(path, "CampaignChunkCheckpoint::Load"));
-}
-
-std::string CampaignChunkFileName(const std::string& spec_text,
-                                  std::size_t chunk_index) {
-  return "campaign-" + util::Hex16(StableHash64(spec_text)) + "-chunk-" +
-         std::to_string(chunk_index) + ".ckpt";
+CampaignSlice RunCampaignSlice(const Engine& engine,
+                               const std::vector<ExplorationRequest>& slice,
+                               const CheckpointOptions& checkpoint,
+                               const RunHooks& hooks) {
+  const BatchResult batch = engine.Run(slice, checkpoint, hooks);
+  CampaignSlice run;
+  run.unfinished_jobs = batch.unfinished_jobs;
+  if (!batch.Complete()) return run;
+  run.cells.reserve(batch.results.size());
+  for (const RequestResult& result : batch.results)
+    run.cells.push_back(CampaignAggregator::Reduce(result));
+  return run;
 }
 
 // --- Campaign ---------------------------------------------------------------
@@ -613,124 +617,80 @@ CampaignResult Campaign::Run(const CampaignSpec& spec,
 CampaignResult Campaign::Run(const CampaignSpec& spec,
                              const CampaignOptions& options,
                              const CampaignObserver& observer) const {
-  namespace fs = std::filesystem;
-  spec.Validate();
-  const std::vector<ExplorationRequest> grid = spec.Expand();
-  const std::size_t chunk_cells =
-      options.chunk_cells == 0 ? grid.size() : options.chunk_cells;
-  const bool checkpointing = !options.checkpoint_directory.empty();
-  const std::string spec_text = spec.ToString();
-  const std::uint64_t spec_hash = StableHash64(spec_text);
+  const ChunkPlan plan(spec, options.chunk_cells);
+  const std::string& directory = options.checkpoint_directory;
+  if (directory.empty() && options.step_budget != 0)
+    throw std::invalid_argument(
+        "Campaign: step_budget requires a checkpoint_directory (a "
+        "suspended campaign must have somewhere to resume from)");
 
   CampaignResult result;
   result.spec = spec;
-  result.num_cells = grid.size();
-
+  result.num_cells = plan.grid.size();
   CampaignAggregator aggregator;
-  std::vector<std::string> chunk_files;
-  std::size_t executed_chunks = 0;
-  std::size_t begin = 0;
-  for (std::size_t chunk_index = 0; begin < grid.size();
-       begin += chunk_cells, ++chunk_index) {
-    const std::size_t end = std::min(begin + chunk_cells, grid.size());
-    const std::vector<ExplorationRequest> slice(grid.begin() + begin,
-                                                grid.begin() + end);
-    std::string chunk_path;
-    if (checkpointing) {
-      chunk_path = (fs::path(options.checkpoint_directory) /
-                    CampaignChunkFileName(spec_text, chunk_index))
-                       .string();
-      std::error_code ec;
-      if (fs::exists(chunk_path, ec)) {
-        CampaignChunkCheckpoint snapshot =
-            CampaignChunkCheckpoint::Load(chunk_path);
-        if (snapshot.spec_hash != spec_hash ||
-            snapshot.chunk_index != chunk_index ||
-            snapshot.first_cell != begin ||
-            snapshot.cells.size() != slice.size())
-          throw CheckpointError(
-              "Campaign: snapshot " + chunk_path +
-              " belongs to a different campaign or chunking — remove the "
-              "directory or rerun with the original spec and chunk size");
-        for (std::size_t i = 0; i < snapshot.cells.size(); ++i)
-          if (snapshot.cells[i].request.ToString() != slice[i].ToString())
-            throw CheckpointError(
-                "Campaign: snapshot " + chunk_path +
-                " does not match the expanded grid — remove the directory "
-                "or rerun with the original spec and chunk size");
-        for (CampaignCell& cell : snapshot.cells)
-          aggregator.Add(std::move(cell));
-        result.resumed_cells += snapshot.cells.size();
-        chunk_files.push_back(chunk_path);
-        if (observer.on_chunk)
-          observer.on_chunk(CampaignChunkProgress{
-              chunk_index, aggregator.Cells().size(), grid.size(), true,
-              aggregator.Fronts(), aggregator.Best()});
-        continue;
-      }
-    }
-
-    // Only chunks actually executed count against max_chunks —
-    // snapshot-loaded ones are free, so rerunning the SAME command (same
-    // max_chunks) always makes forward progress, like step_budget.
-    if (options.max_chunks != 0 && executed_chunks >= options.max_chunks)
-      break;
-
-    BatchResult batch;
-    if (checkpointing) {
-      CheckpointOptions engine_checkpoint;
-      engine_checkpoint.directory = options.checkpoint_directory;
-      engine_checkpoint.interval = options.checkpoint_interval;
-      engine_checkpoint.step_budget = options.step_budget;
-      batch = engine_->Run(slice, engine_checkpoint, observer.engine);
-    } else if (options.step_budget != 0) {
-      throw std::invalid_argument(
-          "Campaign: step_budget requires a checkpoint_directory (a "
-          "suspended campaign must have somewhere to resume from)");
-    } else {
-      batch = engine_->Run(slice, CheckpointOptions{}, observer.engine);
-    }
-
-    if (!batch.Complete()) {
-      // Suspended mid-chunk: the engine's job snapshots carry the in-flight
-      // state; nothing from this chunk is aggregated (its cells would be
-      // partial). Rerun with the same arguments to continue.
-      result.unfinished_jobs = batch.unfinished_jobs;
-      break;
-    }
-
-    CampaignChunkCheckpoint snapshot;
-    snapshot.spec_hash = spec_hash;
-    snapshot.chunk_index = chunk_index;
-    snapshot.first_cell = begin;
-    for (const RequestResult& request_result : batch.results) {
-      CampaignCell cell = CampaignAggregator::Reduce(request_result);
-      if (checkpointing) snapshot.cells.push_back(cell);
-      aggregator.Add(std::move(cell));
-    }
-    if (checkpointing) {
-      snapshot.Save(chunk_path);
-      chunk_files.push_back(chunk_path);
-    }
-    ++executed_chunks;
+  std::size_t folded = 0;  // chunks folded so far, in grid order
+  const auto fold = [&](std::vector<CampaignCell> cells, bool resumed) {
+    if (resumed) result.resumed_cells += cells.size();
+    for (CampaignCell& cell : cells) aggregator.Add(std::move(cell));
     if (observer.on_chunk)
       observer.on_chunk(CampaignChunkProgress{
-          chunk_index, aggregator.Cells().size(), grid.size(), false,
+          folded, aggregator.Cells().size(), plan.grid.size(), resumed,
           aggregator.Fronts(), aggregator.Best()});
-  }
-  // `begin` stops at the first unprocessed (or suspended) chunk; past-the-end
-  // after a full pass.
-  result.pending_cells = grid.size() - std::min(begin, grid.size());
+    ++folded;
+  };
 
+  if (directory.empty()) {
+    // In memory: nothing persists, so nothing resumes.
+    for (std::size_t chunk = 0; chunk < plan.num_chunks; ++chunk) {
+      if (options.max_chunks != 0 && chunk >= options.max_chunks) break;
+      CampaignSlice run = RunCampaignSlice(*engine_, plan.Slice(chunk),
+                                           CheckpointOptions{},
+                                           observer.engine);
+      result.unfinished_jobs = run.unfinished_jobs;
+      if (run.unfinished_jobs != 0) break;
+      fold(std::move(run.cells), false);
+    }
+  } else {
+    // The directory is a shard state directory worked by one in-process
+    // worker. Its chunks arrive in grid order unless a peer worker shares
+    // the directory; those are held back until the gap before them fills.
+    ShardOptions shard;
+    shard.state_directory = directory;
+    shard.worker_id = "campaign";
+    shard.chunk_cells = options.chunk_cells;
+    shard.checkpoint_interval = options.checkpoint_interval;
+    shard.max_chunks = options.max_chunks;
+    ChunkLoopControl control;
+    control.hooks = observer.engine;
+    control.step_budget = options.step_budget;
+    std::map<std::size_t, std::pair<std::vector<CampaignCell>, bool>> early;
+    control.on_result = [&](CampaignChunkCheckpoint done, bool resumed) {
+      early.emplace(done.chunk_index,
+                    std::make_pair(std::move(done.cells), resumed));
+      for (auto it = early.find(folded); it != early.end();
+           it = early.find(folded)) {
+        fold(std::move(it->second.first), it->second.second);
+        early.erase(it);
+      }
+    };
+    result.unfinished_jobs =
+        RunChunkLoop(*engine_, plan, shard, control).unfinished_jobs;
+  }
   result.cells = aggregator.Cells();
+  result.pending_cells = plan.grid.size() - result.cells.size();
   result.fronts = aggregator.Fronts();
   result.best = aggregator.Best();
 
-  if (result.Complete() && checkpointing) {
+  if (!directory.empty() && result.Complete()) {
+    // Best-effort: a leftover file only costs a check on the next run.
+    namespace fs = std::filesystem;
+    const fs::path dir(directory);
     std::error_code ec;
-    for (const std::string& path : chunk_files)
-      fs::remove(path, ec);  // best-effort cleanup; a leftover only costs
-                             // a resume check next run
+    fs::remove(dir / ShardManifestFileName(), ec);
+    for (std::size_t chunk = 0; chunk < plan.num_chunks; ++chunk) {
+      fs::remove(dir / ShardChunkResultFileName(chunk), ec);
+      fs::remove(dir / ShardLeaseFileName(chunk), ec);
+    }
   }
   return result;
 }

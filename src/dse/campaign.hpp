@@ -6,14 +6,16 @@
 // threshold factors, cache modes) plus a base ExplorationRequest supplying
 // everything else; Expand() takes the cartesian product into one
 // ExplorationRequest per grid cell. Campaign::Run() executes the grid
-// through the existing Engine in checkpointable chunks — each finished
-// chunk is reduced to a CampaignCell snapshot on disk, and in-flight jobs
-// reuse the Engine's CheckpointOptions machinery — so a killed campaign
-// resumes mid-grid and finishes with byte-identical reports to an
-// uninterrupted run. Results stream into a CampaignAggregator that
-// maintains per-kernel Pareto fronts (incremental insertion + dominance
-// pruning) and best-per-kernel tables; traces and per-step data never
-// accumulate across the grid.
+// through the existing Engine in chunks. Without a checkpoint directory it
+// is an in-memory loop that writes nothing; with one, the directory is a
+// shard state directory (dse/shard.hpp) and Campaign::Run works it as the
+// single shard worker "campaign" — each finished chunk commits its result
+// document, in-flight jobs persist as Engine job snapshots — so a killed
+// campaign resumes mid-grid (through Campaign::Run or shard workers) and
+// finishes with byte-identical reports to an uninterrupted run. Results
+// stream into a CampaignAggregator that maintains per-kernel Pareto fronts
+// (incremental insertion + dominance pruning) and best-per-kernel tables;
+// traces and per-step data never accumulate across the grid.
 //
 // The spec serializes to the same whitespace/';'-separated key=value token
 // grammar as ExplorationRequest (axis keys first, base request keys after),
@@ -99,16 +101,17 @@ bool operator!=(const CampaignSpec& a, const CampaignSpec& b);
 struct CampaignOptions {
   /// Grid cells (requests) per Engine::Run call. Results are streamed into
   /// the aggregator chunk by chunk; with checkpointing on, each completed
-  /// chunk becomes one resumable snapshot file. 0 = the whole grid in one
-  /// chunk. Shared-cache requests share caches within a chunk only, so the
-  /// chunk size is part of a campaign's identity: resume with the same
-  /// value.
+  /// chunk becomes one result document. 0 = the whole grid in one chunk.
+  /// Shared-cache requests share caches within a chunk only, so the chunk
+  /// size is part of a campaign's identity: resume with the same value.
   std::size_t chunk_cells = 8;
-  /// Checkpoint directory (created on demand). Empty = checkpointing off.
-  /// Completed chunks persist as campaign chunk snapshots, in-flight jobs
-  /// as Engine job snapshots; rerunning the same campaign against the same
-  /// directory resumes mid-grid with byte-identical final reports. All
-  /// snapshot files are removed once the campaign completes.
+  /// Checkpoint directory (created on demand). Empty = an in-memory run.
+  /// The directory is a shard state directory (see dse/shard.hpp): the
+  /// manifest, chunk-<i>.done result documents and the lease of the chunk
+  /// in flight, plus the Engine's job snapshots. Rerunning the same
+  /// campaign against it resumes mid-grid with byte-identical final
+  /// reports; shard workers and MergeShardedCampaign accept it as well.
+  /// All campaign files are removed once the campaign completes.
   std::string checkpoint_directory;
   /// Engine autosave period in environment steps (see CheckpointOptions).
   std::size_t checkpoint_interval = 0;
@@ -117,17 +120,17 @@ struct CampaignOptions {
   /// the first chunk left unfinished. 0 = run to completion.
   std::size_t step_budget = 0;
   /// Execute at most this many NEW chunks this invocation, then suspend
-  /// (the grid-level analog of step_budget). Chunks restored from
-  /// snapshots don't count, so rerunning the same command always makes
-  /// forward progress. 0 = no limit.
+  /// (the grid-level analog of step_budget). Chunks found already done
+  /// don't count, so rerunning the same command always makes forward
+  /// progress. 0 = no limit.
   std::size_t max_chunks = 0;
 };
 
 /// One seed-run of a cell, reduced to what campaign reports consume.
 /// NOTE: campaign reports must read only the measurement deltas, the
 /// precise_power_mw/precise_time_ns baselines, and `stage_counts` — chunk
-/// snapshots round-trip exactly those fields (whole-kernel operation counts
-/// are not persisted).
+/// result documents round-trip exactly those fields (whole-kernel operation
+/// counts are not persisted).
 struct CampaignSeedRun {
   std::uint64_t seed = 0;
   std::size_t steps = 0;
@@ -198,8 +201,8 @@ struct CampaignBest {
   instrument::Measurement measurement;
 };
 
-/// Folds RequestResults (or pre-reduced cells restored from chunk
-/// snapshots) into the campaign aggregates: cells in grid order, one
+/// Folds RequestResults (or pre-reduced cells read from chunk result
+/// documents) into the campaign aggregates: cells in grid order, one
 /// incremental Pareto front and one best entry per kernel (front/best
 /// order = first appearance of the kernel in the grid).
 class CampaignAggregator {
@@ -211,7 +214,7 @@ class CampaignAggregator {
   /// Reduce + Add in one step.
   void Add(const RequestResult& result);
 
-  /// Folds a pre-reduced cell in (the chunk-snapshot resume path).
+  /// Folds a pre-reduced cell in (the chunk-result resume path).
   void Add(CampaignCell cell);
 
   const std::vector<CampaignCell>& Cells() const noexcept { return cells_; }
@@ -241,7 +244,7 @@ struct CampaignResult {
   std::size_t unfinished_jobs = 0;
   /// Grid cells not yet completed (suspension or max_chunks).
   std::size_t pending_cells = 0;
-  /// Cells restored from chunk snapshots instead of executed.
+  /// Cells of chunks found already done instead of executed.
   std::size_t resumed_cells = 0;
 
   bool Complete() const noexcept {
@@ -254,15 +257,15 @@ struct CampaignResult {
   std::size_t TotalSteps() const noexcept;
 };
 
-/// Persisted reduction of one completed chunk (campaign-level resume unit).
-/// A util::record_io document ("axdse-campaign-chunk v3"): strict parsing
-/// (CheckpointError), atomic Save.
+/// Persisted reduction of one completed chunk: the shard result document
+/// (chunk-<i>.done). A util::record_io document ("axdse-campaign-chunk
+/// v3"): strict parsing (CheckpointError), atomic Save.
 struct CampaignChunkCheckpoint {
   /// v2 added the surrogate counters to the "cache" and "run" lines; v3
   /// carries the KernelSpec request grammar and per-run "stage" lines.
   static constexpr unsigned kFormatVersion = 3;
 
-  /// StableHash64 of CampaignSpec::ToString() — a snapshot loads only into
+  /// StableHash64 of CampaignSpec::ToString() — a document loads only into
   /// the campaign that wrote it.
   std::uint64_t spec_hash = 0;
   std::size_t chunk_index = 0;
@@ -273,23 +276,18 @@ struct CampaignChunkCheckpoint {
   std::string Serialize() const;
   static CampaignChunkCheckpoint Deserialize(const std::string& text);
   void Save(const std::string& path) const;
-  static CampaignChunkCheckpoint Load(const std::string& path);
 };
-
-/// Snapshot file name of one campaign chunk inside a checkpoint directory:
-/// "campaign-<16 hex digits of spec hash>-chunk-<index>.ckpt".
-std::string CampaignChunkFileName(const std::string& spec_text,
-                                  std::size_t chunk_index);
 
 /// Streaming view of campaign state after one chunk, handed to
 /// CampaignObserver::on_chunk. The referenced vectors are the aggregator's
 /// live state: valid only for the duration of the callback.
 struct CampaignChunkProgress {
   std::size_t chunk_index = 0;
-  /// Cells completed so far (including restored ones) / full grid size.
+  /// Cells completed so far (including resumed ones) / full grid size.
   std::size_t cells_done = 0;
   std::size_t num_cells = 0;
-  /// True when this chunk was restored from a snapshot instead of executed.
+  /// True when this chunk was found already done (by an earlier call or
+  /// another worker) instead of executed.
   bool resumed = false;
   const std::vector<CampaignFront>& fronts;
   const std::vector<CampaignBest>& best;
@@ -297,8 +295,8 @@ struct CampaignChunkProgress {
 
 /// Observation and control hooks for Campaign::Run: the engine-level hooks
 /// are forwarded to every chunk's Engine::Run call (per-job progress,
-/// cooperative drain, external caches), and on_chunk fires after each chunk
-/// completes or is restored — the streaming-Pareto feed.
+/// cooperative drain, external caches), and on_chunk fires in grid order
+/// after each chunk completes or is found done — the streaming-Pareto feed.
 struct CampaignObserver {
   RunHooks engine;
   std::function<void(const CampaignChunkProgress&)> on_chunk;
@@ -313,8 +311,9 @@ class Campaign {
   /// chunking, checkpointing, and preemption). Returns the aggregates of
   /// every completed cell; Complete() is false after a suspension — rerun
   /// with the same spec, options, and directory to continue. Throws
-  /// std::invalid_argument on invalid specs and CheckpointError on
-  /// malformed or foreign snapshot files.
+  /// std::invalid_argument on invalid specs and ShardError when the
+  /// directory belongs to a different campaign or chunking; torn result
+  /// documents and engine snapshots are recomputed, not fatal.
   CampaignResult Run(const CampaignSpec& spec,
                      const CampaignOptions& options = {}) const;
 

@@ -167,15 +167,12 @@ Configuration ReadConfigRecord(util::RecordCursor& cursor) {
 // whole-file read.
 // --------------------------------------------------------------------------
 
-namespace {
-
-/// Writes `length` bytes of `content` to a fresh fd at `temp` and flushes
-/// them to stable storage. Returns false on any IO failure (the caller
-/// unlinks the temp file and raises CheckpointError).
-bool WriteAndSyncFile(const std::filesystem::path& temp,
-                      const std::string& content, std::size_t length) {
-  const int fd = ::open(temp.c_str(),
-                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+bool WriteAndSyncFile(const std::string& path, const std::string& content,
+                      std::size_t length, bool exclusive) {
+  const int fd = ::open(path.c_str(),
+                        O_WRONLY | O_CREAT | O_CLOEXEC |
+                            (exclusive ? O_EXCL : O_TRUNC),
+                        0644);
   if (fd < 0) return false;
   bool ok = true;
   std::size_t offset = 0;
@@ -195,6 +192,8 @@ bool WriteAndSyncFile(const std::filesystem::path& temp,
   if (::close(fd) != 0) ok = false;
   return ok;
 }
+
+namespace {
 
 /// Flushes a directory entry (the rename) to stable storage; without it a
 /// power cut can forget that the snapshot file exists at all.
@@ -230,7 +229,7 @@ void AtomicWriteCheckpointFile(const std::string& path,
       // a missing fsync) would have left visible under the final name.
       const std::size_t length =
           util::fault::ShortWriteLength("checkpoint.write", content.size());
-      if (!WriteAndSyncFile(temp, content, length)) {
+      if (!WriteAndSyncFile(temp.string(), content, length)) {
         throw CheckpointError(std::string(what) + ": write failed for " +
                               temp.string());
       }

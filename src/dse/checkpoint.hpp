@@ -122,6 +122,12 @@ struct SharedCacheCheckpoint {
 void WriteConfigRecord(util::RecordWriter& out, const Configuration& config);
 Configuration ReadConfigRecord(util::RecordCursor& cursor);
 
+/// Writes the first `length` bytes of `content` to `path` and fsyncs them.
+/// `exclusive` fails with errno EEXIST instead of replacing a file. Returns
+/// false on any IO failure; the caller unlinks what was left.
+bool WriteAndSyncFile(const std::string& path, const std::string& content,
+                      std::size_t length, bool exclusive = false);
+
 /// Atomically AND durably writes `content` to `path`: unique temp file,
 /// fsync of the temp fd BEFORE the rename (so the published file can never
 /// be empty or truncated after a crash), rename, then fsync of the parent

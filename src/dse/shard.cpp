@@ -1,8 +1,6 @@
 #include "dse/shard.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cerrno>
@@ -16,6 +14,7 @@
 #include <vector>
 
 #include "dse/checkpoint.hpp"
+#include "dse/chunk_loop.hpp"
 #include "util/fault_injection.hpp"
 #include "util/record_io.hpp"
 
@@ -39,34 +38,14 @@ bool IsIdentifier(const std::string& text) {
 /// killed between create and write leaves a zero-length lease, which every
 /// reader treats as torn (reclaimable), never as fatal.
 bool TryExclusiveCreate(const std::string& path, const std::string& content) {
-  const int fd =
-      ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    if (errno == EEXIST) return false;
-    throw ShardError("ShardWorker: cannot create lease " + path + ": " +
-                     std::strerror(errno));
-  }
   const std::size_t length =
       util::fault::ShortWriteLength("shard.lease.write", content.size());
-  bool ok = true;
-  std::size_t offset = 0;
-  while (offset < length) {
-    const ::ssize_t n = ::write(fd, content.data() + offset, length - offset);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ok = false;
-      break;
-    }
-    offset += static_cast<std::size_t>(n);
-  }
-  if (ok && ::fsync(fd) != 0) ok = false;
-  if (::close(fd) != 0) ok = false;
-  if (!ok) {
-    std::error_code ec;
-    fs::remove(path, ec);
-    throw ShardError("ShardWorker: write failed for lease " + path);
-  }
-  return true;
+  if (WriteAndSyncFile(path, content, length, /*exclusive=*/true)) return true;
+  if (errno == EEXIST) return false;
+  const std::string reason = std::strerror(errno);
+  std::error_code ec;
+  fs::remove(path, ec);
+  throw ShardError("ShardWorker: cannot write lease " + path + ": " + reason);
 }
 
 void AtomicShardWrite(const std::string& path, const std::string& content,
@@ -76,6 +55,45 @@ void AtomicShardWrite(const std::string& path, const std::string& content,
   } catch (const CheckpointError& e) {
     throw ShardError(e.what());
   }
+}
+
+bool IsLease(const std::string& text) {
+  try {
+    ShardLease::Deserialize(text);
+    return true;
+  } catch (const ShardError&) {
+    return false;
+  }
+}
+
+std::string PathIn(const std::string& directory, const std::string& name) {
+  return (fs::path(directory) / name).string();
+}
+
+/// Chunk `chunk`'s result document when it passes the plan's check. Anything
+/// else — missing, torn, foreign, wrong slice — yields nullopt, with the
+/// reason in `*problem` when asked: workers re-execute such a chunk and
+/// atomically overwrite, so a corrupt file heals; the merge refuses it.
+std::optional<CampaignChunkCheckpoint> ReadChunkResult(
+    const ChunkPlan& plan, const std::string& directory, std::size_t chunk,
+    std::string* problem = nullptr) {
+  const std::string path = PathIn(directory, ShardChunkResultFileName(chunk));
+  const std::optional<std::string> text = util::ReadWholeFile(path);
+  std::string why = "chunk " + std::to_string(chunk) +
+                    " has no result document (" + path +
+                    ") — run a shard worker to completion first";
+  if (text) {
+    try {
+      CampaignChunkCheckpoint result =
+          CampaignChunkCheckpoint::Deserialize(*text);
+      if (plan.Accepts(result, chunk)) return result;
+      why = path + " belongs to a different campaign or chunking";
+    } catch (const CheckpointError& e) {
+      why = path + ": " + e.what();
+    }
+  }
+  if (problem != nullptr) *problem = std::move(why);
+  return std::nullopt;
 }
 
 }  // namespace
@@ -148,31 +166,71 @@ std::string ShardChunkResultFileName(std::size_t chunk_index) {
   return "chunk-" + std::to_string(chunk_index) + ".done";
 }
 
+// --- chunk plan -------------------------------------------------------------
+
+ChunkPlan::ChunkPlan(const CampaignSpec& campaign, std::size_t cells_per_chunk)
+    : spec(campaign) {
+  spec.Validate();
+  grid = spec.Expand();
+  spec_text = spec.ToString();
+  spec_hash = StableHash64(spec_text);
+  chunk_cells = cells_per_chunk == 0 ? grid.size() : cells_per_chunk;
+  // A ceiling division that cannot wrap, whatever chunk_cells is.
+  num_chunks = grid.size() / chunk_cells + (grid.size() % chunk_cells != 0);
+}
+
+std::size_t ChunkPlan::EndCell(std::size_t chunk) const {
+  const std::size_t first = FirstCell(chunk);
+  return first + std::min(chunk_cells, grid.size() - first);
+}
+
+std::vector<ExplorationRequest> ChunkPlan::Slice(std::size_t chunk) const {
+  return {grid.begin() + static_cast<std::ptrdiff_t>(FirstCell(chunk)),
+          grid.begin() + static_cast<std::ptrdiff_t>(EndCell(chunk))};
+}
+
+bool ChunkPlan::Accepts(const CampaignChunkCheckpoint& result,
+                        std::size_t chunk) const {
+  const std::size_t first = FirstCell(chunk);
+  if (result.spec_hash != spec_hash || result.chunk_index != chunk ||
+      result.first_cell != first ||
+      result.cells.size() != EndCell(chunk) - first)
+    return false;
+  for (std::size_t i = 0; i < result.cells.size(); ++i)
+    if (result.cells[i].request.ToString() != grid[first + i].ToString())
+      return false;
+  return true;
+}
+
+ChunkPlan LoadChunkPlan(const std::string& state_directory,
+                        const std::string& who) {
+  const std::string path = PathIn(state_directory, ShardManifestFileName());
+  const std::optional<std::string> text = util::ReadWholeFile(path);
+  if (!text) throw ShardError(who + ": cannot read manifest " + path);
+  const ShardManifest manifest = ShardManifest::Deserialize(*text);
+  try {
+    ChunkPlan plan(CampaignSpec::Parse(manifest.spec_text),
+                   manifest.chunk_cells);
+    if (plan.grid.size() == manifest.num_cells) return plan;
+  } catch (const std::invalid_argument& e) {
+    throw ShardError(who + ": manifest spec does not parse: " + e.what());
+  }
+  throw ShardError(who + ": manifest cell count does not match its spec");
+}
+
 // --- worker -----------------------------------------------------------------
 
 namespace {
 
-/// Everything Run() resolves once up front and the per-chunk helpers share.
+/// Everything the chunk loop resolves once up front and its helpers share.
 struct ShardContext {
-  const Engine* engine = nullptr;
-  ShardOptions options;
-  std::vector<ExplorationRequest> grid;
-  std::size_t chunk_cells = 0;
-  std::size_t num_chunks = 0;
-  std::string spec_text;
-  std::uint64_t spec_hash = 0;
+  const Engine& engine;
+  const ChunkPlan& plan;
+  const ShardOptions& options;
+  const ChunkLoopControl& control;
 
   std::string Path(const std::string& name) const {
-    return (fs::path(options.state_directory) / name).string();
-  }
-  std::size_t FirstCell(std::size_t chunk) const {
-    return chunk * chunk_cells;
-  }
-  std::vector<ExplorationRequest> Slice(std::size_t chunk) const {
-    const std::size_t begin = FirstCell(chunk);
-    const std::size_t end = std::min(begin + chunk_cells, grid.size());
-    return {grid.begin() + static_cast<std::ptrdiff_t>(begin),
-            grid.begin() + static_cast<std::ptrdiff_t>(end)};
+    return PathIn(options.state_directory, name);
   }
 };
 
@@ -185,33 +243,7 @@ struct LeaseObservation {
   Clock::time_point last_change;
 };
 
-enum class ClaimOutcome { kClaimed, kReclaimed, kOwnedByPeer, kForeign };
-
-/// True when `path` holds a valid result document for `chunk` of THIS
-/// campaign. Anything else — missing, torn, foreign, wrong slice — counts
-/// as "no result": the worker re-executes and atomically overwrites, so a
-/// corrupt file heals instead of wedging the campaign.
-bool HasValidChunkResult(const ShardContext& ctx, std::size_t chunk) {
-  const std::optional<std::string> text =
-      util::ReadWholeFile(ctx.Path(ShardChunkResultFileName(chunk)));
-  if (!text) return false;
-  try {
-    const CampaignChunkCheckpoint snapshot =
-        CampaignChunkCheckpoint::Deserialize(*text);
-    if (snapshot.spec_hash != ctx.spec_hash ||
-        snapshot.chunk_index != chunk ||
-        snapshot.first_cell != ctx.FirstCell(chunk))
-      return false;
-    const std::vector<ExplorationRequest> slice = ctx.Slice(chunk);
-    if (snapshot.cells.size() != slice.size()) return false;
-    for (std::size_t i = 0; i < slice.size(); ++i)
-      if (snapshot.cells[i].request.ToString() != slice[i].ToString())
-        return false;
-    return true;
-  } catch (const CheckpointError&) {
-    return false;
-  }
-}
+enum class ClaimOutcome { kClaimed, kReclaimed, kOwnedByPeer };
 
 /// One claim attempt on `chunk`. Never throws on corrupt files; throws
 /// ShardError only on real IO failures and genuinely foreign leases.
@@ -221,12 +253,7 @@ ClaimOutcome TryClaim(const ShardContext& ctx, std::size_t chunk,
   const std::string lease_path = ctx.Path(ShardLeaseFileName(chunk));
   const std::optional<std::string> text = util::ReadWholeFile(lease_path);
   if (!text) {
-    ShardLease lease;
-    lease.spec_hash = ctx.spec_hash;
-    lease.chunk_index = chunk;
-    lease.owner = ctx.options.worker_id;
-    lease.generation = 1;
-    lease.heartbeat = 0;
+    const ShardLease lease{ctx.plan.spec_hash, chunk, ctx.options.worker_id, 1};
     if (TryExclusiveCreate(lease_path, lease.Serialize())) {
       util::fault::Point("shard.claimed");
       my_generation = 1;
@@ -236,71 +263,53 @@ ClaimOutcome TryClaim(const ShardContext& ctx, std::size_t chunk,
     return ClaimOutcome::kOwnedByPeer;
   }
 
-  std::uint64_t next_generation = 0;
-  bool stale = false;
+  // A torn/truncated/zero-length/garbage lease is reclaimed right away:
+  // atomic writes make it impossible from our own protocol, so it is
+  // external damage.
+  std::uint64_t next_generation = observation.generation + 1;
+  std::optional<ShardLease> lease;
   try {
-    const ShardLease lease = ShardLease::Deserialize(*text);
-    if (lease.spec_hash != ctx.spec_hash || lease.chunk_index != chunk)
+    lease = ShardLease::Deserialize(*text);
+  } catch (const ShardError&) {
+  }
+  if (lease) {
+    if (lease->spec_hash != ctx.plan.spec_hash || lease->chunk_index != chunk)
       throw ShardError(
           "ShardWorker: lease " + lease_path +
           " belongs to a different campaign or chunk — the state directory "
           "is not this campaign's");
-    if (lease.owner == ctx.options.worker_id) {
-      // Our own id on a lease we don't hold in this incarnation: a previous
-      // process with this worker id died. Reclaim immediately — one live
-      // process per worker id is the operator contract.
-      next_generation = lease.generation + 1;
-      stale = true;
-    } else if (!observation.observed ||
-               observation.generation != lease.generation ||
-               observation.heartbeat != lease.heartbeat) {
-      observation.observed = true;
-      observation.generation = lease.generation;
-      observation.heartbeat = lease.heartbeat;
-      observation.last_change = Clock::now();
-      return ClaimOutcome::kOwnedByPeer;
-    } else if (Clock::now() - observation.last_change <
-               ctx.options.lease_ttl) {
-      return ClaimOutcome::kOwnedByPeer;
-    } else {
-      next_generation = lease.generation + 1;
-      stale = true;
+    // Our own id on a lease we don't hold in this incarnation means a
+    // previous process with this worker id died: reclaim immediately — one
+    // live process per worker id is the operator contract. A peer's lease
+    // is reclaimed once it stayed unchanged for lease_ttl.
+    if (lease->owner != ctx.options.worker_id) {
+      if (!observation.observed ||
+          observation.generation != lease->generation ||
+          observation.heartbeat != lease->heartbeat) {
+        observation = {true, lease->generation, lease->heartbeat,
+                       Clock::now()};
+        return ClaimOutcome::kOwnedByPeer;
+      }
+      if (Clock::now() - observation.last_change < ctx.options.lease_ttl)
+        return ClaimOutcome::kOwnedByPeer;
     }
-  } catch (const ShardError&) {
-    if (stale) throw;  // the foreign-lease diagnosis above
-    // Torn/truncated/zero-length/garbage lease: atomic writes make this
-    // impossible from our own protocol, so treat it as external damage and
-    // reclaim right away.
-    next_generation = observation.generation + 1;
-    stale = true;
+    next_generation = lease->generation + 1;
   }
-  if (!stale) return ClaimOutcome::kOwnedByPeer;
 
-  ShardLease claim;
-  claim.spec_hash = ctx.spec_hash;
-  claim.chunk_index = chunk;
-  claim.owner = ctx.options.worker_id;
-  claim.generation = next_generation;
-  claim.heartbeat = 0;
-  AtomicShardWrite(lease_path, claim.Serialize(), "ShardLease::Save");
+  const ShardLease reclaim{ctx.plan.spec_hash, chunk, ctx.options.worker_id,
+                           next_generation};
+  const std::string claim = reclaim.Serialize();
+  AtomicShardWrite(lease_path, claim, "ShardLease::Save");
   // Read-back: another reclaimer may have renamed over us in the same
   // window. Losing here is harmless (we simply don't execute); even the
   // residual both-read-back-success race only costs duplicate deterministic
   // work, never a wrong merge (results are committed atomically and folded
   // once per chunk index).
-  const std::optional<std::string> confirm = util::ReadWholeFile(lease_path);
-  if (!confirm) return ClaimOutcome::kOwnedByPeer;
-  try {
-    const ShardLease now_on_disk = ShardLease::Deserialize(*confirm);
-    if (now_on_disk.owner != ctx.options.worker_id ||
-        now_on_disk.generation != claim.generation)
-      return ClaimOutcome::kOwnedByPeer;
-  } catch (const ShardError&) {
+  if (util::ReadWholeFile(lease_path) != claim)
     return ClaimOutcome::kOwnedByPeer;
-  }
   util::fault::Point("shard.claimed");
   observation = LeaseObservation{};
-  my_generation = claim.generation;
+  my_generation = next_generation;
   return ClaimOutcome::kReclaimed;
 }
 
@@ -321,27 +330,30 @@ void RemoveEngineSnapshots(const ShardContext& ctx,
   for (const auto& entry :
        fs::directory_iterator(ctx.options.state_directory, ec)) {
     const std::string name = entry.path().filename().string();
-    if (name.rfind("cache-", 0) == 0 &&
-        name.size() > 5 && name.substr(name.size() - 5) == ".ckpt")
+    if (name.starts_with("cache-") && name.ends_with(".ckpt"))
       fs::remove(entry.path(), ec);
   }
 }
 
-/// Executes one claimed chunk. Returns true when the chunk's result
-/// document was committed; false when the lease was lost mid-run and the
-/// chunk was cooperatively suspended for its new owner.
-bool ExecuteChunk(const ShardContext& ctx, std::size_t chunk,
-                  std::uint64_t my_generation) {
-  const std::vector<ExplorationRequest> slice = ctx.Slice(chunk);
+/// What ExecuteChunk did: committed the chunk's `result`, yielded the chunk
+/// to the new owner of a lease lost mid-run, or suspended it on a step
+/// budget or the caller's request (`unfinished_jobs`, lease released).
+struct ChunkRun {
+  std::optional<CampaignChunkCheckpoint> result;
+  std::size_t unfinished_jobs = 0;
+};
+
+ChunkRun ExecuteChunk(const ShardContext& ctx, std::size_t chunk,
+                      std::uint64_t my_generation) {
+  const std::vector<ExplorationRequest> slice = ctx.plan.Slice(chunk);
   const std::string lease_path = ctx.Path(ShardLeaseFileName(chunk));
 
   std::mutex heartbeat_mutex;
   Clock::time_point last_refresh = Clock::now();
+  std::uint64_t beats = 0;
   std::atomic<bool> lost{false};
 
-  RunHooks hooks;
-  hooks.interval = 128;
-  hooks.on_progress = [&](const JobProgress&) {
+  const auto heartbeat = [&] {
     // Called from several engine workers; one refresher at a time, the
     // rest skip. Rate-limited to heartbeat_period even when a refresh
     // fails, so a wedged filesystem can't busy-loop us.
@@ -359,86 +371,85 @@ bool ExecuteChunk(const ShardContext& ctx, std::size_t chunk,
           lost.store(true, std::memory_order_relaxed);
           return;
         }
-        ShardLease refreshed = on_disk;
-        refreshed.heartbeat = on_disk.heartbeat + 1;
-        util::fault::Point("shard.heartbeat");
-        AtomicShardWrite(lease_path, refreshed.Serialize(),
-                         "ShardLease::Save");
-        return;
       } catch (const ShardError&) {
-        // Torn or unwritable lease: fall through and rewrite our claim —
-        // if a peer actually took it over, the next refresh sees them.
+        // Torn lease: rewrite our claim below — if a peer actually took it
+        // over, the next refresh sees them.
       }
     }
-    ShardLease rewrite;
-    rewrite.spec_hash = ctx.spec_hash;
-    rewrite.chunk_index = chunk;
-    rewrite.owner = ctx.options.worker_id;
-    rewrite.generation = my_generation;
-    rewrite.heartbeat = 1;
+    const ShardLease refreshed{ctx.plan.spec_hash, chunk,
+                               ctx.options.worker_id, my_generation, ++beats};
+    util::fault::Point("shard.heartbeat");
     try {
-      AtomicShardWrite(lease_path, rewrite.Serialize(), "ShardLease::Save");
+      AtomicShardWrite(lease_path, refreshed.Serialize(), "ShardLease::Save");
     } catch (const ShardError&) {
       // Heartbeats are best-effort; a failed one only risks an early
       // reclaim, which is safe.
     }
   };
-  hooks.should_suspend = [&] { return lost.load(std::memory_order_relaxed); };
+
+  const RunHooks& caller = ctx.control.hooks;
+  RunHooks hooks = caller;  // cache_provider passes through
+  if (hooks.interval == 0) hooks.interval = 128;
+  hooks.on_progress = [&](const JobProgress& progress) {
+    heartbeat();
+    if (caller.on_progress) caller.on_progress(progress);
+  };
+  hooks.should_suspend = [&] {
+    return lost.load(std::memory_order_relaxed) ||
+           (caller.should_suspend && caller.should_suspend());
+  };
 
   CheckpointOptions engine_checkpoint;
   engine_checkpoint.directory = ctx.options.state_directory;
   engine_checkpoint.interval = ctx.options.checkpoint_interval;
+  engine_checkpoint.step_budget = ctx.control.step_budget;
 
-  BatchResult batch;
+  CampaignSlice run;
   try {
-    batch = ctx.engine->Run(slice, engine_checkpoint, hooks);
+    run = RunCampaignSlice(ctx.engine, slice, engine_checkpoint, hooks);
   } catch (const CheckpointError&) {
     // A dead owner can't leave torn snapshots (writes are atomic+durable),
     // but external corruption can. Drop the chunk's snapshots and compute
     // it from scratch — determinism makes the result identical.
     RemoveEngineSnapshots(ctx, slice);
-    batch = ctx.engine->Run(slice, engine_checkpoint, hooks);
+    run = RunCampaignSlice(ctx.engine, slice, engine_checkpoint, hooks);
   }
-  if (!batch.Complete()) return false;  // lease lost, suspended for new owner
+  ChunkRun outcome;
+  std::error_code ec;
+  if (run.unfinished_jobs != 0) {
+    // A lost lease belongs to its new owner, who resumes the snapshots. A
+    // budget or caller suspension leaves the chunk to whoever claims next.
+    if (!lost.load(std::memory_order_relaxed)) {
+      fs::remove(lease_path, ec);
+      outcome.unfinished_jobs = run.unfinished_jobs;
+    }
+    return outcome;
+  }
 
   util::fault::Point("shard.executed");
 
-  CampaignChunkCheckpoint snapshot;
-  snapshot.spec_hash = ctx.spec_hash;
-  snapshot.chunk_index = chunk;
-  snapshot.first_cell = ctx.FirstCell(chunk);
-  snapshot.cells.reserve(batch.results.size());
-  for (const RequestResult& result : batch.results)
-    snapshot.cells.push_back(CampaignAggregator::Reduce(result));
-  try {
-    snapshot.Save(ctx.Path(ShardChunkResultFileName(chunk)));
-  } catch (const CheckpointError& e) {
-    throw ShardError(e.what());
-  }
+  outcome.result = CampaignChunkCheckpoint{
+      ctx.plan.spec_hash, chunk, ctx.plan.FirstCell(chunk),
+      std::move(run.cells)};
+  AtomicShardWrite(ctx.Path(ShardChunkResultFileName(chunk)),
+                   outcome.result->Serialize(),
+                   "CampaignChunkCheckpoint::Save");
   util::fault::Point("shard.committed");
 
-  std::error_code ec;
   fs::remove(lease_path, ec);  // best-effort; done-file checks win anyway
-  return true;
+  return outcome;
 }
 
 void InitOrVerifyManifest(const ShardContext& ctx) {
   const std::string path = ctx.Path(ShardManifestFileName());
-  ShardManifest mine;
-  mine.spec_text = ctx.spec_text;
-  mine.chunk_cells = ctx.chunk_cells;
-  mine.num_cells = ctx.grid.size();
+  const ShardManifest manifest{ctx.plan.spec_text, ctx.plan.chunk_cells,
+                               ctx.plan.grid.size()};
+  const std::string mine = manifest.Serialize();
   if (!fs::exists(path))
-    AtomicShardWrite(path, mine.Serialize(), "ShardManifest::Save");
+    AtomicShardWrite(path, mine, "ShardManifest::Save");
   // Read back what actually won (racing writers of the SAME campaign write
   // identical bytes; a different campaign loses here, deterministically).
-  const std::optional<std::string> text = util::ReadWholeFile(path);
-  if (!text)
-    throw ShardError("ShardWorker: cannot read manifest " + path);
-  const ShardManifest on_disk = ShardManifest::Deserialize(*text);
-  if (on_disk.spec_text != mine.spec_text ||
-      on_disk.chunk_cells != mine.chunk_cells ||
-      on_disk.num_cells != mine.num_cells)
+  if (util::ReadWholeFile(path) != mine)
     throw ShardError(
         "ShardWorker: state directory " + ctx.options.state_directory +
         " belongs to a different campaign or chunking (manifest spec/chunk "
@@ -448,8 +459,9 @@ void InitOrVerifyManifest(const ShardContext& ctx) {
 
 }  // namespace
 
-ShardRunReport ShardWorker::Run(const CampaignSpec& spec,
-                                const ShardOptions& options) const {
+ChunkLoopReport RunChunkLoop(const Engine& engine, const ChunkPlan& plan,
+                             const ShardOptions& options,
+                             const ChunkLoopControl& control) {
   if (options.state_directory.empty())
     throw ShardError("ShardWorker: state_directory is required");
   if (!IsIdentifier(options.worker_id))
@@ -462,138 +474,98 @@ ShardRunReport ShardWorker::Run(const CampaignSpec& spec,
     throw ShardError(
         "ShardWorker: lease_ttl, heartbeat_period, and poll_period must be "
         "positive");
-  spec.Validate();
-
-  ShardContext ctx;
-  ctx.engine = engine_;
-  ctx.options = options;
-  ctx.grid = spec.Expand();
-  ctx.chunk_cells =
-      options.chunk_cells == 0 ? ctx.grid.size() : options.chunk_cells;
-  ctx.num_chunks = (ctx.grid.size() + ctx.chunk_cells - 1) / ctx.chunk_cells;
-  ctx.spec_text = spec.ToString();
-  ctx.spec_hash = StableHash64(ctx.spec_text);
 
   std::error_code ec;
   fs::create_directories(options.state_directory, ec);
   if (ec)
     throw ShardError("ShardWorker: cannot create state directory " +
                      options.state_directory + ": " + ec.message());
+  const ShardContext ctx{engine, plan, options, control};
   InitOrVerifyManifest(ctx);
 
-  ShardRunReport report;
-  std::vector<bool> done(ctx.num_chunks, false);
-  std::vector<LeaseObservation> observations(ctx.num_chunks);
+  ChunkLoopReport loop;
+  ShardRunReport& report = loop.shard;
+  std::vector<bool> done(plan.num_chunks, false);
+  std::vector<LeaseObservation> observations(plan.num_chunks);
+  const auto budget_spent = [&] {
+    return options.max_chunks != 0 &&
+           report.chunks_executed >= options.max_chunks;
+  };
 
   while (true) {
     bool all_done = true;
     bool progressed = false;
-    for (std::size_t chunk = 0; chunk < ctx.num_chunks; ++chunk) {
+    for (std::size_t chunk = 0; chunk < plan.num_chunks; ++chunk) {
       if (done[chunk]) continue;
-      if (HasValidChunkResult(ctx, chunk)) {
+      if (std::optional<CampaignChunkCheckpoint> result =
+              ReadChunkResult(plan, options.state_directory, chunk)) {
         done[chunk] = true;
         ++report.chunks_skipped;
         progressed = true;
+        if (control.on_result) control.on_result(std::move(*result), true);
         continue;
       }
       all_done = false;
-      if (options.max_chunks != 0 &&
-          report.chunks_executed >= options.max_chunks)
-        continue;
+      if (budget_spent()) continue;
       std::uint64_t my_generation = 0;
       const ClaimOutcome claim =
           TryClaim(ctx, chunk, observations[chunk], my_generation);
       if (claim != ClaimOutcome::kClaimed &&
           claim != ClaimOutcome::kReclaimed)
         continue;
-      if (ExecuteChunk(ctx, chunk, my_generation)) {
-        done[chunk] = true;
-        ++report.chunks_executed;
-        if (claim == ClaimOutcome::kReclaimed) ++report.chunks_reclaimed;
-      } else {
-        ++report.chunks_yielded;
-      }
+      ChunkRun run = ExecuteChunk(ctx, chunk, my_generation);
       progressed = true;
+      if (run.unfinished_jobs != 0) {
+        loop.unfinished_jobs = run.unfinished_jobs;
+        return loop;
+      }
+      if (!run.result) {
+        ++report.chunks_yielded;
+        continue;
+      }
+      done[chunk] = true;
+      ++report.chunks_executed;
+      if (claim == ClaimOutcome::kReclaimed) ++report.chunks_reclaimed;
+      if (control.on_result) control.on_result(std::move(*run.result), false);
     }
     if (all_done) {
       report.complete = true;
       break;
     }
-    if (options.max_chunks != 0 &&
-        report.chunks_executed >= options.max_chunks)
-      break;
-    if (!options.wait_for_completion && !progressed) break;
-    if (!progressed) std::this_thread::sleep_for(options.poll_period);
+    if (budget_spent()) break;
+    if (!progressed) {
+      if (!options.wait_for_completion) break;
+      const RunHooks& caller = control.hooks;
+      if (caller.should_suspend && caller.should_suspend()) break;
+      std::this_thread::sleep_for(options.poll_period);
+    }
   }
-  return report;
+  return loop;
+}
+
+ShardRunReport ShardWorker::Run(const CampaignSpec& spec,
+                                const ShardOptions& options) const {
+  return RunChunkLoop(*engine_, ChunkPlan(spec, options.chunk_cells), options,
+                      ChunkLoopControl{})
+      .shard;
 }
 
 // --- merge ------------------------------------------------------------------
 
 CampaignResult MergeShardedCampaign(const std::string& state_directory) {
-  const std::string manifest_path =
-      (fs::path(state_directory) / ShardManifestFileName()).string();
-  const std::optional<std::string> manifest_text =
-      util::ReadWholeFile(manifest_path);
-  if (!manifest_text)
-    throw ShardError("MergeShardedCampaign: cannot read manifest " +
-                     manifest_path);
-  const ShardManifest manifest = ShardManifest::Deserialize(*manifest_text);
-
-  CampaignSpec spec;
-  try {
-    spec = CampaignSpec::Parse(manifest.spec_text);
-    spec.Validate();
-  } catch (const std::invalid_argument& e) {
-    throw ShardError(std::string("MergeShardedCampaign: manifest spec does "
-                                 "not parse: ") +
-                     e.what());
+  const ChunkPlan plan = LoadChunkPlan(state_directory, "MergeShardedCampaign");
+  CampaignAggregator aggregator;
+  for (std::size_t chunk = 0; chunk < plan.num_chunks; ++chunk) {
+    std::string problem;
+    std::optional<CampaignChunkCheckpoint> result =
+        ReadChunkResult(plan, state_directory, chunk, &problem);
+    if (!result) throw ShardError("MergeShardedCampaign: " + problem);
+    for (CampaignCell& cell : result->cells) aggregator.Add(std::move(cell));
   }
-  const std::vector<ExplorationRequest> grid = spec.Expand();
-  if (grid.size() != manifest.num_cells)
-    throw ShardError(
-        "MergeShardedCampaign: manifest cell count does not match its spec");
-  const std::uint64_t spec_hash = StableHash64(spec.ToString());
-  const std::size_t num_chunks =
-      (grid.size() + manifest.chunk_cells - 1) / manifest.chunk_cells;
 
   CampaignResult result;
-  result.spec = spec;
-  result.num_cells = grid.size();
-
-  CampaignAggregator aggregator;
-  for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-    const std::string path =
-        (fs::path(state_directory) / ShardChunkResultFileName(chunk))
-            .string();
-    const std::optional<std::string> text = util::ReadWholeFile(path);
-    if (!text)
-      throw ShardError("MergeShardedCampaign: chunk " +
-                       std::to_string(chunk) +
-                       " has no result document (" + path +
-                       ") — run a shard worker to completion first");
-    CampaignChunkCheckpoint snapshot;
-    try {
-      snapshot = CampaignChunkCheckpoint::Deserialize(*text);
-    } catch (const CheckpointError& e) {
-      throw ShardError("MergeShardedCampaign: " + path + ": " + e.what());
-    }
-    const std::size_t first = chunk * manifest.chunk_cells;
-    const std::size_t end =
-        std::min(first + manifest.chunk_cells, grid.size());
-    if (snapshot.spec_hash != spec_hash || snapshot.chunk_index != chunk ||
-        snapshot.first_cell != first ||
-        snapshot.cells.size() != end - first)
-      throw ShardError("MergeShardedCampaign: " + path +
-                       " belongs to a different campaign or chunking");
-    for (std::size_t i = 0; i < snapshot.cells.size(); ++i)
-      if (snapshot.cells[i].request.ToString() !=
-          grid[first + i].ToString())
-        throw ShardError("MergeShardedCampaign: " + path +
-                         " does not match the expanded grid");
-    for (CampaignCell& cell : snapshot.cells) aggregator.Add(std::move(cell));
-  }
-
+  result.spec = plan.spec;
+  result.num_cells = plan.grid.size();
   result.cells = aggregator.Cells();
   result.fronts = aggregator.Fronts();
   result.best = aggregator.Best();
@@ -604,85 +576,39 @@ CampaignResult MergeShardedCampaign(const std::string& state_directory) {
 
 ShardStatusReport ShardStatus(const std::string& state_directory,
                               std::chrono::milliseconds probe) {
-  const std::string manifest_path =
-      (fs::path(state_directory) / ShardManifestFileName()).string();
-  const std::optional<std::string> manifest_text =
-      util::ReadWholeFile(manifest_path);
-  if (!manifest_text)
-    throw ShardError("ShardStatus: cannot read manifest " + manifest_path);
-  const ShardManifest manifest = ShardManifest::Deserialize(*manifest_text);
-
-  ShardContext ctx;
-  ctx.options.state_directory = state_directory;
-  try {
-    CampaignSpec spec = CampaignSpec::Parse(manifest.spec_text);
-    spec.Validate();
-    ctx.grid = spec.Expand();
-    ctx.spec_text = spec.ToString();
-  } catch (const std::invalid_argument& e) {
-    throw ShardError(
-        std::string("ShardStatus: manifest spec does not parse: ") +
-        e.what());
-  }
-  if (ctx.grid.size() != manifest.num_cells)
-    throw ShardError(
-        "ShardStatus: manifest cell count does not match its spec");
-  ctx.chunk_cells = manifest.chunk_cells;
-  ctx.num_chunks =
-      (ctx.grid.size() + manifest.chunk_cells - 1) / manifest.chunk_cells;
-  ctx.spec_hash = StableHash64(ctx.spec_text);
-
+  const ChunkPlan plan = LoadChunkPlan(state_directory, "ShardStatus");
   ShardStatusReport report;
-  report.num_chunks = ctx.num_chunks;
+  report.num_chunks = plan.num_chunks;
 
-  // One read-only pass; claimed leases keep their counters for the probe.
-  std::map<std::size_t, std::pair<std::uint64_t, std::uint64_t>> claimed;
-  for (std::size_t chunk = 0; chunk < ctx.num_chunks; ++chunk) {
-    if (HasValidChunkResult(ctx, chunk)) {
+  // One read-only pass; claimed leases keep their bytes for the probe.
+  std::map<std::size_t, std::string> claimed;
+  for (std::size_t chunk = 0; chunk < plan.num_chunks; ++chunk) {
+    if (ReadChunkResult(plan, state_directory, chunk)) {
       ++report.done;
-      continue;
-    }
-    const std::optional<std::string> text =
-        util::ReadWholeFile(ctx.Path(ShardLeaseFileName(chunk)));
-    if (!text) {
+    } else if (std::optional<std::string> lease = util::ReadWholeFile(
+                   PathIn(state_directory, ShardLeaseFileName(chunk)))) {
+      if (IsLease(*lease))
+        claimed.emplace(chunk, std::move(*lease));
+      else
+        ++report.stale;  // torn lease: reclaimable work
+    } else {
       ++report.unclaimed;
-      continue;
-    }
-    try {
-      const ShardLease lease = ShardLease::Deserialize(*text);
-      claimed.emplace(chunk,
-                      std::make_pair(lease.generation, lease.heartbeat));
-    } catch (const ShardError&) {
-      ++report.stale;  // torn lease: reclaimable work
     }
   }
-
-  if (probe.count() > 0 && !claimed.empty()) {
-    // A claimed lease whose (generation, heartbeat) did not move over the
-    // probe window has an owner that stopped heartbeating.
-    std::this_thread::sleep_for(probe);
-    for (const auto& [chunk, counters] : claimed) {
-      const std::optional<std::string> text =
-          util::ReadWholeFile(ctx.Path(ShardLeaseFileName(chunk)));
-      bool alive = false;
-      if (text) {
-        try {
-          const ShardLease lease = ShardLease::Deserialize(*text);
-          alive =
-              std::make_pair(lease.generation, lease.heartbeat) != counters;
-        } catch (const ShardError&) {
-        }
-      } else {
-        // The lease vanished mid-probe: its owner just released it.
-        alive = true;
-      }
-      if (alive)
-        ++report.claimed;
-      else
-        ++report.stale;
-    }
-  } else {
+  if (probe.count() <= 0 || claimed.empty()) {
     report.claimed = claimed.size();
+    return report;
+  }
+  // A claimed lease that did not change over the probe window has an owner
+  // that stopped heartbeating; one that vanished was just released.
+  std::this_thread::sleep_for(probe);
+  for (const auto& [chunk, before] : claimed) {
+    const std::optional<std::string> now = util::ReadWholeFile(
+        PathIn(state_directory, ShardLeaseFileName(chunk)));
+    if (!now || (*now != before && IsLease(*now)))
+      ++report.claimed;
+    else
+      ++report.stale;
   }
   return report;
 }

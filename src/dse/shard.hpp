@@ -1,8 +1,10 @@
 #pragma once
 // dse::Shard — crash-safe multi-process campaign execution. A campaign's
-// expanded grid is split into chunk work units (the same chunks
-// Campaign::Run checkpoints); any number of ShardWorker processes point at
-// one shared state directory and claim chunks through owner lease files:
+// expanded grid is split into chunk work units; any number of ShardWorker
+// processes point at one shared state directory and claim chunks through
+// owner lease files. Campaign::Run with a checkpoint directory runs the same
+// chunk loop in-process as the single worker "campaign", so a run's
+// directory and a shard directory are one layout:
 //
 //   campaign.manifest   spec + chunking, written once, verified by everyone
 //   chunk-<i>.lease     owner claim: worker id, generation, heartbeat

@@ -75,10 +75,11 @@ class Session {
       std::size_t lanes = 0) const;
 
   /// Expands a declarative sweep spec into its request grid and runs it
-  /// through the engine in checkpointable chunks (see dse::Campaign).
-  /// Results stream into per-kernel Pareto fronts and best-point tables; a
-  /// suspended campaign (options.step_budget / max_chunks) resumes from the
-  /// same checkpoint directory with byte-identical final reports.
+  /// through the engine in chunks (see dse::Campaign). Results stream into
+  /// per-kernel Pareto fronts and best-point tables. With a checkpoint
+  /// directory the campaign works it as a shard state directory, so a
+  /// suspended campaign (options.step_budget / max_chunks) resumes from it
+  /// with byte-identical final reports — or shard workers finish it.
   dse::CampaignResult RunCampaign(
       const dse::CampaignSpec& spec,
       const dse::CampaignOptions& options = {}) const;

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -64,6 +65,22 @@ std::int64_t CliArgs::GetIntStrict(const std::string& name,
     throw std::invalid_argument("--" + name + " expects an integer, got '" +
                                 it->second + "'");
   return static_cast<std::int64_t>(v);
+}
+
+std::size_t CliArgs::GetCountStrict(const std::string& name,
+                                    std::size_t fallback) const {
+  const auto it = flags_.find(name);
+  if (it == flags_.end()) return fallback;
+  const std::string& text = it->second;
+  // Unlike strtoull, from_chars into an unsigned type takes no sign.
+  std::size_t value = 0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (error != std::errc() || end != text.data() + text.size())
+    throw std::invalid_argument("--" + name +
+                                " expects a non-negative integer, got '" +
+                                text + "'");
+  return value;
 }
 
 double CliArgs::GetDouble(const std::string& name, double fallback) const {

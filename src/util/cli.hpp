@@ -3,6 +3,7 @@
 // Supports --name=value, --name value, and boolean --name forms; a bare
 // "--" ends flag parsing (everything after it is positional).
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -33,6 +34,11 @@ class CliArgs {
   /// asks for an ephemeral port and "--port=auto" is an error, not 4711.
   std::int64_t GetIntStrict(const std::string& name,
                             std::int64_t fallback) const;
+
+  /// GetIntStrict for non-negative counts: a sign or a value beyond size_t
+  /// throws too, so "-1" never wraps to 2^64-1.
+  std::size_t GetCountStrict(const std::string& name,
+                             std::size_t fallback) const;
 
   /// Double value of --name, or `fallback` if absent/unparsable.
   double GetDouble(const std::string& name, double fallback) const;

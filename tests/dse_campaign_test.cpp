@@ -1,21 +1,25 @@
 // Tests for dse/campaign: spec grammar round-trips, grid expansion,
 // aggregation, report determinism (workers / chunking), and the campaign
 // resume contract — suspended or mid-grid-killed campaigns finish with
-// byte-identical JSON/CSV to an uninterrupted run, and snapshot files are
-// cleaned up on completion.
+// byte-identical JSON/CSV to an uninterrupted run, and the state directory
+// is emptied on completion.
 
 #include "dse/campaign.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/test_support.hpp"
 #include "dse/checkpoint.hpp"
+#include "dse/shard.hpp"
 #include "report/campaign.hpp"
 
 namespace axdse::dse {
@@ -33,12 +37,18 @@ CampaignSpec SmallSpec() {
       " steps=60 seeds=2 seed=1 kernel-seed=2023 reward-cap=1e18");
 }
 
-std::size_t CkptFileCount(const std::string& dir) {
+/// Files in `dir` whose name ends in `suffix` (every file for "").
+std::size_t CkptFileCount(const std::string& dir,
+                          const std::string& suffix = "") {
   std::error_code ec;
   std::size_t count = 0;
   for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
-       it.increment(ec))
-    ++count;
+       it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (name.size() >= suffix.size() &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0)
+      ++count;
+  }
   return count;
 }
 
@@ -271,8 +281,8 @@ TEST(Campaign, MaxChunksSuspendsMidGridAndResumes) {
   EXPECT_EQ(partial.cells.size(), 2u);
   EXPECT_EQ(partial.pending_cells, 2u);
   EXPECT_EQ(partial.unfinished_jobs, 0u);
-  // The completed chunks persisted as campaign snapshots.
-  EXPECT_EQ(CkptFileCount(dir), 2u);
+  // The completed chunks persisted as chunk result documents.
+  EXPECT_EQ(CkptFileCount(dir, ".done"), 2u);
 
   // Rerunning the SAME command must make forward progress: restored
   // chunks don't count against max_chunks, so the second invocation loads
@@ -325,9 +335,11 @@ TEST(Campaign, ChunkSnapshotRoundTripsExactly) {
   EXPECT_EQ(report::CampaignJson(a), report::CampaignJson(b));
 }
 
-TEST(Campaign, CorruptChunkSnapshotRaisesCheckpointError) {
+TEST(Campaign, TornChunkResultIsRecomputed) {
   const CampaignSpec spec = SmallSpec();
   const Engine engine(EngineOptions{2});
+  const std::string uninterrupted =
+      report::CampaignJson(Campaign(engine).Run(spec));
   const ScopedTempDir scratch("campaign-corrupt");
   const std::string& dir = scratch.Str();
   CampaignOptions options;
@@ -336,10 +348,10 @@ TEST(Campaign, CorruptChunkSnapshotRaisesCheckpointError) {
   options.max_chunks = 1;
   ASSERT_FALSE(Campaign(engine).Run(spec, options).Complete());
 
-  // Truncate the chunk snapshot; the resume must fail loudly, not
-  // silently re-run or mis-aggregate.
+  // Truncate the chunk's result document. Like a shard worker, the resume
+  // treats it as no result and recomputes the chunk — never mis-aggregates.
   const std::string path =
-      (fs::path(dir) / CampaignChunkFileName(spec.ToString(), 0)).string();
+      (fs::path(dir) / ShardChunkResultFileName(0)).string();
   ASSERT_TRUE(fs::exists(path));
   std::string text;
   {
@@ -354,7 +366,11 @@ TEST(Campaign, CorruptChunkSnapshotRaisesCheckpointError) {
   }
   CampaignOptions resume = options;
   resume.max_chunks = 0;
-  EXPECT_THROW(Campaign(engine).Run(spec, resume), CheckpointError);
+  const CampaignResult result = Campaign(engine).Run(spec, resume);
+  EXPECT_TRUE(result.Complete());
+  EXPECT_EQ(result.resumed_cells, 0u);
+  EXPECT_EQ(report::CampaignJson(result), uninterrupted);
+  EXPECT_EQ(CkptFileCount(dir), 0u);
 }
 
 TEST(Campaign, MismatchedChunkingIsRejectedNotMisread) {
@@ -368,12 +384,50 @@ TEST(Campaign, MismatchedChunkingIsRejectedNotMisread) {
   options.max_chunks = 1;
   ASSERT_FALSE(Campaign(engine).Run(spec, options).Complete());
 
-  // Resuming with a different chunk size maps snapshot indices onto
-  // different grid slices — that must be an error, not silent corruption.
+  // Resuming with a different chunk size maps result indices onto
+  // different grid slices — the manifest refuses it, no silent corruption.
   CampaignOptions wrong = options;
   wrong.chunk_cells = 2;
   wrong.max_chunks = 0;
-  EXPECT_THROW(Campaign(engine).Run(spec, wrong), CheckpointError);
+  EXPECT_THROW(Campaign(engine).Run(spec, wrong), ShardError);
+}
+
+TEST(Campaign, CallerHooksComposeWithTheLeaseHeartbeat) {
+  // Several engine workers call the composed hooks at once; the caller's
+  // on_progress, should_suspend and cache_provider all run, and the
+  // caller's interval replaces the heartbeat's.
+  const CampaignSpec spec = CampaignSpec::Parse(
+      "kernels=dot@32{blocks=4},kmeans1d@40{clusters=3}"
+      " agents=q-learning,sarsa cache-modes=shared"
+      " steps=300 seeds=2 seed=1 kernel-seed=2023 reward-cap=1e18");
+  const Engine engine(EngineOptions{4});
+  const ScopedTempDir scratch("campaign-hooks");
+  CampaignOptions options;
+  options.chunk_cells = 2;
+  options.checkpoint_directory = scratch.Str();
+  std::atomic<std::size_t> progress_calls{0};
+  std::atomic<std::size_t> suspend_polls{0};
+  std::atomic<std::size_t> cache_requests{0};
+  CampaignObserver observer;
+  observer.engine.interval = 25;
+  observer.engine.on_progress = [&](const JobProgress&) { ++progress_calls; };
+  observer.engine.should_suspend = [&] {
+    ++suspend_polls;
+    return false;
+  };
+  observer.engine.cache_provider = [&](const std::string&, std::size_t) {
+    ++cache_requests;
+    return std::shared_ptr<instrument::SharedEvaluationCache>();
+  };
+  const CampaignResult result = Campaign(engine).Run(spec, options, observer);
+  EXPECT_TRUE(result.Complete());
+  EXPECT_EQ(result.cells.size(), spec.NumCells());
+  // 300-step jobs polled every 25 steps: ~12 calls each, where the
+  // heartbeat's own interval of 128 would give at most 3.
+  EXPECT_GE(progress_calls.load(), spec.NumJobs() * 10);
+  EXPECT_GE(suspend_polls.load(), spec.NumJobs() * 10);
+  EXPECT_GT(cache_requests.load(), 0u);
+  EXPECT_EQ(CkptFileCount(scratch.Str()), 0u);
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 // claim interleaving, stale/torn/corrupt lease files, dead workers leaving
 // mid-chunk engine snapshots — merges to JSON/CSV documents byte-identical
 // to an uninterrupted single-process Campaign::Run of the same spec and
-// chunk size. Plus the fault-injection layer the crash drills are built on.
+// chunk size. Campaign::Run with a checkpoint directory works the same
+// state directory, so either side resumes the other. Plus the
+// fault-injection layer the crash drills are built on.
 
 #include "dse/shard.hpp"
 
@@ -11,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -295,6 +298,121 @@ TEST(ShardWorker, MaxChunksSuspendsAndRerunFinishes) {
 }
 
 // ---------------------------------------------------------------------------
+// One state directory: Campaign::Run and shard workers resume each other
+// ---------------------------------------------------------------------------
+
+CampaignOptions RunInDirectory(const std::string& dir) {
+  CampaignOptions options;
+  options.chunk_cells = kChunkCells;
+  options.checkpoint_directory = dir;
+  return options;
+}
+
+TEST(OneStateDirectory, SuspendedRunIsFinishedByAShardWorker) {
+  const CampaignSpec spec = SmallSpec();
+  const Reference reference = ReferenceDocuments(spec);
+  ScopedTempDir dir("one-dir-run-first");
+  const Engine engine;
+  CampaignOptions options = RunInDirectory(dir.Str());
+  options.max_chunks = 1;
+  const CampaignResult partial = Campaign(engine).Run(spec, options);
+  ASSERT_FALSE(partial.Complete());
+  EXPECT_EQ(partial.cells.size(), 1u);
+
+  const ShardRunReport report =
+      ShardWorker(engine).Run(spec, QuickShardOptions(dir.Str(), "finisher"));
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.chunks_skipped, 1u);
+  EXPECT_EQ(report.chunks_executed, 3u);
+  ExpectMergeMatchesReference(dir.Str(), reference);
+}
+
+TEST(OneStateDirectory, RunFinishesAShardDirectoryAndEmptiesIt) {
+  const CampaignSpec spec = SmallSpec();
+  const Reference reference = ReferenceDocuments(spec);
+  ScopedTempDir dir("one-dir-shard-first");
+  const Engine engine;
+  ShardOptions options = QuickShardOptions(dir.Str(), "starter");
+  options.max_chunks = 1;
+  ASSERT_FALSE(ShardWorker(engine).Run(spec, options).complete);
+
+  const CampaignResult result =
+      Campaign(engine).Run(spec, RunInDirectory(dir.Str()));
+  EXPECT_TRUE(result.Complete());
+  EXPECT_EQ(result.resumed_cells, 1u);
+  EXPECT_EQ(report::CampaignJson(result), reference.json);
+  EXPECT_EQ(report::CampaignCsv(result), reference.csv);
+  EXPECT_TRUE(fs::is_empty(dir.Str()));
+}
+
+TEST(OneStateDirectory, StatusReadsASuspendedRunDirectory) {
+  const CampaignSpec spec = SmallSpec();
+  ScopedTempDir dir("one-dir-status");
+  const Engine engine;
+  // max_chunks: one chunk done, the rest never claimed.
+  CampaignOptions options = RunInDirectory(dir.Str());
+  options.max_chunks = 1;
+  ASSERT_FALSE(Campaign(engine).Run(spec, options).Complete());
+  ShardStatusReport status = ShardStatus(dir.Str());
+  EXPECT_EQ(status.num_chunks, 4u);
+  EXPECT_EQ(status.done, 1u);
+  EXPECT_EQ(status.claimed + status.stale, 0u);
+  EXPECT_EQ(status.unclaimed, 3u);
+
+  // A step-budget suspension releases the suspended chunk's lease: its
+  // jobs' snapshots wait for whoever claims it next.
+  options.max_chunks = 0;
+  options.step_budget = 25;
+  ASSERT_GT(Campaign(engine).Run(spec, options).unfinished_jobs, 0u);
+  status = ShardStatus(dir.Str());
+  EXPECT_EQ(status.done, 1u);
+  EXPECT_EQ(status.claimed + status.stale, 0u);
+  EXPECT_EQ(status.unclaimed, 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Chunk counts near SIZE_MAX
+// ---------------------------------------------------------------------------
+
+TEST(ChunkPlan, MaximalChunkCellsMakeOneChunk) {
+  const CampaignSpec spec = SmallSpec();
+  const Reference reference = ReferenceDocuments(spec);
+  ScopedTempDir dir("chunk-plan-max");
+  const Engine engine;
+  ShardOptions options = QuickShardOptions(dir.Str(), "solo");
+  options.chunk_cells = std::numeric_limits<std::size_t>::max();
+  const ShardRunReport report = ShardWorker(engine).Run(spec, options);
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.chunks_executed, 1u);
+  EXPECT_EQ(ShardStatus(dir.Str()).num_chunks, 1u);
+  ExpectMergeMatchesReference(dir.Str(), reference);
+}
+
+TEST(ChunkPlan, HandWrittenMaximalManifestMergesEveryCell) {
+  // A ceiling division that wraps would count 0 chunks here and merge an
+  // empty campaign.
+  const CampaignSpec spec = SmallSpec();
+  const Reference reference = ReferenceDocuments(spec);
+  ScopedTempDir dir("chunk-plan-manifest");
+  fs::create_directories(dir.Str());
+  WriteRaw(PathIn(dir.Str(), ShardManifestFileName()),
+           "axdse-shard-campaign v1\nchunks 18446744073709551615 4\nspec " +
+               spec.ToString() + "\nend\n");
+  CampaignChunkCheckpoint chunk;
+  chunk.spec_hash = StableHash64(spec.ToString());
+  for (const RequestResult& result : Engine().Run(spec.Expand()).results)
+    chunk.cells.push_back(CampaignAggregator::Reduce(result));
+  chunk.Save(PathIn(dir.Str(), ShardChunkResultFileName(0)));
+
+  const ShardStatusReport status = ShardStatus(dir.Str());
+  EXPECT_EQ(status.num_chunks, 1u);
+  EXPECT_TRUE(status.Complete());
+  const CampaignResult merged = MergeShardedCampaign(dir.Str());
+  EXPECT_EQ(merged.cells.size(), 4u);
+  ExpectMergeMatchesReference(dir.Str(), reference);
+}
+
+// ---------------------------------------------------------------------------
 // Stale, torn, and corrupt lease handling
 // ---------------------------------------------------------------------------
 
@@ -450,6 +568,20 @@ TEST(ShardWorker, ForeignManifestIsTypedError) {
   ShardOptions rechunked = QuickShardOptions(dir.Str(), "w");
   rechunked.chunk_cells = 2;
   EXPECT_THROW(ShardWorker(engine).Run(spec, rechunked), ShardError);
+}
+
+TEST(ShardWorker, ForeignLeaseIsTypedError) {
+  // A parsable lease naming another campaign is foreign state, not a torn
+  // file to reclaim.
+  const CampaignSpec spec = SmallSpec();
+  ScopedTempDir dir("shard-foreign-lease");
+  fs::create_directories(dir.Str());
+  const ShardLease foreign{StableHash64("kernels=fir@100"), 0, "stranger", 1};
+  WriteRaw(PathIn(dir.Str(), ShardLeaseFileName(0)), foreign.Serialize());
+  const Engine engine;
+  EXPECT_THROW(
+      ShardWorker(engine).Run(spec, QuickShardOptions(dir.Str(), "w")),
+      ShardError);
 }
 
 TEST(ShardWorker, InvalidOptionsAreTypedErrors) {

@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <limits>
 #include <locale>
 #include <string>
 #include <vector>
@@ -275,6 +276,30 @@ TEST(CliStrictInt, GarbageThrowsInsteadOfMasking) {
   const char* argv_bare[] = {"axdse-serve", "--port"};
   const util::CliArgs bare(2, argv_bare);
   EXPECT_THROW(bare.GetIntStrict("port", 4711), std::invalid_argument);
+}
+
+TEST(CliStrictCount, ParsesCountsAndFallsBack) {
+  const char* argv[] = {"axdse-serve", "--job-workers=3", "--chunk-cells",
+                        "0", "--max-queued=18446744073709551615"};
+  const util::CliArgs args(5, argv);
+  EXPECT_EQ(args.GetCountStrict("job-workers", 2), 3u);
+  EXPECT_EQ(args.GetCountStrict("chunk-cells", 4), 0u);
+  EXPECT_EQ(args.GetCountStrict("max-queued", 64),
+            std::numeric_limits<std::size_t>::max());
+  EXPECT_EQ(args.GetCountStrict("engine-workers", 7), 7u);
+}
+
+TEST(CliStrictCount, NegativeAndMalformedCountsThrow) {
+  // "-1" through GetIntStrict and a size_t cast used to become 2^64-1.
+  for (const char* flag :
+       {"--job-workers=-1", "--job-workers=+1", "--job-workers= 1",
+        "--job-workers=1.5", "--job-workers=", "--job-workers=two",
+        "--job-workers=18446744073709551616"}) {
+    const char* argv[] = {"axdse-serve", flag};
+    const util::CliArgs args(2, argv);
+    EXPECT_THROW(args.GetCountStrict("job-workers", 2), std::invalid_argument)
+        << flag;
+  }
 }
 
 }  // namespace

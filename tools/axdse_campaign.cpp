@@ -15,7 +15,9 @@
 //
 // run options:
 //   --chunk-cells N        grid cells per engine chunk (default 8)
-//   --checkpoint-dir D     resumable single-process checkpointing
+//   --checkpoint-dir D     resumable state directory, the same layout as
+//                          --shard-dir (shard, shard status and merge
+//                          accept an incomplete one)
 //   --checkpoint-interval N  engine autosave period in steps
 //   --workers N            engine worker threads (0 = hardware)
 //
@@ -128,14 +130,12 @@ int main(int argc, char** argv) {
       const auto spec =
           axdse::dse::CampaignSpec::Parse(JoinTokens(positional, 1));
       axdse::dse::EngineOptions engine;
-      engine.num_workers =
-          static_cast<std::size_t>(args.GetIntStrict("workers", 0));
+      engine.num_workers = args.GetCountStrict("workers", 0);
       axdse::dse::CampaignOptions options;
-      options.chunk_cells =
-          static_cast<std::size_t>(args.GetIntStrict("chunk-cells", 8));
+      options.chunk_cells = args.GetCountStrict("chunk-cells", 8);
       options.checkpoint_directory = args.GetString("checkpoint-dir", "");
-      options.checkpoint_interval = static_cast<std::size_t>(
-          args.GetIntStrict("checkpoint-interval", 0));
+      options.checkpoint_interval =
+          args.GetCountStrict("checkpoint-interval", 0);
       const axdse::Session session(engine);
       const auto result = session.RunCampaign(spec, options);
       EmitReports(args, result);
@@ -162,17 +162,14 @@ int main(int argc, char** argv) {
       const auto spec =
           axdse::dse::CampaignSpec::Parse(JoinTokens(positional, 1));
       axdse::dse::EngineOptions engine;
-      engine.num_workers =
-          static_cast<std::size_t>(args.GetIntStrict("workers", 0));
+      engine.num_workers = args.GetCountStrict("workers", 0);
       axdse::dse::ShardOptions options;
       options.state_directory = args.GetString("shard-dir", "");
       options.worker_id = args.GetString("worker-id", "");
-      options.chunk_cells =
-          static_cast<std::size_t>(args.GetIntStrict("chunk-cells", 8));
-      options.checkpoint_interval = static_cast<std::size_t>(
-          args.GetIntStrict("checkpoint-interval", 0));
-      options.max_chunks =
-          static_cast<std::size_t>(args.GetIntStrict("max-chunks", 0));
+      options.chunk_cells = args.GetCountStrict("chunk-cells", 8);
+      options.checkpoint_interval =
+          args.GetCountStrict("checkpoint-interval", 0);
+      options.max_chunks = args.GetCountStrict("max-chunks", 0);
       options.lease_ttl = std::chrono::milliseconds(
           args.GetIntStrict("lease-ttl-ms", 10000));
       options.heartbeat_period = std::chrono::milliseconds(

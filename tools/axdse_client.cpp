@@ -85,10 +85,8 @@ int main(int argc, char** argv) {
     const std::string host = args.GetString("host", "127.0.0.1");
     const int port = static_cast<int>(args.GetIntStrict("port", 4711));
     axdse::serve::ConnectRetry retry;
-    retry.retries =
-        static_cast<std::size_t>(args.GetIntStrict("connect-retries", 0));
-    retry.backoff_ms = static_cast<std::size_t>(
-        args.GetIntStrict("connect-backoff-ms", 50));
+    retry.retries = args.GetCountStrict("connect-retries", 0);
+    retry.backoff_ms = args.GetCountStrict("connect-backoff-ms", 50);
     auto client = axdse::serve::Client::Connect(host, port, retry);
     const std::string& command = positional[0];
     if (const std::string tenant = args.GetString("tenant", "");

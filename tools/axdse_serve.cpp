@@ -51,18 +51,13 @@ int main(int argc, char** argv) {
     axdse::serve::ServerOptions options;
     options.port = static_cast<int>(args.GetIntStrict("port", 4711));
     options.state_dir = args.GetString("state-dir", "");
-    options.job_workers =
-        static_cast<std::size_t>(args.GetIntStrict("job-workers", 2));
-    options.engine_workers =
-        static_cast<std::size_t>(args.GetIntStrict("engine-workers", 0));
-    options.progress_interval = static_cast<std::size_t>(
-        args.GetIntStrict("progress-interval", 512));
-    options.chunk_cells =
-        static_cast<std::size_t>(args.GetIntStrict("chunk-cells", 4));
-    options.limits.per_tenant = static_cast<std::size_t>(
-        args.GetIntStrict("max-queued-per-tenant", 8));
-    options.limits.total =
-        static_cast<std::size_t>(args.GetIntStrict("max-queued", 64));
+    options.job_workers = args.GetCountStrict("job-workers", 2);
+    options.engine_workers = args.GetCountStrict("engine-workers", 0);
+    options.progress_interval = args.GetCountStrict("progress-interval", 512);
+    options.chunk_cells = args.GetCountStrict("chunk-cells", 4);
+    options.limits.per_tenant =
+        args.GetCountStrict("max-queued-per-tenant", 8);
+    options.limits.total = args.GetCountStrict("max-queued", 64);
     options.daemon_cache = args.GetBool("daemon-cache", true);
     if (options.state_dir.empty()) {
       std::fprintf(stderr, "axdse-serve: --state-dir is required\n");
