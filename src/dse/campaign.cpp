@@ -657,7 +657,6 @@ CampaignResult Campaign::Run(const CampaignSpec& spec,
     ShardOptions shard;
     shard.state_directory = directory;
     shard.worker_id = "campaign";
-    shard.chunk_cells = options.chunk_cells;
     shard.checkpoint_interval = options.checkpoint_interval;
     shard.max_chunks = options.max_chunks;
     ChunkLoopControl control;
@@ -682,7 +681,9 @@ CampaignResult Campaign::Run(const CampaignSpec& spec,
   result.best = aggregator.Best();
 
   if (!directory.empty() && result.Complete()) {
-    // Best-effort: a leftover file only costs a check on the next run.
+    // Best-effort: a leftover file only costs a check on the next run. The
+    // manifest goes first: a peer worker that then finds a result gone
+    // also finds the manifest gone and stops instead of recomputing.
     namespace fs = std::filesystem;
     const fs::path dir(directory);
     std::error_code ec;

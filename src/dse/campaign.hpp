@@ -111,7 +111,9 @@ struct CampaignOptions {
   /// in flight, plus the Engine's job snapshots. Rerunning the same
   /// campaign against it resumes mid-grid with byte-identical final
   /// reports; shard workers and MergeShardedCampaign accept it as well.
-  /// All campaign files are removed once the campaign completes.
+  /// All campaign files are removed once the campaign completes, the
+  /// manifest first. Every run is the shard worker "campaign", so at most
+  /// one Campaign::Run may work a directory at a time.
   std::string checkpoint_directory;
   /// Engine autosave period in environment steps (see CheckpointOptions).
   std::size_t checkpoint_interval = 0;

@@ -71,6 +71,7 @@ struct ChunkLoopReport {
 };
 
 /// The shard worker's chunk loop (see ShardWorker::Run) under `control`.
+/// The chunking is the plan's; options.chunk_cells is not read.
 ChunkLoopReport RunChunkLoop(const Engine& engine, const ChunkPlan& plan,
                              const ShardOptions& options,
                              const ChunkLoopControl& control);

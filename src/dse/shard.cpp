@@ -57,15 +57,6 @@ void AtomicShardWrite(const std::string& path, const std::string& content,
   }
 }
 
-bool IsLease(const std::string& text) {
-  try {
-    ShardLease::Deserialize(text);
-    return true;
-  } catch (const ShardError&) {
-    return false;
-  }
-}
-
 std::string PathIn(const std::string& directory, const std::string& name) {
   return (fs::path(directory) / name).string();
 }
@@ -228,11 +219,32 @@ struct ShardContext {
   const ChunkPlan& plan;
   const ShardOptions& options;
   const ChunkLoopControl& control;
+  std::string manifest;  ///< the serialized manifest the directory must hold
 
   std::string Path(const std::string& name) const {
     return PathIn(options.state_directory, name);
   }
 };
+
+bool ManifestIntact(const ShardContext& ctx) {
+  return util::ReadWholeFile(ctx.Path(ShardManifestFileName())) ==
+         ctx.manifest;
+}
+
+/// Checked on every claim and before every commit. A Campaign::Run that
+/// completes the campaign removes the manifest before the result documents,
+/// so a worker that finds a result gone and then the manifest gone knows
+/// the campaign finished: it releases `lease_path` and stops instead of
+/// recomputing into a directory nobody will merge.
+void RequireManifest(const ShardContext& ctx, const std::string& lease_path) {
+  if (ManifestIntact(ctx)) return;
+  std::error_code ec;
+  fs::remove(lease_path, ec);
+  throw ShardError("ShardWorker: the manifest of " +
+                   ctx.options.state_directory +
+                   " vanished or changed — another process completed and "
+                   "removed the campaign");
+}
 
 /// Last observation of a peer-owned lease, for staleness detection on this
 /// process's steady clock.
@@ -253,7 +265,12 @@ ClaimOutcome TryClaim(const ShardContext& ctx, std::size_t chunk,
   const std::string lease_path = ctx.Path(ShardLeaseFileName(chunk));
   const std::optional<std::string> text = util::ReadWholeFile(lease_path);
   if (!text) {
-    const ShardLease lease{ctx.plan.spec_hash, chunk, ctx.options.worker_id, 1};
+    ShardLease lease;
+    lease.spec_hash = ctx.plan.spec_hash;
+    lease.chunk_index = chunk;
+    lease.owner = ctx.options.worker_id;
+    lease.generation = 1;
+    lease.heartbeat = 0;
     if (TryExclusiveCreate(lease_path, lease.Serialize())) {
       util::fault::Point("shard.claimed");
       my_generation = 1;
@@ -263,53 +280,74 @@ ClaimOutcome TryClaim(const ShardContext& ctx, std::size_t chunk,
     return ClaimOutcome::kOwnedByPeer;
   }
 
-  // A torn/truncated/zero-length/garbage lease is reclaimed right away:
-  // atomic writes make it impossible from our own protocol, so it is
-  // external damage.
-  std::uint64_t next_generation = observation.generation + 1;
-  std::optional<ShardLease> lease;
+  std::uint64_t next_generation = 0;
+  bool stale = false;
+  bool foreign = false;
   try {
-    lease = ShardLease::Deserialize(*text);
-  } catch (const ShardError&) {
-  }
-  if (lease) {
-    if (lease->spec_hash != ctx.plan.spec_hash || lease->chunk_index != chunk)
+    const ShardLease lease = ShardLease::Deserialize(*text);
+    if (lease.spec_hash != ctx.plan.spec_hash || lease.chunk_index != chunk) {
+      foreign = true;
       throw ShardError(
           "ShardWorker: lease " + lease_path +
           " belongs to a different campaign or chunk — the state directory "
           "is not this campaign's");
-    // Our own id on a lease we don't hold in this incarnation means a
-    // previous process with this worker id died: reclaim immediately — one
-    // live process per worker id is the operator contract. A peer's lease
-    // is reclaimed once it stayed unchanged for lease_ttl.
-    if (lease->owner != ctx.options.worker_id) {
-      if (!observation.observed ||
-          observation.generation != lease->generation ||
-          observation.heartbeat != lease->heartbeat) {
-        observation = {true, lease->generation, lease->heartbeat,
-                       Clock::now()};
-        return ClaimOutcome::kOwnedByPeer;
-      }
-      if (Clock::now() - observation.last_change < ctx.options.lease_ttl)
-        return ClaimOutcome::kOwnedByPeer;
     }
-    next_generation = lease->generation + 1;
+    if (lease.owner == ctx.options.worker_id) {
+      // Our own id on a lease we don't hold in this incarnation: a previous
+      // process with this worker id died. Reclaim immediately — one live
+      // process per worker id is the operator contract.
+      next_generation = lease.generation + 1;
+      stale = true;
+    } else if (!observation.observed ||
+               observation.generation != lease.generation ||
+               observation.heartbeat != lease.heartbeat) {
+      observation.observed = true;
+      observation.generation = lease.generation;
+      observation.heartbeat = lease.heartbeat;
+      observation.last_change = Clock::now();
+      return ClaimOutcome::kOwnedByPeer;
+    } else if (Clock::now() - observation.last_change <
+               ctx.options.lease_ttl) {
+      return ClaimOutcome::kOwnedByPeer;
+    } else {
+      next_generation = lease.generation + 1;
+      stale = true;
+    }
+  } catch (const ShardError&) {
+    if (foreign) throw;  // the foreign-lease diagnosis above
+    // Torn/truncated/zero-length/garbage lease: atomic writes make this
+    // impossible from our own protocol, so treat it as external damage and
+    // reclaim right away.
+    next_generation = observation.generation + 1;
+    stale = true;
   }
+  if (!stale) return ClaimOutcome::kOwnedByPeer;
 
-  const ShardLease reclaim{ctx.plan.spec_hash, chunk, ctx.options.worker_id,
-                           next_generation};
-  const std::string claim = reclaim.Serialize();
-  AtomicShardWrite(lease_path, claim, "ShardLease::Save");
+  ShardLease claim;
+  claim.spec_hash = ctx.plan.spec_hash;
+  claim.chunk_index = chunk;
+  claim.owner = ctx.options.worker_id;
+  claim.generation = next_generation;
+  claim.heartbeat = 0;
+  AtomicShardWrite(lease_path, claim.Serialize(), "ShardLease::Save");
   // Read-back: another reclaimer may have renamed over us in the same
   // window. Losing here is harmless (we simply don't execute); even the
   // residual both-read-back-success race only costs duplicate deterministic
   // work, never a wrong merge (results are committed atomically and folded
   // once per chunk index).
-  if (util::ReadWholeFile(lease_path) != claim)
+  const std::optional<std::string> confirm = util::ReadWholeFile(lease_path);
+  if (!confirm) return ClaimOutcome::kOwnedByPeer;
+  try {
+    const ShardLease now_on_disk = ShardLease::Deserialize(*confirm);
+    if (now_on_disk.owner != ctx.options.worker_id ||
+        now_on_disk.generation != claim.generation)
+      return ClaimOutcome::kOwnedByPeer;
+  } catch (const ShardError&) {
     return ClaimOutcome::kOwnedByPeer;
+  }
   util::fault::Point("shard.claimed");
   observation = LeaseObservation{};
-  my_generation = next_generation;
+  my_generation = claim.generation;
   return ClaimOutcome::kReclaimed;
 }
 
@@ -330,7 +368,8 @@ void RemoveEngineSnapshots(const ShardContext& ctx,
   for (const auto& entry :
        fs::directory_iterator(ctx.options.state_directory, ec)) {
     const std::string name = entry.path().filename().string();
-    if (name.starts_with("cache-") && name.ends_with(".ckpt"))
+    if (name.rfind("cache-", 0) == 0 &&
+        name.size() > 5 && name.substr(name.size() - 5) == ".ckpt")
       fs::remove(entry.path(), ec);
   }
 }
@@ -350,7 +389,6 @@ ChunkRun ExecuteChunk(const ShardContext& ctx, std::size_t chunk,
 
   std::mutex heartbeat_mutex;
   Clock::time_point last_refresh = Clock::now();
-  std::uint64_t beats = 0;
   std::atomic<bool> lost{false};
 
   const auto heartbeat = [&] {
@@ -371,16 +409,25 @@ ChunkRun ExecuteChunk(const ShardContext& ctx, std::size_t chunk,
           lost.store(true, std::memory_order_relaxed);
           return;
         }
+        ShardLease refreshed = on_disk;
+        refreshed.heartbeat = on_disk.heartbeat + 1;
+        util::fault::Point("shard.heartbeat");
+        AtomicShardWrite(lease_path, refreshed.Serialize(),
+                         "ShardLease::Save");
+        return;
       } catch (const ShardError&) {
-        // Torn lease: rewrite our claim below — if a peer actually took it
-        // over, the next refresh sees them.
+        // Torn or unwritable lease: fall through and rewrite our claim —
+        // if a peer actually took it over, the next refresh sees them.
       }
     }
-    const ShardLease refreshed{ctx.plan.spec_hash, chunk,
-                               ctx.options.worker_id, my_generation, ++beats};
-    util::fault::Point("shard.heartbeat");
+    ShardLease rewrite;
+    rewrite.spec_hash = ctx.plan.spec_hash;
+    rewrite.chunk_index = chunk;
+    rewrite.owner = ctx.options.worker_id;
+    rewrite.generation = my_generation;
+    rewrite.heartbeat = 1;
     try {
-      AtomicShardWrite(lease_path, refreshed.Serialize(), "ShardLease::Save");
+      AtomicShardWrite(lease_path, rewrite.Serialize(), "ShardLease::Save");
     } catch (const ShardError&) {
       // Heartbeats are best-effort; a failed one only risks an early
       // reclaim, which is safe.
@@ -428,12 +475,14 @@ ChunkRun ExecuteChunk(const ShardContext& ctx, std::size_t chunk,
 
   util::fault::Point("shard.executed");
 
-  outcome.result = CampaignChunkCheckpoint{
-      ctx.plan.spec_hash, chunk, ctx.plan.FirstCell(chunk),
-      std::move(run.cells)};
+  RequireManifest(ctx, lease_path);
+  CampaignChunkCheckpoint& snapshot = outcome.result.emplace();
+  snapshot.spec_hash = ctx.plan.spec_hash;
+  snapshot.chunk_index = chunk;
+  snapshot.first_cell = ctx.plan.FirstCell(chunk);
+  snapshot.cells = std::move(run.cells);
   AtomicShardWrite(ctx.Path(ShardChunkResultFileName(chunk)),
-                   outcome.result->Serialize(),
-                   "CampaignChunkCheckpoint::Save");
+                   snapshot.Serialize(), "CampaignChunkCheckpoint::Save");
   util::fault::Point("shard.committed");
 
   fs::remove(lease_path, ec);  // best-effort; done-file checks win anyway
@@ -442,14 +491,11 @@ ChunkRun ExecuteChunk(const ShardContext& ctx, std::size_t chunk,
 
 void InitOrVerifyManifest(const ShardContext& ctx) {
   const std::string path = ctx.Path(ShardManifestFileName());
-  const ShardManifest manifest{ctx.plan.spec_text, ctx.plan.chunk_cells,
-                               ctx.plan.grid.size()};
-  const std::string mine = manifest.Serialize();
   if (!fs::exists(path))
-    AtomicShardWrite(path, mine, "ShardManifest::Save");
+    AtomicShardWrite(path, ctx.manifest, "ShardManifest::Save");
   // Read back what actually won (racing writers of the SAME campaign write
   // identical bytes; a different campaign loses here, deterministically).
-  if (util::ReadWholeFile(path) != mine)
+  if (!ManifestIntact(ctx))
     throw ShardError(
         "ShardWorker: state directory " + ctx.options.state_directory +
         " belongs to a different campaign or chunking (manifest spec/chunk "
@@ -480,7 +526,11 @@ ChunkLoopReport RunChunkLoop(const Engine& engine, const ChunkPlan& plan,
   if (ec)
     throw ShardError("ShardWorker: cannot create state directory " +
                      options.state_directory + ": " + ec.message());
-  const ShardContext ctx{engine, plan, options, control};
+  ShardManifest manifest;
+  manifest.spec_text = plan.spec_text;
+  manifest.chunk_cells = plan.chunk_cells;
+  manifest.num_cells = plan.grid.size();
+  const ShardContext ctx{engine, plan, options, control, manifest.Serialize()};
   InitOrVerifyManifest(ctx);
 
   ChunkLoopReport loop;
@@ -492,17 +542,23 @@ ChunkLoopReport RunChunkLoop(const Engine& engine, const ChunkPlan& plan,
            report.chunks_executed >= options.max_chunks;
   };
 
+  bool progressed = false;
+  const auto found_done = [&](std::size_t chunk,
+                              CampaignChunkCheckpoint result) {
+    done[chunk] = true;
+    ++report.chunks_skipped;
+    progressed = true;
+    if (control.on_result) control.on_result(std::move(result), true);
+  };
+
   while (true) {
     bool all_done = true;
-    bool progressed = false;
+    progressed = false;
     for (std::size_t chunk = 0; chunk < plan.num_chunks; ++chunk) {
       if (done[chunk]) continue;
       if (std::optional<CampaignChunkCheckpoint> result =
               ReadChunkResult(plan, options.state_directory, chunk)) {
-        done[chunk] = true;
-        ++report.chunks_skipped;
-        progressed = true;
-        if (control.on_result) control.on_result(std::move(*result), true);
+        found_done(chunk, std::move(*result));
         continue;
       }
       all_done = false;
@@ -513,6 +569,17 @@ ChunkLoopReport RunChunkLoop(const Engine& engine, const ChunkPlan& plan,
       if (claim != ClaimOutcome::kClaimed &&
           claim != ClaimOutcome::kReclaimed)
         continue;
+      // Look again now that we hold the lease: the chunk's owner may have
+      // committed it since the read above. A result missing now was never
+      // written or went with a finished campaign, whose manifest went first.
+      const std::string lease_path = ctx.Path(ShardLeaseFileName(chunk));
+      if (std::optional<CampaignChunkCheckpoint> result =
+              ReadChunkResult(plan, options.state_directory, chunk)) {
+        fs::remove(lease_path, ec);
+        found_done(chunk, std::move(*result));
+        continue;
+      }
+      RequireManifest(ctx, lease_path);
       ChunkRun run = ExecuteChunk(ctx, chunk, my_generation);
       progressed = true;
       if (run.unfinished_jobs != 0) {
@@ -580,35 +647,54 @@ ShardStatusReport ShardStatus(const std::string& state_directory,
   ShardStatusReport report;
   report.num_chunks = plan.num_chunks;
 
-  // One read-only pass; claimed leases keep their bytes for the probe.
-  std::map<std::size_t, std::string> claimed;
+  // One read-only pass; claimed leases keep their counters for the probe.
+  std::map<std::size_t, std::pair<std::uint64_t, std::uint64_t>> claimed;
   for (std::size_t chunk = 0; chunk < plan.num_chunks; ++chunk) {
     if (ReadChunkResult(plan, state_directory, chunk)) {
       ++report.done;
-    } else if (std::optional<std::string> lease = util::ReadWholeFile(
-                   PathIn(state_directory, ShardLeaseFileName(chunk)))) {
-      if (IsLease(*lease))
-        claimed.emplace(chunk, std::move(*lease));
-      else
-        ++report.stale;  // torn lease: reclaimable work
-    } else {
+      continue;
+    }
+    const std::optional<std::string> text = util::ReadWholeFile(
+        PathIn(state_directory, ShardLeaseFileName(chunk)));
+    if (!text) {
       ++report.unclaimed;
+      continue;
+    }
+    try {
+      const ShardLease lease = ShardLease::Deserialize(*text);
+      claimed.emplace(chunk,
+                      std::make_pair(lease.generation, lease.heartbeat));
+    } catch (const ShardError&) {
+      ++report.stale;  // torn lease: reclaimable work
     }
   }
-  if (probe.count() <= 0 || claimed.empty()) {
+
+  if (probe.count() > 0 && !claimed.empty()) {
+    // A claimed lease whose (generation, heartbeat) did not move over the
+    // probe window has an owner that stopped heartbeating.
+    std::this_thread::sleep_for(probe);
+    for (const auto& [chunk, counters] : claimed) {
+      const std::optional<std::string> text = util::ReadWholeFile(
+          PathIn(state_directory, ShardLeaseFileName(chunk)));
+      bool alive = false;
+      if (text) {
+        try {
+          const ShardLease lease = ShardLease::Deserialize(*text);
+          alive =
+              std::make_pair(lease.generation, lease.heartbeat) != counters;
+        } catch (const ShardError&) {
+        }
+      } else {
+        // The lease vanished mid-probe: its owner just released it.
+        alive = true;
+      }
+      if (alive)
+        ++report.claimed;
+      else
+        ++report.stale;
+    }
+  } else {
     report.claimed = claimed.size();
-    return report;
-  }
-  // A claimed lease that did not change over the probe window has an owner
-  // that stopped heartbeating; one that vanished was just released.
-  std::this_thread::sleep_for(probe);
-  for (const auto& [chunk, before] : claimed) {
-    const std::optional<std::string> now = util::ReadWholeFile(
-        PathIn(state_directory, ShardLeaseFileName(chunk)));
-    if (!now || (*now != before && IsLease(*now)))
-      ++report.claimed;
-    else
-      ++report.stale;
   }
   return report;
 }

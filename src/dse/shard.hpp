@@ -18,7 +18,11 @@
 // it with generation+1. Every lease write is temp+fsync+rename, so a
 // half-written lease is never visible except through external corruption —
 // and corruption is handled, not fatal: an unreadable lease or result file
-// counts as unclaimed work, never as a crash.
+// counts as unclaimed work, never as a crash. A worker re-checks the result
+// and the manifest after each claim and the manifest before each commit: a
+// Campaign::Run that completes the directory removes the manifest first,
+// so a worker whose pending result vanished throws ShardError rather than
+// recompute into a finished campaign.
 //
 // Safety argument: chunk execution is deterministic (the engine's results
 // are worker-count- and resume-independent), so even the unavoidable
@@ -128,8 +132,8 @@ struct ShardOptions {
   std::chrono::milliseconds poll_period{250};
   /// When true (default), Run returns only once EVERY chunk has a result
   /// document — the worker polls peers' leases and reclaims stale ones, so
-  /// any worker exiting successfully proves the directory is mergeable.
-  /// When false, Run returns as soon as no chunk is claimable.
+  /// any worker exiting successfully proves the directory is mergeable
+  /// (until a Campaign::Run completing it removes its files). When false, Run returns as soon as no chunk is claimable.
   bool wait_for_completion = true;
 };
 
@@ -154,8 +158,9 @@ class ShardWorker {
   /// loops: claim a chunk (virgin, stale, or torn lease), execute it
   /// through the engine (resuming any job snapshots a dead owner left),
   /// commit its result document, release the lease. Throws ShardError on
-  /// unusable options or a foreign state directory; never throws on
-  /// corrupt lease/result files (they are reclaimed).
+  /// unusable options, a foreign state directory or a manifest that
+  /// vanished mid-run (another process completed the campaign); never
+  /// throws on corrupt lease/result files (they are reclaimed).
   ShardRunReport Run(const CampaignSpec& spec,
                      const ShardOptions& options) const;
 

@@ -281,8 +281,10 @@ TEST(Campaign, MaxChunksSuspendsMidGridAndResumes) {
   EXPECT_EQ(partial.cells.size(), 2u);
   EXPECT_EQ(partial.pending_cells, 2u);
   EXPECT_EQ(partial.unfinished_jobs, 0u);
-  // The completed chunks persisted as chunk result documents.
+  // The completed chunks persisted as chunk result documents next to the
+  // manifest; a max_chunks stop leaves no lease or engine job snapshot.
   EXPECT_EQ(CkptFileCount(dir, ".done"), 2u);
+  EXPECT_EQ(CkptFileCount(dir), 3u);
 
   // Rerunning the SAME command must make forward progress: restored
   // chunks don't count against max_chunks, so the second invocation loads

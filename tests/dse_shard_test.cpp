@@ -370,6 +370,57 @@ TEST(OneStateDirectory, StatusReadsASuspendedRunDirectory) {
   EXPECT_EQ(status.unclaimed, 3u);
 }
 
+TEST(OneStateDirectory, PeerWorkerStopsWhenRunCompletesTheDirectory) {
+  const CampaignSpec spec = SmallSpec();
+  const Reference reference = ReferenceDocuments(spec);
+  ScopedTempDir dir("one-dir-peer");
+  const Engine engine;
+  // Chunks 0-1 done by a run; chunk 3 held by a killed run's lease.
+  CampaignOptions options = RunInDirectory(dir.Str());
+  options.max_chunks = 2;
+  ASSERT_FALSE(Campaign(engine).Run(spec, options).Complete());
+  ShardLease killed_run;
+  killed_run.spec_hash = StableHash64(spec.ToString());
+  killed_run.chunk_index = 3;
+  killed_run.owner = "campaign";
+  killed_run.generation = 1;
+  WriteRaw(PathIn(dir.Str(), ShardLeaseFileName(3)), killed_run.Serialize());
+
+  // The peer executes chunk 2, then polls chunk 3's lease, which it would
+  // only reclaim after ten minutes.
+  bool peer_threw = false;
+  ShardRunReport peer_report;
+  std::thread peer([&] {
+    ShardOptions peer_options = QuickShardOptions(dir.Str(), "peer");
+    peer_options.lease_ttl = std::chrono::minutes(10);
+    const Engine peer_engine;
+    try {
+      peer_report = ShardWorker(peer_engine).Run(spec, peer_options);
+    } catch (const ShardError&) {
+      peer_threw = true;
+    }
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::minutes(1);
+  while (!fs::exists(PathIn(dir.Str(), ShardChunkResultFileName(2))) &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+
+  // The run reclaims its own lease at once, completes and empties the
+  // directory under the polling peer.
+  const CampaignResult result =
+      Campaign(engine).Run(spec, RunInDirectory(dir.Str()));
+  peer.join();
+  EXPECT_TRUE(result.Complete());
+  EXPECT_EQ(report::CampaignJson(result), reference.json);
+  EXPECT_EQ(report::CampaignCsv(result), reference.csv);
+  // The peer either saw every result before the clean-up (complete) or
+  // found the manifest gone and stopped; it never recomputes a removed
+  // result into the emptied directory.
+  EXPECT_TRUE(peer_threw || peer_report.complete);
+  EXPECT_TRUE(fs::is_empty(dir.Str()));
+}
+
 // ---------------------------------------------------------------------------
 // Chunk counts near SIZE_MAX
 // ---------------------------------------------------------------------------
