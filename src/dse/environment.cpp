@@ -57,8 +57,7 @@ std::string AxDseEnvironment::ActionName(std::size_t action) const {
 rl::StateId AxDseEnvironment::Reset(std::uint64_t /*seed*/) {
   config_ = InitialConfiguration(shape_);
   round_robin_variable_ = 0;
-  last_measurement_ = evaluator_->Evaluate(config_);
-  return Intern(config_);
+  return Visit();
 }
 
 void AxDseEnvironment::ApplyAction(std::size_t action) {
@@ -104,11 +103,10 @@ void AxDseEnvironment::ApplyAction(std::size_t action) {
 
 rl::StepResult AxDseEnvironment::Step(std::size_t action) {
   ApplyAction(action);
-  last_measurement_ = evaluator_->Evaluate(config_);
+  rl::StepResult result;
+  result.next_state = Visit();
   const RewardOutcome outcome =
       ComputeReward(reward_, config_, last_measurement_, shape_);
-  rl::StepResult result;
-  result.next_state = Intern(config_);
   result.reward = outcome.reward;
   result.terminated = outcome.saturated;
   result.truncated = false;
@@ -120,7 +118,9 @@ AxDseEnvironment::State AxDseEnvironment::GetState() const {
   state.config = config_;
   state.measurement = last_measurement_;
   state.round_robin_variable = round_robin_variable_;
-  state.interned = states_;
+  state.interned.reserve(states_.size());
+  for (const Interned& interned : states_)
+    state.interned.push_back(*interned.config);
   return state;
 }
 
@@ -158,29 +158,35 @@ void AxDseEnvironment::SetState(const State& state) {
   ValidateState(shape_, state);
   std::unordered_map<Configuration, rl::StateId, Configuration::Hash> ids;
   ids.reserve(state.interned.size());
+  std::vector<Interned> states;
+  states.reserve(state.interned.size());
   for (std::size_t i = 0; i < state.interned.size(); ++i)
-    ids.emplace(state.interned[i], static_cast<rl::StateId>(i));
+    states.push_back(
+        {&ids.emplace(state.interned[i], static_cast<rl::StateId>(i))
+              .first->first});
 
   config_ = state.config;
   last_measurement_ = state.measurement;
   round_robin_variable_ = state.round_robin_variable;
-  states_ = state.interned;
+  states_ = std::move(states);
   ids_ = std::move(ids);
 }
 
-rl::StateId AxDseEnvironment::Intern(const Configuration& config) {
-  const auto it = ids_.find(config);
-  if (it != ids_.end()) return it->second;
-  const rl::StateId id = states_.size();
-  states_.push_back(config);
-  ids_.emplace(config, id);
-  return id;
+rl::StateId AxDseEnvironment::Visit() {
+  const auto [it, fresh] = ids_.try_emplace(config_, states_.size());
+  if (fresh) states_.push_back({&it->first});
+  Interned& state = states_[static_cast<std::size_t>(it->second)];
+  if (state.memo != nullptr)
+    last_measurement_ = evaluator_->Recall(state.memo);
+  else
+    last_measurement_ = evaluator_->Evaluate(config_, &state.memo);
+  return it->second;
 }
 
 const Configuration& AxDseEnvironment::ConfigOfState(rl::StateId state) const {
   if (state >= states_.size())
     throw std::out_of_range("AxDseEnvironment::ConfigOfState");
-  return states_[static_cast<std::size_t>(state)];
+  return *states_[static_cast<std::size_t>(state)].config;
 }
 
 }  // namespace axdse::dse

@@ -35,9 +35,18 @@ constexpr std::size_t NumActionsFor(ActionSpaceKind kind,
 }
 
 /// Gymnasium-style environment over the approximate-configuration space of
-/// one kernel. States are interned configuration ids; the full observation
-/// (configuration + measured deltas) is available via ConfigOfState() /
-/// LastMeasurement().
+/// one kernel. States are interned configuration ids, dense in first-visit
+/// order (0, 1, 2, ...) so agents index their Q-tables by them; the full
+/// observation (configuration + measured deltas) is available via
+/// ConfigOfState() / LastMeasurement().
+///
+/// A step hashes its configuration once, to find its id. Every interned
+/// state keeps the evaluator's memo handle of its ground-truth measurement
+/// once it has one, so a revisit reads the measurement through the handle
+/// (Evaluator::Recall) instead of hashing again; a state without a handle
+/// (first visit, surrogate-predicted answer, or restored by SetState) is
+/// evaluated with Evaluator::Evaluate. Handles live as long as the
+/// evaluator, which must outlive the environment anyway.
 class AxDseEnvironment final : public rl::Env {
  public:
   /// The evaluator must outlive the environment.
@@ -106,7 +115,16 @@ class AxDseEnvironment final : public rl::Env {
   void SetState(const State& state);
 
  private:
-  rl::StateId Intern(const Configuration& config);
+  /// One interned state: its configuration (the key inside ids_, whose
+  /// nodes never move) and its memo handle, null until a ground-truth
+  /// evaluation hands one out.
+  struct Interned {
+    const Configuration* config;
+    Evaluator::MemoHandle memo = nullptr;
+  };
+
+  /// Interns config_ and evaluates it into last_measurement_, with one hash.
+  rl::StateId Visit();
   void ApplyAction(std::size_t action);
 
   Evaluator* evaluator_;
@@ -115,7 +133,7 @@ class AxDseEnvironment final : public rl::Env {
   SpaceShape shape_;
   Configuration config_;
   instrument::Measurement last_measurement_;
-  std::vector<Configuration> states_;
+  std::vector<Interned> states_;  ///< indexed by StateId
   std::unordered_map<Configuration, rl::StateId, Configuration::Hash> ids_;
   std::size_t round_robin_variable_ = 0;
 };

@@ -123,7 +123,7 @@ std::vector<instrument::Measurement> Evaluator::MultiEvaluate(
           "Evaluator::MultiEvaluate: configuration does not match the "
           "kernel's space (variable count or operator index out of range)");
     // A repeat of a pending lane must observe that lane's insert first, so
-    // its Lookup below is a private hit exactly as in the sequential path.
+    // its Find below is a private hit exactly as in the sequential path.
     bool repeat = false;
     for (const Configuration& p : pending)
       if (p == config) {
@@ -131,7 +131,7 @@ std::vector<instrument::Measurement> Evaluator::MultiEvaluate(
         break;
       }
     if (repeat) flush();
-    if (const auto cached = cache_.Lookup(config); cached.has_value()) {
+    if (const instrument::Measurement* cached = cache_.Find(config)) {
       results[i] = *cached;
       continue;
     }
@@ -198,7 +198,7 @@ std::vector<instrument::Measurement> Evaluator::GroundTruthMany(
     // A private-cache hit is already ground truth (predictions are memoized
     // in the surrogate, never in the private memo) — same early return, no
     // invalidation, as the scalar GroundTruth().
-    if (const auto cached = cache_.Lookup(config); cached.has_value()) {
+    if (const instrument::Measurement* cached = cache_.Find(config)) {
       results[i] = *cached;
       continue;
     }
@@ -237,9 +237,9 @@ instrument::Measurement Evaluator::GroundTruth(const Configuration& config) {
     throw std::invalid_argument(
         "Evaluator::GroundTruth: configuration does not match the kernel's "
         "space");
-  if (const auto cached = cache_.Lookup(config); cached.has_value())
+  if (const instrument::Measurement* cached = cache_.Find(config))
     return *cached;
-  const instrument::Measurement m = ComputeAndCache(config);
+  const instrument::Measurement& m = ComputeAndCache(config);
   if (surrogate_ && surrogate_->Lookup(config) != nullptr) {
     surrogate_->Invalidate(config);
     if (kernel_runs_deferred_ > 0) --kernel_runs_deferred_;
@@ -297,8 +297,8 @@ void Evaluator::RestoreSurrogate(const CacheState::SurrogateState& state) {
   if (!surrogate_) return;
   surrogate_->RestoreState(
       state.model, [this](const Configuration& config) {
-        const auto cached = cache_.Lookup(config);
-        if (!cached.has_value())
+        const instrument::Measurement* cached = cache_.Find(config);
+        if (cached == nullptr)
           throw std::invalid_argument(
               "Evaluator::RestoreSurrogate: observation is missing from the "
               "restored memo");
@@ -306,21 +306,18 @@ void Evaluator::RestoreSurrogate(const CacheState::SurrogateState& state) {
       });
 }
 
-instrument::Measurement Evaluator::ComputeAndCache(const Configuration& config) {
-  instrument::Measurement m;
-  if (shared_cache_) {
-    bool computed = false;
-    m = shared_cache_->FetchOrCompute(
-        config, [&] { return Measure(config); }, &computed);
-    if (!computed) ++shared_hits_;
-  } else {
-    m = Measure(config);
-  }
-  cache_.Insert(config, m);
-  return m;
+const instrument::Measurement& Evaluator::ComputeAndCache(
+    const Configuration& config) {
+  if (!shared_cache_) return cache_.Insert(config, Measure(config));
+  bool computed = false;
+  const instrument::Measurement m = shared_cache_->FetchOrCompute(
+      config, [&] { return Measure(config); }, &computed);
+  if (!computed) ++shared_hits_;
+  return cache_.Insert(config, m);
 }
 
-instrument::Measurement Evaluator::Evaluate(const Configuration& config) {
+instrument::Measurement Evaluator::Evaluate(const Configuration& config,
+                                            MemoHandle* memo) {
   if (!FitsShape(shape_, config))
     throw std::invalid_argument(
         "Evaluator::Evaluate: configuration does not match the kernel's "
@@ -328,8 +325,10 @@ instrument::Measurement Evaluator::Evaluate(const Configuration& config) {
 
   // Private cache first: repeat visits along this exploration's own path
   // never touch the shared shards (keeps contention to genuinely new work).
-  if (const auto cached = cache_.Lookup(config); cached.has_value())
+  if (const instrument::Measurement* cached = cache_.Find(config)) {
+    if (memo != nullptr) *memo = cached;
     return *cached;
+  }
 
   // Surrogate tier. The skip decision happens BEFORE the shared cache is
   // consulted, from job-local state only — whether another worker already
@@ -347,7 +346,8 @@ instrument::Measurement Evaluator::Evaluate(const Configuration& config) {
     }
   }
 
-  const instrument::Measurement m = ComputeAndCache(config);
+  const instrument::Measurement& m = ComputeAndCache(config);
+  if (memo != nullptr) *memo = &m;
   if (surrogate_) surrogate_->Observe(config, m);
   return m;
 }

@@ -39,6 +39,11 @@ class Evaluator {
       std::shared_ptr<instrument::SharedEvaluationCache> shared_cache =
           nullptr);
 
+  /// Handle to a ground-truth entry of the private memo. Valid for the
+  /// evaluator's lifetime: memo entries are never erased, and inserting
+  /// other configurations never moves one.
+  using MemoHandle = const instrument::Measurement*;
+
   /// Measures `config` (cache-backed). Throws std::invalid_argument if the
   /// configuration shape does not match the kernel.
   ///
@@ -47,7 +52,21 @@ class Evaluator {
   /// confident over-threshold prediction. Predicted answers are memoized —
   /// repeat visits return the same bytes — and IsPredicted() tells them
   /// apart from ground truth.
-  instrument::Measurement Evaluate(const Configuration& config);
+  ///
+  /// When `memo` is non-null and the answer is ground truth (a private hit
+  /// or a fresh measurement), `*memo` receives the handle of its memo entry
+  /// at no extra hash; it is left untouched for a predicted answer, which
+  /// may later be replaced by ground truth.
+  instrument::Measurement Evaluate(const Configuration& config,
+                                   MemoHandle* memo = nullptr);
+
+  /// Repeat visit through a handle Evaluate() handed out: the stored
+  /// measurement, counted as the private hit Evaluate() of the same
+  /// configuration would have counted — without hashing it.
+  const instrument::Measurement& Recall(MemoHandle memo) noexcept {
+    cache_.CountHit();
+    return *memo;
+  }
 
   /// Scores a batch of sibling configurations, lane-parallel where
   /// profitable: uncached configurations are collected into groups of up to
@@ -127,8 +146,9 @@ class Evaluator {
   /// hits replace executions) and depends on scheduling.
   std::size_t KernelRuns() const noexcept { return kernel_runs_; }
 
-  /// Number of private-cache hits across Evaluate() calls (deterministic —
-  /// repeat visits along this evaluator's own exploration path).
+  /// Number of private-cache hits across Evaluate() and Recall() calls
+  /// (deterministic — repeat visits along this evaluator's own exploration
+  /// path).
   std::size_t CacheHits() const noexcept { return cache_.Hits(); }
 
   /// Evaluations answered by the shared cache (0 without one).
@@ -220,8 +240,9 @@ class Evaluator {
   double precise_power_mw_ = 0.0;
   double precise_time_ns_ = 0.0;
   /// Ground-truths `config` on a private-cache miss (shared cache first when
-  /// attached) and inserts the result into the private memo.
-  instrument::Measurement ComputeAndCache(const Configuration& config);
+  /// attached), inserts the result into the private memo and returns the
+  /// memo entry.
+  const instrument::Measurement& ComputeAndCache(const Configuration& config);
 
   instrument::EvaluationCache cache_;
   std::shared_ptr<instrument::SharedEvaluationCache> shared_cache_;

@@ -415,14 +415,16 @@ void Explorer::ResumeFrom(const Checkpoint& checkpoint) {
   }
 
   // 1. Rebuild the agent from the blob. Failures here are pure: the agent is
-  //    a local until everything committed.
+  //    a local until everything committed. Every state id in the blob must
+  //    name an interned state — Q rows are indexed by id, so an
+  //    out-of-range one would size an allocation.
   std::unique_ptr<rl::Agent> agent = MakeAgent(
       config_.agent_kind,
       NumActionsFor(config_.action_space, shape.num_variables), config_.agent,
       config_.lambda, config_.seed);
   std::istringstream agent_in(checkpoint.agent_state);
   try {
-    agent->LoadState(agent_in);
+    agent->LoadState(agent_in, checkpoint.env.interned.size());
   } catch (const std::exception& error) {
     throw CheckpointError(std::string("Explorer::ResumeFrom: agent state: ") +
                           error.what());

@@ -2,19 +2,25 @@
 
 namespace axdse::instrument {
 
-std::optional<Measurement> EvaluationCache::Lookup(const ApproxSelection& key) {
+const Measurement* EvaluationCache::Find(const ApproxSelection& key) {
   const auto it = map_.find(key);
   if (it == map_.end()) {
     ++misses_;
-    return std::nullopt;
+    return nullptr;
   }
   ++hits_;
-  return it->second;
+  return &it->second;
 }
 
-void EvaluationCache::Insert(const ApproxSelection& key,
-                             const Measurement& value) {
-  map_[key] = value;
+std::optional<Measurement> EvaluationCache::Lookup(const ApproxSelection& key) {
+  const Measurement* found = Find(key);
+  if (found == nullptr) return std::nullopt;
+  return *found;
+}
+
+const Measurement& EvaluationCache::Insert(const ApproxSelection& key,
+                                           const Measurement& value) {
+  return map_[key] = value;
 }
 
 void EvaluationCache::Clear() noexcept {

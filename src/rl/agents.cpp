@@ -22,7 +22,7 @@ void Agent::SaveState(std::ostream&) const {
                          "' does not support checkpointing");
 }
 
-void Agent::LoadState(std::istream&) {
+void Agent::RestoreState(std::istream&, StateId) {
   throw std::logic_error("Agent::LoadState: agent '" + Name() +
                          "' does not support checkpointing");
 }
@@ -46,6 +46,22 @@ void SaveAgentPrologue(std::ostream& out, const std::string& name,
   out << "rng " << s.words[0] << " " << s.words[1] << " " << s.words[2] << " "
       << s.words[3] << " " << (s.has_cached_gaussian ? 1 : 0) << " "
       << util::ShortestDouble(s.cached_gaussian) << "\n";
+}
+
+/// Orders eligibility traces by (state, action): their saved order.
+constexpr auto TraceOrder = [](const auto& a, const auto& b) {
+  return a.state != b.state ? a.state < b.state : a.action < b.action;
+};
+
+/// Parses a state id token and rejects one >= `num_states`.
+StateId ParseStateId(const std::string& token, StateId num_states,
+                     const char* what) {
+  const StateId state = util::ParseUnsignedToken(token, what);
+  if (state >= num_states)
+    throw std::invalid_argument(std::string(what) + " " + token +
+                                " is out of range (" +
+                                std::to_string(num_states) + " states)");
+  return state;
 }
 
 /// Inverse of SaveAgentPrologue; verifies the stored agent name.
@@ -110,12 +126,12 @@ void QLearningAgent::SaveState(std::ostream& out) const {
   table_.SaveState(out);
 }
 
-void QLearningAgent::LoadState(std::istream& in) {
+void QLearningAgent::RestoreState(std::istream& in, StateId num_states) {
   std::size_t step = 0;
   util::RngState rng_state;
   LoadAgentPrologue(in, Name(), step, rng_state);
   QTable table(table_.NumActions(), config_.initial_q);
-  table.LoadState(in);
+  table.LoadState(in, num_states);
   util::Rng rng(0);
   rng.SetState(rng_state);  // validates the generator words
   step_ = step;
@@ -172,12 +188,12 @@ void SarsaAgent::SaveState(std::ostream& out) const {
   }
 }
 
-void SarsaAgent::LoadState(std::istream& in) {
+void SarsaAgent::RestoreState(std::istream& in, StateId num_states) {
   std::size_t step = 0;
   util::RngState rng_state;
   LoadAgentPrologue(in, Name(), step, rng_state);
   QTable table(table_.NumActions(), config_.initial_q);
-  table.LoadState(in);
+  table.LoadState(in, num_states);
   const std::vector<std::string> tokens = state_io::ReadTagged(in, "pending");
   std::optional<Pending> pending;
   if (tokens.empty())
@@ -185,14 +201,14 @@ void SarsaAgent::LoadState(std::istream& in) {
   if (tokens[0] == "1") {
     state_io::RequireTokens(tokens, 5, "sarsa pending");
     Pending p;
-    p.state = util::ParseUnsignedToken(tokens[1], "sarsa pending state");
+    p.state = ParseStateId(tokens[1], num_states, "sarsa pending state");
     p.action = static_cast<std::size_t>(
         util::ParseUnsignedToken(tokens[2], "sarsa pending action"));
     if (p.action >= table_.NumActions())
       throw std::invalid_argument("sarsa pending: action out of range");
     p.reward = util::ParseDoubleToken(tokens[3], "sarsa pending reward");
     p.next_state =
-        util::ParseUnsignedToken(tokens[4], "sarsa pending next state");
+        ParseStateId(tokens[4], num_states, "sarsa pending next state");
     pending = p;
   } else if (tokens[0] == "0") {
     state_io::RequireTokens(tokens, 1, "sarsa pending");
@@ -268,14 +284,14 @@ void DoubleQLearningAgent::SaveState(std::ostream& out) const {
   table_b_.SaveState(out);
 }
 
-void DoubleQLearningAgent::LoadState(std::istream& in) {
+void DoubleQLearningAgent::RestoreState(std::istream& in, StateId num_states) {
   std::size_t step = 0;
   util::RngState rng_state;
   LoadAgentPrologue(in, Name(), step, rng_state);
   QTable table_a(table_a_.NumActions(), config_.initial_q);
-  table_a.LoadState(in);
+  table_a.LoadState(in, num_states);
   QTable table_b(table_b_.NumActions(), config_.initial_q);
-  table_b.LoadState(in);
+  table_b.LoadState(in, num_states);
   util::Rng rng(0);
   rng.SetState(rng_state);
   step_ = step;
@@ -314,18 +330,27 @@ void QLambdaAgent::Observe(StateId state, std::size_t action, double reward,
   const double bootstrap =
       terminated ? 0.0 : config_.gamma * table_.MaxValue(next_state);
   const double delta = reward + bootstrap - table_.Get(state, action);
-  traces_[{state, action}] = 1.0;  // replacing traces
+  const auto same = [&](const Trace& t) {
+    return t.state == state && t.action == action;
+  };
+  if (const auto it = std::find_if(traces_.begin(), traces_.end(), same);
+      it != traces_.end())
+    it->value = 1.0;  // replacing traces
+  else
+    traces_.push_back({state, action, 1.0});
 
   const double decay = config_.gamma * lambda_;
-  for (auto it = traces_.begin(); it != traces_.end();) {
-    const auto& [key, trace] = *it;
-    const double old_q = table_.Get(key.first, key.second);
-    table_.Set(key.first, key.second, old_q + config_.alpha * delta * trace);
-    it->second *= decay;
-    if (it->second < 1e-8)
-      it = traces_.erase(it);
-    else
-      ++it;
+  for (std::size_t i = 0; i < traces_.size();) {
+    Trace& t = traces_[i];
+    const double old_q = table_.Get(t.state, t.action);
+    table_.Set(t.state, t.action, old_q + config_.alpha * delta * t.value);
+    t.value *= decay;
+    if (t.value < 1e-8) {
+      t = traces_.back();  // swap-remove; the moved entry is visited next
+      traces_.pop_back();
+    } else {
+      ++i;
+    }
   }
   // Watkins' cut: an exploratory action invalidates the on-policy suffix.
   if (!last_action_was_greedy_ || terminated) traces_.clear();
@@ -336,21 +361,19 @@ void QLambdaAgent::SaveState(std::ostream& out) const {
   table_.SaveState(out);
   out << "greedy " << (last_action_was_greedy_ ? 1 : 0) << "\n";
   out << "traces " << traces_.size() << "\n";
-  std::vector<std::pair<StateId, std::size_t>> keys;
-  keys.reserve(traces_.size());
-  for (const auto& [key, value] : traces_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  for (const auto& key : keys)
-    out << "trace " << key.first << " " << key.second << " "
-        << util::ShortestDouble(traces_.at(key)) << "\n";
+  std::vector<Trace> sorted = traces_;
+  std::sort(sorted.begin(), sorted.end(), TraceOrder);
+  for (const Trace& t : sorted)
+    out << "trace " << t.state << " " << t.action << " "
+        << util::ShortestDouble(t.value) << "\n";
 }
 
-void QLambdaAgent::LoadState(std::istream& in) {
+void QLambdaAgent::RestoreState(std::istream& in, StateId num_states) {
   std::size_t step = 0;
   util::RngState rng_state;
   LoadAgentPrologue(in, Name(), step, rng_state);
   QTable table(table_.NumActions(), config_.initial_q);
-  table.LoadState(in);
+  table.LoadState(in, num_states);
   const std::vector<std::string> greedy = state_io::ReadTagged(in, "greedy");
   state_io::RequireTokens(greedy, 1, "q-lambda greedy flag");
   const std::uint64_t greedy_flag =
@@ -361,22 +384,27 @@ void QLambdaAgent::LoadState(std::istream& in) {
   state_io::RequireTokens(count, 1, "q-lambda trace count");
   const std::uint64_t num_traces =
       util::ParseUnsignedToken(count[0], "q-lambda trace count");
-  std::unordered_map<std::pair<StateId, std::size_t>, double, PairHash> traces;
-  traces.reserve(static_cast<std::size_t>(num_traces));
+  std::vector<Trace> traces;
   for (std::uint64_t t = 0; t < num_traces; ++t) {
     const std::vector<std::string> tokens = state_io::ReadTagged(in, "trace");
     state_io::RequireTokens(tokens, 3, "q-lambda trace entry");
     const StateId state =
-        util::ParseUnsignedToken(tokens[0], "q-lambda trace state");
+        ParseStateId(tokens[0], num_states, "q-lambda trace state");
     const std::size_t action = static_cast<std::size_t>(
         util::ParseUnsignedToken(tokens[1], "q-lambda trace action"));
     if (action >= table_.NumActions())
       throw std::invalid_argument("q-lambda trace: action out of range");
     const double value =
         util::ParseDoubleToken(tokens[2], "q-lambda trace value");
-    if (!traces.emplace(std::make_pair(state, action), value).second)
-      throw std::invalid_argument("q-lambda trace: duplicate (state, action)");
+    traces.push_back({state, action, value});
   }
+  std::sort(traces.begin(), traces.end(), TraceOrder);
+  const auto same_key = [](const Trace& a, const Trace& b) {
+    return a.state == b.state && a.action == b.action;
+  };
+  if (std::adjacent_find(traces.begin(), traces.end(), same_key) !=
+      traces.end())
+    throw std::invalid_argument("q-lambda trace: duplicate (state, action)");
   util::Rng rng(0);
   rng.SetState(rng_state);
   step_ = step;
@@ -408,12 +436,12 @@ void ExpectedSarsaAgent::SaveState(std::ostream& out) const {
   table_.SaveState(out);
 }
 
-void ExpectedSarsaAgent::LoadState(std::istream& in) {
+void ExpectedSarsaAgent::RestoreState(std::istream& in, StateId num_states) {
   std::size_t step = 0;
   util::RngState rng_state;
   LoadAgentPrologue(in, Name(), step, rng_state);
   QTable table(table_.NumActions(), config_.initial_q);
-  table.LoadState(in);
+  table.LoadState(in, num_states);
   util::Rng rng(0);
   rng.SetState(rng_state);
   step_ = step;

@@ -6,8 +6,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <utility>
+#include <vector>
 
 #include "rl/env.hpp"
 #include "rl/q_table.hpp"
@@ -63,8 +62,22 @@ class Agent {
   /// same action count and kind as the saved one. Throws
   /// std::invalid_argument on malformed input, agent-kind mismatch, action
   /// count mismatch, or NaN-injected values; on failure the agent keeps its
-  /// pre-call state.
-  virtual void LoadState(std::istream& in);
+  /// pre-call state. Virtual so decorators can forward it; the body is
+  /// RestoreState().
+  virtual void LoadState(std::istream& in) { RestoreState(in, kAnyStateId); }
+
+  /// LoadState() of untrusted bytes into an environment that interned
+  /// `num_states` states: every state id in the blob (Q rows, pending
+  /// transitions, eligibility traces) must be below `num_states`, or
+  /// std::invalid_argument is thrown before any row is allocated.
+  void LoadState(std::istream& in, StateId num_states) {
+    RestoreState(in, num_states);
+  }
+
+ protected:
+  /// The agent-specific body of both LoadState() overloads. The default
+  /// throws std::logic_error (checkpointing unsupported).
+  virtual void RestoreState(std::istream& in, StateId num_states);
 };
 
 /// Watkins Q-learning: off-policy TD update
@@ -85,9 +98,10 @@ class QLearningAgent final : public Agent {
   double CurrentEpsilon() const noexcept;
 
   void SaveState(std::ostream& out) const override;
-  void LoadState(std::istream& in) override;
 
  private:
+  void RestoreState(std::istream& in, StateId num_states) override;
+
   AgentConfig config_;
   QTable table_;
   util::Rng rng_;
@@ -110,9 +124,10 @@ class SarsaAgent final : public Agent {
   void BeginEpisode() override { pending_.reset(); }
 
   void SaveState(std::ostream& out) const override;
-  void LoadState(std::istream& in) override;
 
  private:
+  void RestoreState(std::istream& in, StateId num_states) override;
+
   struct Pending {
     StateId state;
     std::size_t action;
@@ -147,9 +162,10 @@ class DoubleQLearningAgent final : public Agent {
   const QTable& TableB() const noexcept { return table_b_; }
 
   void SaveState(std::ostream& out) const override;
-  void LoadState(std::istream& in) override;
 
  private:
+  void RestoreState(std::istream& in, StateId num_states) override;
+
   std::size_t GreedyOnSum(StateId state);
 
   AgentConfig config_;
@@ -179,15 +195,15 @@ class QLambdaAgent final : public Agent {
   std::size_t ActiveTraces() const noexcept { return traces_.size(); }
 
   void SaveState(std::ostream& out) const override;
-  void LoadState(std::istream& in) override;
 
  private:
-  struct PairHash {
-    std::size_t operator()(
-        const std::pair<StateId, std::size_t>& p) const noexcept {
-      return std::hash<StateId>{}(p.first) * 0x9E3779B97F4A7C15ULL +
-             p.second;
-    }
+  void RestoreState(std::istream& in, StateId num_states) override;
+
+  /// One eligibility trace e(state, action) > 0.
+  struct Trace {
+    StateId state;
+    std::size_t action;
+    double value;
   };
 
   AgentConfig config_;
@@ -196,8 +212,9 @@ class QLambdaAgent final : public Agent {
   util::Rng rng_;
   std::size_t step_ = 0;
   bool last_action_was_greedy_ = true;
-  std::unordered_map<std::pair<StateId, std::size_t>, double, PairHash>
-      traces_;
+  /// Active traces, one entry per (state, action), in no particular order:
+  /// each update touches only its own Q value, so order cannot matter.
+  std::vector<Trace> traces_;
 };
 
 /// Expected SARSA: bootstraps on the epsilon-greedy expectation over the
@@ -214,9 +231,10 @@ class ExpectedSarsaAgent final : public Agent {
   std::string Name() const override { return "expected-sarsa"; }
 
   void SaveState(std::ostream& out) const override;
-  void LoadState(std::istream& in) override;
 
  private:
+  void RestoreState(std::istream& in, StateId num_states) override;
+
   AgentConfig config_;
   QTable table_;
   util::Rng rng_;

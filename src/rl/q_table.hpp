@@ -1,18 +1,28 @@
 #pragma once
-// Tabular action-value storage over interned state ids. Rows are
-// materialized lazily so state spaces far larger than the visited set (e.g.
-// the 2^101-variable DSE space of MatMul 50x50) cost memory proportional to
-// the states actually visited.
+// Tabular action-value storage over dense state ids. Environments intern
+// their states to ids 0, 1, 2, ... in visit order, so a row is found by
+// indexing, not hashing: rows live in fixed blocks of kBlockRows rows,
+// allocated the first time one of their rows is materialized, and each
+// block carries one byte per row marking the materialized ones. Growth
+// never copies a row and allocates at most one block beyond the ids in
+// use, so memory follows the visited set even in huge spaces (the
+// 2^101-variable DSE space of MatMul 50x50).
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
-#include <unordered_map>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "rl/env.hpp"
 #include "util/rng.hpp"
 
 namespace axdse::rl {
+
+/// State-id bound meaning "no bound" (LoadState() of trusted bytes).
+inline constexpr StateId kAnyStateId = std::numeric_limits<StateId>::max();
 
 /// Q(s,a) table with a configurable initial value (optimistic init > 0
 /// encourages systematic exploration).
@@ -41,10 +51,10 @@ class QTable {
   /// Expected action value under an epsilon-greedy policy (Expected SARSA).
   double ExpectedValue(StateId state, double epsilon) const;
 
-  /// Number of rows materialized (distinct states updated or read-for-write).
-  std::size_t NumStates() const noexcept { return table_.size(); }
+  /// Number of rows materialized (distinct states written).
+  std::size_t NumStates() const noexcept { return num_rows_; }
 
-  /// Writes the table as deterministic text (rows sorted by state id):
+  /// Writes the table as deterministic text (rows in ascending state id):
   ///   table <num_actions> <initial_value> <num_rows>
   ///   row <state> <q_0> ... <q_{num_actions-1}>     (x num_rows)
   /// Doubles use shortest-round-trip formatting, so LoadState(SaveState())
@@ -54,17 +64,32 @@ class QTable {
   /// Inverse of SaveState: replaces all rows (num_actions in the stream must
   /// match this table's; the stored initial value replaces the current one).
   /// Throws std::invalid_argument on malformed input, NaN values, action
-  /// count mismatch, or duplicate rows; the table is only modified once the
-  /// whole stream parsed cleanly.
-  void LoadState(std::istream& in);
+  /// count mismatch, duplicate rows, or a state id >= `num_states`; the
+  /// table is only modified once the whole stream parsed cleanly, and no row
+  /// is allocated before every id passed the bound. Row storage is sized by
+  /// the largest id, so callers restoring untrusted bytes pass the number of
+  /// states their environment interned.
+  void LoadState(std::istream& in, StateId num_states = kAnyStateId);
 
  private:
-  const std::vector<double>* FindRow(StateId state) const;
-  std::vector<double>& Row(StateId state);
+  static constexpr std::size_t kBlockRows = 64;
+
+  /// One block of rows: values row-major, plus the materialized flags.
+  struct Block {
+    std::unique_ptr<double[]> values;
+    std::array<std::uint8_t, kBlockRows> materialized{};
+  };
+
+  /// The materialized row of `state`, or nullptr.
+  const double* FindRow(StateId state) const noexcept;
+  /// The row of `state`, materialized (filled with the initial value) first
+  /// if needed.
+  double* Row(StateId state);
 
   std::size_t num_actions_;
   double initial_value_;
-  std::unordered_map<StateId, std::vector<double>> table_;
+  std::vector<Block> blocks_;  ///< block b holds states [b, b+1) * kBlockRows
+  std::size_t num_rows_ = 0;
 };
 
 }  // namespace axdse::rl

@@ -412,6 +412,100 @@ TEST(CheckpointCorruption, FailedResumeLeavesExplorerFullyUsable) {
   }
 }
 
+/// Replaces token `field` (0 = the first after the tag) of the first line
+/// starting with `tag` that follows the `table`-th (0-based) "table "
+/// header of an agent blob with `id`. Returns false when there is none.
+bool ReplaceStateId(std::string& blob, const std::string& tag,
+                    std::size_t field, std::size_t table,
+                    const std::string& id) {
+  std::istringstream in(blob);
+  std::string out;
+  std::string line;
+  std::size_t tables = 0;
+  bool replaced = false;
+  while (std::getline(in, line)) {
+    if (line.rfind("table ", 0) == 0) ++tables;
+    if (!replaced && tables > table && line.rfind(tag + " ", 0) == 0) {
+      std::istringstream fields(line.substr(tag.size() + 1));
+      std::vector<std::string> tokens;
+      for (std::string token; fields >> token;) tokens.push_back(token);
+      if (field < tokens.size()) {
+        tokens[field] = id;
+        line = tag;
+        for (const std::string& token : tokens) line += " " + token;
+        replaced = true;
+      }
+    }
+    out += line + "\n";
+  }
+  blob = out;
+  return replaced;
+}
+
+TEST(CheckpointCorruption, OutOfRangeAgentStateIdsAreRejected) {
+  // Q rows are indexed by state id, so an id read from the agent blob sizes
+  // an allocation. ResumeFrom must reject every id that names no interned
+  // state — Q rows (both Double-Q tables), SARSA's pending transition,
+  // Q(lambda)'s traces — with a CheckpointError from the bound check, and
+  // leave the explorer untouched.
+  struct Site {
+    AgentKind kind;
+    const char* tag;
+    std::size_t field;
+    std::size_t table;
+  };
+  const Site sites[] = {
+      {AgentKind::kQLearning, "row", 0, 0},
+      {AgentKind::kExpectedSarsa, "row", 0, 0},
+      {AgentKind::kDoubleQ, "row", 0, 0},
+      {AgentKind::kDoubleQ, "row", 0, 1},
+      {AgentKind::kSarsa, "row", 0, 0},
+      {AgentKind::kSarsa, "pending", 1, 0},
+      {AgentKind::kSarsa, "pending", 4, 0},
+      {AgentKind::kQLambda, "row", 0, 0},
+      {AgentKind::kQLambda, "trace", 0, 0},
+  };
+  for (const Site& site : sites) {
+    SCOPED_TRACE(std::string(ToString(site.kind)) + " " + site.tag +
+                 " field " + std::to_string(site.field) + " table " +
+                 std::to_string(site.table));
+    const ExplorerConfig config = SmallExplorerConfig(site.kind, 3);
+    // The first suspend point whose blob carries the site (Q(lambda) cuts
+    // its traces on exploratory actions).
+    Checkpoint checkpoint;
+    std::string probe;
+    for (std::size_t at = 20; at < config.max_steps; ++at) {
+      Harness h = MakeExplorerHarness("matmul", 4);
+      Explorer explorer(*h.evaluator, h.reward, config);
+      explorer.RunSteps(at);
+      checkpoint = explorer.Suspend();
+      probe = checkpoint.agent_state;
+      if (ReplaceStateId(probe, site.tag, site.field, site.table, "0")) break;
+    }
+    const std::string interned =
+        std::to_string(checkpoint.env.interned.size());
+    const std::string reference =
+        PayloadOf(RunUninterrupted("matmul", 4, config));
+    for (const std::string& id : {std::string("18446744073709551615"),
+                                  interned}) {
+      Checkpoint mutated = checkpoint;
+      ASSERT_TRUE(ReplaceStateId(mutated.agent_state, site.tag, site.field,
+                                 site.table, id));
+      Harness h = MakeExplorerHarness("matmul", 4);
+      Explorer explorer(*h.evaluator, h.reward, config);
+      try {
+        explorer.ResumeFrom(mutated);
+        ADD_FAILURE() << "state id " << id << " was accepted";
+      } catch (const CheckpointError& error) {
+        EXPECT_NE(std::string(error.what()).find("out of range"),
+                  std::string::npos)
+            << error.what();
+      }
+      EXPECT_EQ(PayloadOf(explorer.Explore()), reference);
+    }
+  }
+}
+
 TEST(CheckpointCorruption, SharedCacheCheckpointHardening) {
   SharedCacheCheckpoint snapshot;
   snapshot.signature = "matmul|size=4|seed=7";

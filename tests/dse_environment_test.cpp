@@ -1,10 +1,14 @@
 // Tests for dse/evaluator + dse/environment: measurement correctness,
-// caching, action semantics, state interning, termination.
+// caching, action semantics, state interning, termination, and the cost
+// counters of explorations that revisit states through memo handles.
 
 #include "dse/environment.hpp"
 
 #include <gtest/gtest.h>
 
+#include "common/test_support.hpp"
+#include "dse/checkpoint.hpp"
+#include "dse/explorer.hpp"
 #include "workloads/dot_product_kernel.hpp"
 #include "workloads/matmul_kernel.hpp"
 
@@ -247,6 +251,101 @@ TEST(Environment, AccuracyViolationGivesMinusR) {
   env.Step(4);  // approximate variable A
   const rl::StepResult r = env.Step(5);  // approximate variable B as well
   EXPECT_DOUBLE_EQ(r.reward, -50.0);
+}
+
+TEST(Environment, RevisitsReadTheMemoThroughTheirHandle) {
+  // A revisit is a private hit, like Evaluate() of the same configuration,
+  // and returns the very bytes the first visit measured.
+  const workloads::DotProductKernel kernel(32, 4, 1);
+  Evaluator evaluator(kernel);
+  AxDseEnvironment env(evaluator, LaxReward());
+  env.Reset(0);
+  env.Step(2);  // multiplier+1
+  env.Step(4);  // toggle v0: fresh
+  const instrument::Measurement first = env.LastMeasurement();
+  const std::size_t runs = evaluator.KernelRuns();
+  const std::size_t hits = evaluator.CacheHits();
+  env.Step(4);  // back
+  env.Step(4);  // revisit
+  EXPECT_EQ(evaluator.KernelRuns(), runs);
+  EXPECT_EQ(evaluator.CacheHits(), hits + 2);
+  EXPECT_EQ(env.LastMeasurement().delta_acc, first.delta_acc);
+  EXPECT_EQ(env.LastMeasurement().delta_power_mw, first.delta_power_mw);
+  EXPECT_EQ(env.LastMeasurement().counts, first.counts);
+}
+
+// ---------------------------------------------------------------------------
+// Cost-counter identity over whole explorations: every evaluation the
+// environment asks for is exactly one private hit or one private miss,
+// whether it goes through Evaluate() or a memo handle, so after N steps
+// hits + misses == N + 2 (the constructor's and Reset()'s evaluations).
+// KernelRuns() is pinned to the values the hash-per-visit environment
+// produced, uninterrupted, across a mid-run suspend/resume, and with the
+// surrogate tier answering part of the visits.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kCounterSteps = 2000;
+
+struct Counted {
+  std::size_t kernel_runs = 0;
+  std::size_t lookups = 0;  ///< private hits + misses
+};
+
+/// Runs kCounterSteps steps of `kind` on matmul@10{granularity=per-matrix},
+/// suspending and resuming into a fresh explorer after `suspend_at` steps
+/// when it is non-zero.
+Counted RunCounted(AgentKind kind, bool surrogate, std::size_t suspend_at) {
+  const auto harness = [&] {
+    testsupport::ExplorerHarness h = testsupport::MakeExplorerHarness(
+        "matmul", 10, {{"granularity", "per-matrix"}});
+    if (surrogate) h.evaluator->EnableSurrogate(h.reward.acc_threshold);
+    return h;
+  };
+  ExplorerConfig config =
+      testsupport::SmallExplorerConfig(kind, 5, kCounterSteps + 1);
+  config.record_trace = false;
+  testsupport::ExplorerHarness h = harness();
+  auto explorer = std::make_unique<Explorer>(*h.evaluator, h.reward, config);
+  if (suspend_at != 0) {
+    EXPECT_EQ(explorer->RunSteps(suspend_at), suspend_at);
+    const std::string saved = explorer->Suspend().Serialize();
+    explorer.reset();
+    h = harness();
+    explorer = std::make_unique<Explorer>(*h.evaluator, h.reward, config);
+    explorer->ResumeFrom(Checkpoint::Deserialize(saved));
+  }
+  const std::size_t remaining = kCounterSteps - suspend_at;
+  EXPECT_EQ(explorer->RunSteps(remaining), remaining);
+  EXPECT_FALSE(explorer->Finished());
+  const Evaluator::CacheState state = h.evaluator->CaptureCacheState();
+  EXPECT_EQ(state.cache_hits, h.evaluator->CacheHits());
+  return {h.evaluator->KernelRuns(), state.cache_hits + state.cache_misses};
+}
+
+TEST(CounterIdentity, HitsPlusMissesCountEveryVisitAndKernelRunsArePinned) {
+  struct Pinned {
+    AgentKind kind;
+    std::size_t kernel_runs;
+    std::size_t kernel_runs_surrogate;
+  };
+  const Pinned pinned[] = {
+      {AgentKind::kQLearning, 257, 156},     {AgentKind::kSarsa, 285, 173},
+      {AgentKind::kExpectedSarsa, 232, 146}, {AgentKind::kDoubleQ, 281, 200},
+      {AgentKind::kQLambda, 178, 131},
+  };
+  for (const Pinned& p : pinned) {
+    for (const bool surrogate : {false, true}) {
+      for (const std::size_t suspend_at : {std::size_t{0}, kCounterSteps / 2}) {
+        SCOPED_TRACE(std::string(ToString(p.kind)) +
+                     (surrogate ? " surrogate" : " private") +
+                     " suspend_at=" + std::to_string(suspend_at));
+        const Counted counted = RunCounted(p.kind, surrogate, suspend_at);
+        EXPECT_EQ(counted.lookups, kCounterSteps + 2);
+        EXPECT_EQ(counted.kernel_runs,
+                  surrogate ? p.kernel_runs_surrogate : p.kernel_runs);
+      }
+    }
+  }
 }
 
 }  // namespace
