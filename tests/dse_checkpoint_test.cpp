@@ -26,6 +26,7 @@
 #include "dse/checkpoint.hpp"
 #include "dse/engine.hpp"
 #include "dse/explorer.hpp"
+#include "report/export.hpp"
 #include "util/number_format.hpp"
 #include "workloads/registry.hpp"
 
@@ -637,6 +638,82 @@ TEST(GoldenCheckpoint, SharedCacheFormatMatchesCheckedInFixture) {
   testsupport::ExpectMatchesGolden(path, PinnedSharedCacheBytes());
   const std::string text = testsupport::ReadGolden(path);
   EXPECT_EQ(SharedCacheCheckpoint::Deserialize(text).Serialize(), text);
+}
+
+/// Two matmul requests under a 40-step budget: the 30-step run finishes
+/// within it and the 60-step run suspends, so the batch ends unfinished and
+/// keeps the first job's finished snapshot.
+std::vector<ExplorationRequest> FinishedFixtureBatch() {
+  const auto build = [](std::size_t steps) {
+    return RequestBuilder("matmul")
+        .Size(5)
+        .KernelSeed(2023)
+        .MaxSteps(steps)
+        .RewardCap(1e18)
+        .Epsilon(1.0, 0.05, 25)
+        .Seed(1)
+        .RecordTrace()
+        .Build();
+  };
+  return {build(30), build(60)};
+}
+
+constexpr std::size_t kFinishedFixtureBudget = 40;
+
+const char* FinishedFixturePath() {
+  return AXDSE_SOURCE_DIR "/tests/golden/matmul_finished_seed1.ckpt";
+}
+
+TEST(GoldenCheckpoint, FinishedSnapshotMatchesCheckedInFixture) {
+  const std::vector<ExplorationRequest> batch = FinishedFixtureBatch();
+  const Engine engine(EngineOptions{1});
+  const BatchResult reference = engine.Run(batch);
+
+  testsupport::ScopedTempDir dir("finished-fixture");
+  const BatchResult partial =
+      engine.SaveBatchCheckpoint(batch, dir.Str(), kFinishedFixtureBudget);
+  ASSERT_EQ(partial.unfinished_jobs, 1u);
+  const std::string path =
+      (std::filesystem::path(dir.Str()) /
+       JobCheckpointFileName(batch.front().ToString(), 1))
+          .string();
+  const std::string written = ReadCheckpointFile(path, "fixture test");
+  testsupport::ExpectMatchesGolden(FinishedFixturePath(), written);
+  const Checkpoint finished = Checkpoint::Deserialize(written);
+  EXPECT_TRUE(finished.finished);
+  EXPECT_EQ(finished.Serialize(), written);
+
+  const BatchResult resumed = engine.ResumeBatch(batch, dir.Str());
+  EXPECT_TRUE(resumed.Complete());
+  EXPECT_EQ(report::BatchJson(resumed), report::BatchJson(reference));
+  EXPECT_EQ(report::BatchCsv(resumed), report::BatchCsv(reference));
+}
+
+TEST(GoldenCheckpoint, ResumingFromTheFinishedFixtureSkipsTheJob) {
+  // The checked-in finished snapshot, alone in a directory, stands in for
+  // its job: the batch resumes around it and matches the uninterrupted run.
+  const std::vector<ExplorationRequest> batch = FinishedFixtureBatch();
+  const Engine engine(EngineOptions{1});
+  testsupport::ScopedTempDir dir("finished-fixture-resume");
+  std::filesystem::create_directories(dir.Str());
+  {
+    std::ofstream out(std::filesystem::path(dir.Str()) /
+                          JobCheckpointFileName(batch.front().ToString(), 1),
+                      std::ios::binary);
+    out << testsupport::ReadGolden(FinishedFixturePath());
+  }
+  std::size_t first_job_reports = 0;
+  RunHooks hooks;
+  hooks.on_progress = [&](const JobProgress& progress) {
+    if (progress.request_index == 0) first_job_reports += 1;
+  };
+  CheckpointOptions checkpoint;
+  checkpoint.directory = dir.Str();
+  const BatchResult resumed = engine.Run(batch, checkpoint, hooks);
+  EXPECT_TRUE(resumed.Complete());
+  EXPECT_EQ(first_job_reports, 1u);  // one restored report, no stepping
+  EXPECT_EQ(report::BatchJson(resumed), report::BatchJson(engine.Run(batch)));
+  EXPECT_TRUE(std::filesystem::is_empty(dir.Str()));
 }
 
 }  // namespace
