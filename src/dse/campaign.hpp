@@ -10,8 +10,8 @@
 // is an in-memory loop that writes nothing; with one, the directory is a
 // shard state directory (dse/shard.hpp) and Campaign::Run works it as the
 // single shard worker "campaign" — each finished chunk commits its result
-// document, in-flight jobs persist as Engine job snapshots — so a killed
-// campaign resumes mid-grid (through Campaign::Run or shard workers) and
+// document, a chunk that stops short persists its jobs as Engine job
+// snapshots — so a killed campaign resumes mid-grid (through Campaign::Run or shard workers) and
 // finishes with byte-identical reports to an uninterrupted run. Results
 // stream into a CampaignAggregator that maintains per-kernel Pareto fronts
 // (incremental insertion + dominance pruning) and best-per-kernel tables;

@@ -61,7 +61,49 @@ struct JobOutcome {
   std::exception_ptr error;
   /// The job hit the checkpoint step budget and suspended mid-run.
   bool suspended = false;
+  /// The job ran to completion in this invocation (not restored from a
+  /// finished snapshot); its finished snapshot is owed if the batch stops
+  /// short.
+  bool finished_here = false;
 };
+
+/// Prefix qualifying a shared-cache group's snapshot identity by the whole
+/// batch: a different batch over the same kernels sharing one directory must
+/// neither restore nor delete this batch's cache state.
+std::string CacheSnapshotPrefix(const std::vector<std::string>& request_texts) {
+  std::string batch_key;
+  for (const std::string& text : request_texts) {
+    batch_key += text;
+    batch_key += '\n';
+  }
+  return "batch#" + std::to_string(StableHash64(batch_key)) + "|";
+}
+
+/// Wraps the exception in flight with the job's identity (the batch is
+/// rethrown far from the failing request), nesting the original so callers
+/// can reach the root cause. Call only from a catch block.
+std::exception_ptr JobFailure(const ExplorationRequest& request,
+                              const Job& job) {
+  const std::string kernel_name =
+      request.kernel_override ? "<override>" : request.kernel.ToString();
+  std::string what = "unknown error";
+  try {
+    throw;
+  } catch (const std::exception& e) {
+    what = e.what();
+  } catch (...) {
+  }
+  try {
+    std::throw_with_nested(BatchJobError(
+        "Engine::Run: job failed (request #" +
+            std::to_string(job.request_index) + ", kernel '" + kernel_name +
+            "', seed " + std::to_string(request.seed + job.seed_index) +
+            "): " + what,
+        job.request_index, request.seed + job.seed_index, kernel_name));
+  } catch (...) {
+    return std::current_exception();
+  }
+}
 
 std::string ModalKey(const std::map<std::string, std::size_t>& votes) {
   std::string best;
@@ -76,6 +118,28 @@ std::string ModalKey(const std::map<std::string, std::size_t>& votes) {
 }
 
 }  // namespace
+
+std::vector<std::string> BatchSnapshotFileNames(
+    const std::vector<ExplorationRequest>& requests) {
+  std::vector<std::string> request_texts;
+  request_texts.reserve(requests.size());
+  for (const ExplorationRequest& request : requests)
+    request_texts.push_back(request.ToString());
+  std::vector<std::string> names;
+  std::set<std::string> signatures;
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    for (std::size_t s = 0; s < requests[r].num_seeds; ++s)
+      names.push_back(
+          JobCheckpointFileName(request_texts[r], requests[r].seed + s));
+    if (requests[r].cache_mode == CacheMode::kShared &&
+        !requests[r].kernel_override)
+      signatures.insert(RegistrySignature(requests[r]));
+  }
+  const std::string prefix = CacheSnapshotPrefix(request_texts);
+  for (const std::string& signature : signatures)
+    names.push_back(CacheCheckpointFileName(prefix + signature));
+  return names;
+}
 
 std::string RequestResult::ModalAdder() const { return ModalKey(adder_votes); }
 
@@ -233,19 +297,11 @@ BatchResult Engine::Run(const std::vector<ExplorationRequest>& requests,
   // Restore suspended shared-cache groups BEFORE any worker starts, so a
   // resumed batch replays the uninterrupted run's cache behaviour (and its
   // exported statistics) byte for byte. Snapshot identity is the kernel
-  // signature QUALIFIED BY THE WHOLE BATCH: a different batch over the same
-  // kernels sharing one directory must neither restore nor delete this
-  // batch's cache state.
+  // signature qualified by the whole batch (CacheSnapshotPrefix).
   std::map<std::string, std::string> cache_paths;       // signature -> path
   std::map<std::string, std::string> cache_identities;  // signature -> id
   if (checkpointing) {
-    std::string batch_key;
-    for (const std::string& text : request_texts) {
-      batch_key += text;
-      batch_key += '\n';
-    }
-    const std::string prefix =
-        "batch#" + std::to_string(StableHash64(batch_key)) + "|";
+    const std::string prefix = CacheSnapshotPrefix(request_texts);
     for (const auto& [signature, cache] : caches) {
       if (provided_caches.count(signature) != 0) continue;
       const std::string identity = prefix + signature;
@@ -280,6 +336,9 @@ BatchResult Engine::Run(const std::vector<ExplorationRequest>& requests,
       if (index >= jobs.size()) return;
       const Job& job = jobs[index];
       JobOutcome& out = outcomes[index];
+      // Set while the job's snapshot loads and validates: a failure there is
+      // the batch's CheckpointError itself, not a wrapped job failure.
+      bool restoring = false;
       try {
         const ExplorationRequest& request = requests[job.request_index];
         // Resolve the kernel: the caller's instance when overridden (shared
@@ -351,12 +410,15 @@ BatchResult Engine::Run(const std::vector<ExplorationRequest>& requests,
           bool done = false;
           std::error_code ec;
           if (fs::exists(path, ec)) {
+            restoring = true;
             Checkpoint snapshot = Checkpoint::Load(path);
             if (snapshot.request != request_text ||
                 snapshot.seed != config.seed)
               throw CheckpointError(
                   "Engine::Run: snapshot at " + path +
                   " belongs to a different job (request/seed mismatch)");
+            if (!snapshot.finished) explorer.ResumeFrom(snapshot);
+            restoring = false;
             if (snapshot.finished) {
               out.result = std::move(snapshot.result);
               // stage_counts is derived data (recomputed from the solution
@@ -379,8 +441,6 @@ BatchResult Engine::Run(const std::vector<ExplorationRequest>& requests,
                 progress.finished = true;
                 hooks.on_progress(progress);
               }
-            } else {
-              explorer.ResumeFrom(snapshot);
             }
           }
 
@@ -427,47 +487,16 @@ BatchResult Engine::Run(const std::vector<ExplorationRequest>& requests,
             } else {
               emit(true, false);
               out.result = explorer.Finish();
-              // Always persist the completion: any later invocation against
-              // this directory (after a budget suspension elsewhere, a
-              // failed sibling job, or a crash) must load this job's result
-              // instead of re-running it — a re-run against the persisted
-              // shared caches would distort the exported statistics. The
-              // file is removed with the rest once the batch completes.
-              Checkpoint final_snapshot;
-              final_snapshot.finished = true;
-              final_snapshot.agent_kind = dse::ToString(request.agent_kind);
-              stamp(final_snapshot);
-              final_snapshot.result = out.result;
-              final_snapshot.Save(path);
+              out.finished_here = true;  // snapshot written at batch end
             }
           }
         }
         out.reward = reward;
         out.kernel_name = kernel->Name();
       } catch (...) {
-        // Never swallow a job failure: wrap it with the job's identity (the
-        // batch is rethrown far from the failing request) and nest the
-        // original exception so callers can reach the root cause.
-        const ExplorationRequest& request = requests[job.request_index];
-        const std::string kernel_name =
-            request.kernel_override ? "<override>" : request.kernel.ToString();
-        std::string what = "unknown error";
-        try {
-          throw;
-        } catch (const std::exception& e) {
-          what = e.what();
-        } catch (...) {
-        }
-        try {
-          std::throw_with_nested(BatchJobError(
-              "Engine::Run: job failed (request #" +
-                  std::to_string(job.request_index) + ", kernel '" +
-                  kernel_name + "', seed " +
-                  std::to_string(request.seed + job.seed_index) + "): " + what,
-              job.request_index, request.seed + job.seed_index, kernel_name));
-        } catch (...) {
-          out.error = std::current_exception();
-        }
+        // Never swallow a job failure.
+        out.error = restoring ? std::current_exception()
+                              : JobFailure(requests[job.request_index], job);
       }
     }
   };
@@ -483,20 +512,41 @@ BatchResult Engine::Run(const std::vector<ExplorationRequest>& requests,
     for (std::thread& t : pool) t.join();
   }
 
-  // First failure in job order — deterministic regardless of which worker
-  // hit it first.
-  std::exception_ptr first_error;
-  for (const JobOutcome& outcome : outcomes)
-    if (outcome.error) {
-      first_error = outcome.error;
-      break;
-    }
-
   std::size_t unfinished = 0;
-  for (const JobOutcome& outcome : outcomes)
+  bool failed = false;
+  for (const JobOutcome& outcome : outcomes) {
     if (outcome.suspended) ++unfinished;
+    if (outcome.error) failed = true;
+  }
 
-  if (checkpointing && (unfinished > 0 || first_error)) {
+  if (checkpointing && (unfinished > 0 || failed)) {
+    // The batch stops short (a step budget, should_suspend, or a failed
+    // sibling job), so the next invocation against this directory resumes
+    // it. Jobs that finished in this invocation persist their results now:
+    // that invocation loads them instead of re-running them against the
+    // persisted shared caches, which would distort the exported statistics.
+    // A batch that completes never writes one, and a crash mid-batch leaves
+    // none behind, so the rerun recomputes the finished jobs against the
+    // same cache state. A failed save is that job's failure.
+    for (std::size_t index = 0; index < jobs.size(); ++index) {
+      JobOutcome& outcome = outcomes[index];
+      if (!outcome.finished_here) continue;
+      const Job& job = jobs[index];
+      const ExplorationRequest& request = requests[job.request_index];
+      try {
+        Checkpoint snapshot;
+        snapshot.request = request_texts[job.request_index];
+        snapshot.seed = request.seed + job.seed_index;
+        snapshot.agent_kind = dse::ToString(request.agent_kind);
+        snapshot.finished = true;
+        snapshot.result = outcome.result;
+        snapshot.Save((fs::path(checkpoint.directory) /
+                       JobCheckpointFileName(snapshot.request, snapshot.seed))
+                          .string());
+      } catch (...) {
+        outcome.error = JobFailure(request, job);
+      }
+    }
     // Persist each shared-cache group next to the job snapshots — also on
     // the error path, where other jobs may already have written advanced
     // snapshots. All workers have joined, so the snapshot is quiescent;
@@ -513,18 +563,16 @@ BatchResult Engine::Run(const std::vector<ExplorationRequest>& requests,
       snapshot.Save(cache_paths.at(signature));
     }
   }
-  if (first_error) std::rethrow_exception(first_error);
+  // First failure in job order — deterministic regardless of which worker
+  // hit it first.
+  for (const JobOutcome& outcome : outcomes)
+    if (outcome.error) std::rethrow_exception(outcome.error);
 
   if (checkpointing && unfinished == 0) {
     // Batch complete: nothing left to resume; drop this batch's files.
     std::error_code ec;
-    for (std::size_t r = 0; r < requests.size(); ++r)
-      for (std::size_t s = 0; s < requests[r].num_seeds; ++s)
-        fs::remove(fs::path(checkpoint.directory) /
-                       JobCheckpointFileName(request_texts[r],
-                                             requests[r].seed + s),
-                   ec);
-    for (const auto& [signature, path] : cache_paths) fs::remove(path, ec);
+    for (const std::string& name : BatchSnapshotFileNames(requests))
+      fs::remove(fs::path(checkpoint.directory) / name, ec);
   }
 
   // Fold per-request aggregates serially, in request and seed order.

@@ -75,12 +75,20 @@ struct EngineOptions {
 /// with byte-identical results, traces, rewards, and JSON/CSV exports to
 /// the uninterrupted run. Requires registry-named kernels
 /// (kernel_override is not serializable; Run() throws otherwise).
+///
+/// When snapshots are written: a suspended job saves its mid-run state as
+/// it suspends; a finished job's result and the shared-cache groups are
+/// saved only when the batch ends unfinished (a suspended or failed job).
+/// A batch that completes writes no finished snapshot and removes its
+/// files. A crash mid-batch therefore leaves only what earlier invocations
+/// and autosaves wrote: the rerun recomputes the jobs that had finished,
+/// byte-identically, against the same cache state.
 struct CheckpointOptions {
   /// Snapshot directory (created on demand). Empty = checkpointing off.
   std::string directory;
-  /// Autosave period in environment steps (0 = save only at suspension or
-  /// completion). ExplorationRequest::checkpoint_interval overrides this
-  /// per request when non-zero.
+  /// Autosave period in environment steps (0 = save only at suspension).
+  /// ExplorationRequest::checkpoint_interval overrides this per request
+  /// when non-zero.
   std::size_t interval = 0;
   /// Cooperative preemption: each job takes at most this many NEW steps in
   /// this invocation, then suspends into `directory`. Suspended runs carry
@@ -252,6 +260,14 @@ class BatchJobError : public std::runtime_error {
   std::string kernel_;
 };
 
+/// File names, inside a checkpoint directory, of every snapshot
+/// Engine::Run may keep for `requests`: each job's "job-*.ckpt" in job
+/// order, then each shared-cache group's "cache-*.ckpt" in signature order.
+/// Names another batch's files never share, so removing them leaves every
+/// other batch in the directory intact.
+std::vector<std::string> BatchSnapshotFileNames(
+    const std::vector<ExplorationRequest>& requests);
+
 /// Executes request batches. Stateless between Run() calls; one Engine can
 /// be reused freely. Kernel names resolve against the registry given at
 /// construction (the global one by default).
@@ -270,12 +286,16 @@ class Engine {
   BatchResult Run(const std::vector<ExplorationRequest>& requests) const;
 
   /// Run() under a checkpoint policy: jobs resume from snapshots already in
-  /// `checkpoint.directory`, autosave every `interval` steps, suspend after
-  /// `step_budget` new steps, and the batch's snapshot files are removed
-  /// once every job completed. Throws CheckpointError on malformed or
-  /// mismatched snapshot files (before any result is produced) and
-  /// std::invalid_argument when checkpointing is combined with
-  /// kernel_override requests.
+  /// `checkpoint.directory`, autosave every `interval` steps and suspend
+  /// after `step_budget` new steps. When the batch ends unfinished, every
+  /// job that finished in this call saves a finished snapshot (jobs
+  /// restored as finished are not written again); once every job
+  /// completed, the batch's snapshot files are removed instead. A job whose
+  /// snapshot fails to load or validate fails with that CheckpointError
+  /// itself, unwrapped, so the first failure in job order may be a
+  /// CheckpointError; a snapshot that fails to save is its job's
+  /// BatchJobError. Throws std::invalid_argument when checkpointing is
+  /// combined with kernel_override requests.
   BatchResult Run(const std::vector<ExplorationRequest>& requests,
                   const CheckpointOptions& checkpoint) const;
 

@@ -351,27 +351,15 @@ ClaimOutcome TryClaim(const ShardContext& ctx, std::size_t chunk,
   return ClaimOutcome::kReclaimed;
 }
 
-/// Removes every engine snapshot of `slice`'s jobs (and their shared-cache
-/// groups are keyed per run, so chunk re-execution regenerates them). Used
-/// once when a resume hits a corrupt snapshot: drop and recompute beats
-/// dying, and determinism makes the recomputed chunk byte-identical.
+/// Removes `slice`'s engine snapshots — its jobs' and its shared-cache
+/// groups', never another chunk's. Used once when a resume hits a snapshot
+/// that fails to load: drop and recompute beats dying, and determinism
+/// makes the recomputed chunk byte-identical.
 void RemoveEngineSnapshots(const ShardContext& ctx,
                            const std::vector<ExplorationRequest>& slice) {
   std::error_code ec;
-  for (const ExplorationRequest& request : slice) {
-    const std::string request_text = request.ToString();
-    for (std::size_t s = 0; s < request.num_seeds; ++s)
-      fs::remove(ctx.Path(JobCheckpointFileName(request_text,
-                                                request.seed + s)),
-                 ec);
-  }
-  for (const auto& entry :
-       fs::directory_iterator(ctx.options.state_directory, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("cache-", 0) == 0 &&
-        name.size() > 5 && name.substr(name.size() - 5) == ".ckpt")
-      fs::remove(entry.path(), ec);
-  }
+  for (const std::string& name : BatchSnapshotFileNames(slice))
+    fs::remove(ctx.Path(name), ec);
 }
 
 /// What ExecuteChunk did: committed the chunk's `result`, yielded the chunk

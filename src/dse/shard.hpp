@@ -9,7 +9,11 @@
 //   campaign.manifest   spec + chunking, written once, verified by everyone
 //   chunk-<i>.lease     owner claim: worker id, generation, heartbeat
 //   chunk-<i>.done      the chunk's result document (a CampaignChunkCheckpoint)
-//   job-*.ckpt ...      the engine's ordinary mid-chunk job snapshots
+//   job-*.ckpt ...      the engine's snapshots of a chunk that stopped
+//                       short (step budget, drain, lost lease): suspended
+//                       and finished jobs plus shared caches. A chunk that
+//                       completes writes none; one killed mid-run is
+//                       recomputed from its last suspension.
 //
 // Claim protocol: a virgin chunk is claimed by O_EXCL-creating its lease; a
 // lease whose owner stopped heartbeating for lease_ttl (observed on the

@@ -542,6 +542,100 @@ TEST(CheckpointCorruption, SharedCacheCheckpointHardening) {
 }
 
 // ---------------------------------------------------------------------------
+// Engine snapshot boundary: a snapshot that fails to load or validate is a
+// CheckpointError; a snapshot that fails to save is its job's BatchJobError.
+// ---------------------------------------------------------------------------
+
+std::vector<ExplorationRequest> TwoMatmulRequests(std::size_t first_steps,
+                                                  std::size_t second_steps) {
+  const auto build = [](std::size_t steps, std::uint64_t seed) {
+    return RequestBuilder("matmul")
+        .Size(4)
+        .KernelSeed(7)
+        .MaxSteps(steps)
+        .RewardCap(1e18)
+        .Epsilon(1.0, 0.05, 20)
+        .Seed(seed)
+        .Build();
+  };
+  return {build(first_steps, 3), build(second_steps, 11)};
+}
+
+std::string JobSnapshotPath(const std::string& dir,
+                            const ExplorationRequest& request) {
+  return (std::filesystem::path(dir) /
+          JobCheckpointFileName(request.ToString(), request.seed))
+      .string();
+}
+
+TEST(EngineSnapshots, UnloadableJobSnapshotsThrowCheckpointErrorInJobOrder) {
+  const std::vector<ExplorationRequest> batch = TwoMatmulRequests(60, 60);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    const Engine engine(EngineOptions{workers});
+    testsupport::ScopedTempDir dir("engine-corrupt-job");
+    ASSERT_EQ(engine.SaveBatchCheckpoint(batch, dir.Str(), 20).unfinished_jobs,
+              2u);
+    const std::string first = JobSnapshotPath(dir.Str(), batch[0]);
+    const std::string second = JobSnapshotPath(dir.Str(), batch[1]);
+
+    // Malformed: the torn second snapshot fails alone.
+    const std::string second_text = ReadCheckpointFile(second, "test");
+    {
+      std::ofstream out(second, std::ios::binary | std::ios::trunc);
+      out << second_text.substr(0, second_text.size() / 2);
+    }
+    EXPECT_THROW(engine.ResumeBatch(batch, dir.Str()), CheckpointError);
+
+    // Mismatched: the second job's snapshot copied over the first one's.
+    // Both jobs now fail; the first in job order is rethrown.
+    {
+      std::ofstream out(first, std::ios::binary | std::ios::trunc);
+      out << second_text;
+    }
+    try {
+      engine.ResumeBatch(batch, dir.Str());
+      ADD_FAILURE() << "expected CheckpointError";
+    } catch (const CheckpointError& error) {
+      EXPECT_NE(std::string(error.what()).find(first), std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(EngineSnapshots, FailedFinishedSnapshotSaveIsTheJobsBatchJobError) {
+  // The first job finishes within the budget and the second suspends, so
+  // the batch ends unfinished and writes the first job's finished snapshot.
+  // A non-empty directory planted at its path makes that rename fail.
+  const std::vector<ExplorationRequest> batch = TwoMatmulRequests(20, 60);
+  testsupport::ScopedTempDir dir("engine-finished-save");
+  const std::string blocked = JobSnapshotPath(dir.Str(), batch[0]);
+  RunHooks hooks;
+  hooks.on_progress = [&](const JobProgress& progress) {
+    if (progress.request_index != 0 || !progress.finished) return;
+    std::filesystem::create_directories(blocked);
+    std::ofstream(std::filesystem::path(blocked) / "occupant") << "x";
+  };
+  CheckpointOptions checkpoint;
+  checkpoint.directory = dir.Str();
+  checkpoint.step_budget = 30;
+  try {
+    Engine(EngineOptions{1}).Run(batch, checkpoint, hooks);
+    ADD_FAILURE() << "expected BatchJobError";
+  } catch (const BatchJobError& error) {
+    EXPECT_EQ(error.RequestIndex(), 0u);
+    EXPECT_EQ(error.Seed(), batch[0].seed);
+    try {
+      std::rethrow_if_nested(error);
+      ADD_FAILURE() << "expected a nested CheckpointError";
+    } catch (const CheckpointError&) {
+    }
+  }
+  // The suspended sibling still persisted its snapshot.
+  EXPECT_TRUE(std::filesystem::is_regular_file(
+      JobSnapshotPath(dir.Str(), batch[1])));
+}
+
+// ---------------------------------------------------------------------------
 // Golden fixture: the serialized checkpoint format is pinned byte-for-byte.
 // Regenerate intentionally with AXDSE_UPDATE_GOLDEN=1 and review the diff.
 // ---------------------------------------------------------------------------

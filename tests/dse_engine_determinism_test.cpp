@@ -337,6 +337,61 @@ TEST(EngineDeterminism, BatchesSharingADirectoryDoNotCrossContaminate) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(EngineDeterminism, CrashAfterAFinishedJobRecomputesItByteIdentically) {
+  // Two shared-cache jobs on one kernel, one worker, no autosaves. The copy
+  // of the directory taken when job 2 first reports is what a SIGKILL at
+  // that moment leaves behind: no job snapshot, so the rerun recomputes job
+  // 1 against the same empty cache and reproduces the uninterrupted exports,
+  // cache counters included.
+  const auto build = [](std::uint64_t seed) {
+    return RequestBuilder("matmul")
+        .Size(4)
+        .KernelSeed(7)
+        .MaxSteps(90)
+        .RewardCap(1e18)
+        .Epsilon(1.0, 0.05, 60)
+        .Seed(seed)
+        .RecordTrace()
+        .Cache(CacheMode::kShared)
+        .Build();
+  };
+  const std::vector<ExplorationRequest> requests = {build(3), build(11)};
+  const Engine engine(EngineOptions{1});
+  const BatchResult reference = engine.Run(requests);
+  const std::string reference_json = report::BatchJson(reference);
+  const std::string reference_csv = report::BatchCsv(reference);
+
+  const std::filesystem::path dir = ScratchDir("crash-live");
+  const std::filesystem::path crashed = ScratchDir("crash-copy");
+  std::filesystem::create_directories(dir);
+  bool copied = false;
+  RunHooks hooks;
+  hooks.interval = 16;
+  hooks.on_progress = [&](const JobProgress& progress) {
+    if (progress.request_index != 1 || copied) return;
+    copied = true;
+    std::filesystem::copy(dir, crashed,
+                          std::filesystem::copy_options::recursive);
+  };
+  CheckpointOptions checkpoint;
+  checkpoint.directory = dir.string();
+  const BatchResult live = engine.Run(requests, checkpoint, hooks);
+  EXPECT_TRUE(live.Complete());
+  EXPECT_EQ(report::BatchJson(live), reference_json);
+  ASSERT_TRUE(copied);
+  for (const auto& entry : std::filesystem::directory_iterator(crashed))
+    EXPECT_NE(entry.path().filename().string().rfind("job-", 0), 0u)
+        << entry.path();
+
+  const BatchResult rerun = engine.ResumeBatch(requests, crashed.string());
+  EXPECT_TRUE(rerun.Complete());
+  EXPECT_EQ(report::BatchJson(rerun), reference_json);
+  EXPECT_EQ(report::BatchCsv(rerun), reference_csv);
+  EXPECT_FALSE(DirectoryHasFiles(crashed));
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(crashed);
+}
+
 TEST(EngineDeterminism, CheckpointingRejectsKernelOverrideRequests) {
   workloads::KernelParams params;
   params.size = 4;

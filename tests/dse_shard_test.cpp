@@ -599,6 +599,56 @@ TEST(ShardWorker, DeadWorkersEngineSnapshotsAreResumed) {
   ExpectMergeMatchesReference(dir.Str(), reference);
 }
 
+TEST(ShardWorker, CorruptSnapshotRecoveryDropsOnlyItsOwnChunk) {
+  // A cache=shared grid in two chunks, both suspended into the directory
+  // with job and shared-cache snapshots. One of chunk 0's snapshots is then
+  // corrupted: the worker drops and recomputes chunk 0 alone, chunk 1
+  // resumes its own snapshots, and with one engine worker the merged
+  // documents, cache counters included, equal Campaign::Run's.
+  const CampaignSpec spec = CampaignSpec::Parse(
+      "kernels=dot@32{blocks=4},kmeans1d@40{clusters=3}"
+      " agents=q-learning,sarsa cache=shared"
+      " steps=60 seeds=2 seed=1 kernel-seed=2023 reward-cap=1e18");
+  constexpr std::size_t kCells = 2;
+  const Engine engine(EngineOptions{1});
+  CampaignOptions reference_options;
+  reference_options.chunk_cells = kCells;
+  const CampaignResult reference =
+      Campaign(engine).Run(spec, reference_options);
+  const std::vector<ExplorationRequest> grid = spec.Expand();
+  ASSERT_EQ(grid.size(), 2 * kCells);
+
+  for (const char* corrupted : {"cache-", "job-"}) {
+    ScopedTempDir dir(std::string("shard-corrupt-snapshot-") + corrupted);
+    ASSERT_GT(engine
+                  .SaveBatchCheckpoint({grid.begin(), grid.begin() + kCells},
+                                       dir.Str(), 20)
+                  .unfinished_jobs,
+              0u);
+    std::string victim;  // one of chunk 0's snapshots
+    for (const auto& entry : fs::directory_iterator(dir.Str())) {
+      const std::string name = entry.path().filename().string();
+      if (name.rfind(corrupted, 0) == 0) victim = name;
+    }
+    ASSERT_FALSE(victim.empty());
+    ASSERT_GT(engine
+                  .SaveBatchCheckpoint({grid.begin() + kCells, grid.end()},
+                                       dir.Str(), 20)
+                  .unfinished_jobs,
+              0u);
+    WriteRaw(PathIn(dir.Str(), victim), "corrupt\n");
+
+    ShardOptions options = QuickShardOptions(dir.Str(), "recoverer");
+    options.chunk_cells = kCells;
+    ASSERT_TRUE(ShardWorker(engine).Run(spec, options).complete) << corrupted;
+    const CampaignResult merged = MergeShardedCampaign(dir.Str());
+    EXPECT_EQ(report::CampaignJson(merged), report::CampaignJson(reference))
+        << corrupted;
+    EXPECT_EQ(report::CampaignCsv(merged), report::CampaignCsv(reference))
+        << corrupted;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Foreign state and strict merge
 // ---------------------------------------------------------------------------
