@@ -336,9 +336,7 @@ BatchResult Engine::Run(const std::vector<ExplorationRequest>& requests,
       if (index >= jobs.size()) return;
       const Job& job = jobs[index];
       JobOutcome& out = outcomes[index];
-      // Set while the job's snapshot loads and validates: a failure there is
-      // the batch's CheckpointError itself, not a wrapped job failure.
-      bool restoring = false;
+      bool restoring = false;  // the job's snapshot loads and validates
       try {
         const ExplorationRequest& request = requests[job.request_index];
         // Resolve the kernel: the caller's instance when overridden (shared
@@ -493,10 +491,14 @@ BatchResult Engine::Run(const std::vector<ExplorationRequest>& requests,
         }
         out.reward = reward;
         out.kernel_name = kernel->Name();
-      } catch (...) {
-        // Never swallow a job failure.
+      } catch (const CheckpointError&) {
+        // A snapshot that fails to load or validate surfaces unwrapped, as
+        // Run's documented CheckpointError.
         out.error = restoring ? std::current_exception()
                               : JobFailure(requests[job.request_index], job);
+      } catch (...) {
+        // Never swallow a job failure.
+        out.error = JobFailure(requests[job.request_index], job);
       }
     }
   };

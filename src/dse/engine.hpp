@@ -263,8 +263,8 @@ class BatchJobError : public std::runtime_error {
 /// File names, inside a checkpoint directory, of every snapshot
 /// Engine::Run may keep for `requests`: each job's "job-*.ckpt" in job
 /// order, then each shared-cache group's "cache-*.ckpt" in signature order.
-/// Names another batch's files never share, so removing them leaves every
-/// other batch in the directory intact.
+/// Cache names are qualified by the whole batch, so removing them never
+/// touches another batch's cache snapshots.
 std::vector<std::string> BatchSnapshotFileNames(
     const std::vector<ExplorationRequest>& requests);
 
