@@ -10,11 +10,11 @@
 // (precise/approximate adder and multiplier) to POD descriptors ONCE per
 // configuration (axc::OperatorPlan). Every scalar op then goes through a
 // flat, inlinable switch; the batched primitives (DotAccumulate /
-// AxpyAccumulate) additionally hoist selection resolution, opcode dispatch,
-// and op-count accounting out of their inner loops. The virtual
-// Adder/Multiplier hierarchy remains the catalog/characterization API —
-// operators outside the built-in families dispatch through it via the
-// kVirtual descriptor, with unchanged behavior.
+// AxpyAccumulate / AccumulateProducts) additionally hoist selection
+// resolution, opcode dispatch, and op-count accounting out of their inner
+// loops. The virtual Adder/Multiplier hierarchy remains the
+// catalog/characterization API — operators outside the built-in families
+// dispatch through it via the kVirtual descriptor, with unchanged behavior.
 
 #include <cassert>
 #include <cstdint>
@@ -152,6 +152,36 @@ class ApproxContext {
     counts_.AccumulateAdds(add_approx, n);
     detail::AxpyChain(plan_.mul[mul_approx], plan_.add[add_approx], y, x, n,
                       alpha);
+  }
+
+  /// Batched accumulation of memoized products: y[i] = Add(y[i], p[i]) for
+  /// i in [0, n). The caller guarantees p[i] equals the product
+  /// Mul(alpha, x[i]) that AxpyAccumulate with the same `mul_vars` would
+  /// compute under this context's plan. Resolution and counting (`n` muls,
+  /// `n` adds) match AxpyAccumulate, so outputs and Counts() are
+  /// bit-identical to it; only the multiplies themselves are skipped.
+  void AccumulateProducts(std::int64_t* y, const std::int64_t* p,
+                          std::size_t n, VarList mul_vars,
+                          VarList add_vars) noexcept {
+    if (n == 0) return;
+    const bool mul_approx = AnyApproximated(mul_vars);
+    const bool add_approx = AnyApproximated(add_vars);
+    counts_.AccumulateMuls(mul_approx, n);
+    counts_.AccumulateAdds(add_approx, n);
+    if (plan_.add[add_approx].code == axc::AddOpCode::kExact) {
+      // Sign-magnitude exact addition is two's-complement addition (modulo
+      // 2^64 for either sign pair), which vectorizes without the sign test.
+      AXDSE_SIMD_LOOP
+      for (std::size_t i = 0; i < n; ++i)
+        y[i] = static_cast<std::int64_t>(static_cast<std::uint64_t>(y[i]) +
+                                         static_cast<std::uint64_t>(p[i]));
+      return;
+    }
+    axc::WithAddOp(plan_.add[add_approx], [&](auto add) {
+      AXDSE_SIMD_LOOP
+      for (std::size_t i = 0; i < n; ++i)
+        y[i] = axc::ops::SignedAdd(add, y[i], p[i]);
+    });
   }
 
   /// Number of kernel variables this context was built for.

@@ -1,5 +1,6 @@
 #include "workloads/fir_kernel.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "instrument/multi_approx_context.hpp"
@@ -35,6 +36,8 @@ FirKernel::FirKernel(std::size_t num_samples, std::size_t taps, double cutoff,
       variables_.push_back({"h.tap" + std::to_string(k)});
     variables_.push_back({"acc"});
   }
+  if (h_.size() * x_.size() <= kMaxTableProducts)
+    tables_ = std::vector<ProductTable>(operators_.multipliers.size());
 }
 
 FirKernel::FirKernel(std::size_t num_samples, std::uint64_t seed)
@@ -53,6 +56,30 @@ std::size_t FirKernel::VarOfAccumulator() const noexcept {
   return granularity_ == FirGranularity::kPerArray ? 2 : 1 + h_.size();
 }
 
+const std::int64_t* FirKernel::ApproxProducts(
+    const instrument::ApproxContext& ctx) const {
+  const axc::MulOpDescriptor& desc = ctx.Plan().mul[1];
+  const std::size_t m = ctx.Selection().MultiplierIndex();
+  if (desc.code == axc::MulOpCode::kExact || m >= tables_.size() ||
+      !(operators_.multipliers[m].model->PlanDescriptor() == desc))
+    return nullptr;
+  ProductTable& table = tables_[m];
+  std::call_once(table.built, [&] {
+    const std::size_t n = x_.size();
+    const std::size_t rows = std::min(h_.size(), n);
+    table.products.resize(rows * n);
+    axc::WithMulOp(desc, [&](auto mul) {
+      // Row k holds only the n - k products Run() reads.
+      for (std::size_t k = 0; k < rows; ++k)
+        for (std::size_t i = 0; i < n - k; ++i)
+          table.products[k * n + i] = axc::ops::SignedMul(
+              mul, static_cast<std::int64_t>(h_[k]),
+              static_cast<std::int64_t>(x_[i]));
+    });
+  });
+  return table.products.data();
+}
+
 std::vector<double> FirKernel::Run(instrument::ApproxContext& ctx) const {
   // Tap-major formulation: output i accumulates the tap products
   // h[0]*x[i], h[1]*x[i-1], ... in ascending k — exactly the operand
@@ -60,16 +87,31 @@ std::vector<double> FirKernel::Run(instrument::ApproxContext& ctx) const {
   // turns each tap into one batched AXPY over the accumulator array
   // (selection resolution and op accounting hoisted out of the inner loop;
   // per-tap variables make the per-output dot non-uniform, AXPY is the
-  // batchable axis).
-  std::vector<std::int64_t> acc(x_.size(), 0);  // Q30 accumulators
+  // batchable axis). Approximate taps add memoized products instead (see
+  // the header comment); the table is looked up at the first such tap.
+  const std::size_t n = x_.size();
+  std::vector<std::int64_t> acc(n, 0);  // Q30 accumulators
   const std::size_t x_var = VarOfInput();
   const std::size_t acc_var = VarOfAccumulator();
-  for (std::size_t k = 0; k < h_.size() && k < x_.size(); ++k) {
+  const std::int64_t* products = nullptr;
+  bool products_looked_up = false;
+  for (std::size_t k = 0; k < h_.size() && k < n; ++k) {
     // acc[i] += h[k] * x[i-k] for all outputs i >= k (zero-padded history
     // contributes nothing below that).
-    ctx.AxpyAccumulate(acc.data() + k, x_.data(), x_.size() - k,
-                       static_cast<std::int64_t>(h_[k]), {VarOfTap(k), x_var},
-                       {acc_var});
+    const std::size_t tap_var = VarOfTap(k);
+    const bool approx_mul = ctx.AnyApproximated({tap_var, x_var});
+    if (approx_mul && !products_looked_up) {
+      products = ApproxProducts(ctx);
+      products_looked_up = true;
+    }
+    if (approx_mul && products != nullptr) {
+      ctx.AccumulateProducts(acc.data() + k, products + k * n, n - k,
+                             {tap_var, x_var}, {acc_var});
+    } else {
+      ctx.AxpyAccumulate(acc.data() + k, x_.data(), n - k,
+                         static_cast<std::int64_t>(h_[k]), {tap_var, x_var},
+                         {acc_var});
+    }
   }
   std::vector<double> out(x_.size());
   for (std::size_t i = 0; i < x_.size(); ++i)

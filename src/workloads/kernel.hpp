@@ -37,10 +37,13 @@ struct StageOpCounts {
 /// (b) the list of variables the DSE may select for approximation. Run() must
 /// be deterministic and route *all* counted arithmetic through the context.
 ///
-/// Run() must also be const-thread-safe (no mutable member state): the
-/// dse::Engine executes multi-seed explorations of one kernel instance
-/// concurrently, each worker with its own ApproxContext. All built-in
-/// kernels satisfy this; keep scratch state inside Run()'s stack frame.
+/// Run() must also be const-thread-safe: the dse::Engine executes
+/// multi-seed explorations of one kernel instance concurrently, each worker
+/// with its own ApproxContext. Keep scratch state inside Run()'s stack
+/// frame. The one allowed kind of mutable member state is immutable data
+/// built once under std::call_once and only read afterwards (FirKernel's
+/// memoized tap products); anything else that changes across runs breaks
+/// the contract. All built-in kernels satisfy this.
 class Kernel {
  public:
   virtual ~Kernel() = default;

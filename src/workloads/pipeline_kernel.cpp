@@ -662,8 +662,7 @@ std::unique_ptr<Kernel> MakeJpegPathPipeline(const KernelParams& params) {
 
 std::unique_ptr<Kernel> MakeEdgePathPipeline(const KernelParams& params) {
   const std::size_t height = params.size == 0 ? 12 : params.size;
-  const std::size_t width = static_cast<std::size_t>(
-      params.GetInt("width", static_cast<std::int64_t>(height)));
+  const std::size_t width = params.GetCount("width", height);
   if (height < 3 || width < 3)
     throw std::invalid_argument("edge-path: image must be at least 3x3");
   const std::int64_t threshold = params.GetInt("threshold", 512);
@@ -681,12 +680,10 @@ std::unique_ptr<Kernel> MakeEdgePathPipeline(const KernelParams& params) {
 
 std::unique_ptr<Kernel> MakeNnLayerPipeline(const KernelParams& params) {
   const std::size_t height = params.size == 0 ? 12 : params.size;
-  const std::size_t width = static_cast<std::size_t>(
-      params.GetInt("width", static_cast<std::int64_t>(height)));
+  const std::size_t width = params.GetCount("width", height);
   if (height < 3 || width < 3)
     throw std::invalid_argument("nn-layer: image must be at least 3x3");
-  const std::size_t channels =
-      static_cast<std::size_t>(params.GetInt("channels", 3));
+  const std::size_t channels = params.GetCount("channels", 3);
   if (channels < 2)
     throw std::invalid_argument("nn-layer: channels must be >= 2 (top-error "
                                 "needs competing channels), got " +

@@ -37,6 +37,15 @@ std::int64_t KernelParams::GetInt(const std::string& key,
   return static_cast<std::int64_t>(v);
 }
 
+std::size_t KernelParams::GetCount(const std::string& key,
+                                  std::size_t fallback) const {
+  const std::int64_t v = GetInt(key, static_cast<std::int64_t>(fallback));
+  if (v < 0)
+    throw std::invalid_argument("KernelParams: value '" + std::to_string(v) +
+                                "' for key '" + key + "' must not be negative");
+  return static_cast<std::size_t>(v);
+}
+
 double KernelParams::GetDouble(const std::string& key, double fallback) const {
   const auto it = extra.find(key);
   if (it == extra.end()) return fallback;
@@ -131,8 +140,7 @@ void RegisterBuiltinKernels(KernelRegistry& registry) {
 
   registry.Register("fir", [](const KernelParams& p) {
     const std::size_t samples = p.size == 0 ? 100 : p.size;
-    const std::size_t taps =
-        static_cast<std::size_t>(p.GetInt("taps", 17));
+    const std::size_t taps = p.GetCount("taps", 17);
     const double cutoff = p.GetDouble("cutoff", 0.2);
     const std::string granularity = p.GetString("granularity", "per-tap");
     if (granularity != "per-tap" && granularity != "per-array")
@@ -154,10 +162,8 @@ void RegisterBuiltinKernels(KernelRegistry& registry) {
 
   registry.Register("conv2d", [](const KernelParams& p) {
     const std::size_t height = p.size == 0 ? 16 : p.size;
-    const std::size_t width = static_cast<std::size_t>(
-        p.GetInt("width", static_cast<std::int64_t>(height)));
-    const std::size_t bands =
-        static_cast<std::size_t>(p.GetInt("bands", 1));
+    const std::size_t width = p.GetCount("width", height);
+    const std::size_t bands = p.GetCount("bands", 1);
     return std::make_unique<Conv2DKernel>(height, width, bands, p.seed);
   });
 
@@ -168,24 +174,20 @@ void RegisterBuiltinKernels(KernelRegistry& registry) {
 
   registry.Register("dot", [](const KernelParams& p) {
     const std::size_t n = p.size == 0 ? 64 : p.size;
-    const std::size_t blocks =
-        static_cast<std::size_t>(p.GetInt("blocks", 4));
+    const std::size_t blocks = p.GetCount("blocks", 4);
     return std::make_unique<DotProductKernel>(n, blocks, p.seed);
   });
 
   registry.Register("sobel3x3", [](const KernelParams& p) {
     const std::size_t height = p.size == 0 ? 12 : p.size;
-    const std::size_t width = static_cast<std::size_t>(
-        p.GetInt("width", static_cast<std::int64_t>(height)));
-    const std::size_t bands =
-        static_cast<std::size_t>(p.GetInt("bands", 1));
+    const std::size_t width = p.GetCount("width", height);
+    const std::size_t bands = p.GetCount("bands", 1);
     return std::make_unique<SobelKernel>(height, width, bands, p.seed);
   });
 
   registry.Register("kmeans1d", [](const KernelParams& p) {
     const std::size_t n = p.size == 0 ? 96 : p.size;
-    const std::size_t clusters =
-        static_cast<std::size_t>(p.GetInt("clusters", 4));
+    const std::size_t clusters = p.GetCount("clusters", 4);
     return std::make_unique<KMeans1DKernel>(n, clusters, p.seed);
   });
 

@@ -37,6 +37,9 @@ struct KernelParams {
   /// absent. Throws std::invalid_argument when a present value fails to
   /// parse (a silent fallback would hide config typos).
   std::int64_t GetInt(const std::string& key, std::int64_t fallback) const;
+  /// GetInt for sizes and counts: also throws std::invalid_argument naming
+  /// the key when the value is negative.
+  std::size_t GetCount(const std::string& key, std::size_t fallback) const;
   double GetDouble(const std::string& key, double fallback) const;
   std::string GetString(const std::string& key, std::string fallback) const;
 };

@@ -1,12 +1,12 @@
 // Golden-trace regression tests: the first 25 StepRecords of fixed, seeded
-// explorations are pinned to checked-in fixtures — matmul (the paper's
-// benchmark), the campaign workloads sobel3x3 and kmeans1d, and the three
-// multi-stage pipelines (jpeg-path, edge-path, nn-layer). Evaluator /
-// cache / engine refactors are free to change HOW configurations are
-// measured, but any change to WHAT the paper pipeline observes (actions
-// taken, rewards granted, measurements returned) must show up here as an
-// explicit fixture update, never as a silent drift of the reproduced
-// results.
+// explorations are pinned to checked-in fixtures — matmul and FIR (the
+// paper's benchmarks, FIR at both granularities), the campaign workloads
+// sobel3x3 and kmeans1d, and the three multi-stage pipelines (jpeg-path,
+// edge-path, nn-layer). Evaluator / cache / engine refactors are free to
+// change HOW configurations are measured, but any change to WHAT the paper
+// pipeline observes (actions taken, rewards granted, measurements returned)
+// must show up here as an explicit fixture update, never as a silent drift
+// of the reproduced results.
 //
 // To regenerate after an intentional behavior change:
 //   AXDSE_UPDATE_GOLDEN=1 ./build/tests/dse_golden_trace_test
@@ -33,6 +33,7 @@ struct PinnedCase {
   const char* fixture;  ///< file under tests/golden/
   const char* kernel;
   std::size_t size;
+  const char* granularity = nullptr;  ///< kernel param; null = default
 };
 
 std::string FixturePath(const PinnedCase& pinned) {
@@ -40,8 +41,10 @@ std::string FixturePath(const PinnedCase& pinned) {
 }
 
 ExplorationRequest PinnedRequest(const PinnedCase& pinned, CacheMode mode) {
-  return RequestBuilder(pinned.kernel)
-      .Size(pinned.size)
+  RequestBuilder builder(pinned.kernel);
+  if (pinned.granularity != nullptr)
+    builder.KernelParam("granularity", pinned.granularity);
+  return builder.Size(pinned.size)
       .KernelSeed(2023)
       .MaxSteps(60)
       .RewardCap(1e18)
@@ -58,7 +61,10 @@ std::string RenderTrace(const PinnedCase& pinned,
                         const ExplorationResult& run) {
   std::ostringstream out;
   out << "# first " << kPinnedSteps << " steps of: " << pinned.kernel
-      << " size=" << pinned.size << " kernel-seed=2023 steps=60 alpha=0.15 "
+      << " size=" << pinned.size;
+  if (pinned.granularity != nullptr)
+    out << " granularity=" << pinned.granularity;
+  out << " kernel-seed=2023 steps=60 alpha=0.15 "
       << "gamma=0.95 eps=1..0.05/45 seed=1\n";
   out << "# step action reward cumulative config delta_acc delta_power_mw "
       << "delta_time_ns\n";
@@ -115,6 +121,11 @@ constexpr PinnedCase kKMeans{"kmeans1d_trace_seed1.txt", "kmeans1d", 48};
 constexpr PinnedCase kJpegPath{"jpeg_path_trace_seed1.txt", "jpeg-path", 1};
 constexpr PinnedCase kEdgePath{"edge_path_trace_seed1.txt", "edge-path", 8};
 constexpr PinnedCase kNnLayer{"nn_layer_trace_seed1.txt", "nn-layer", 7};
+// The paper's FIR benchmark at both variable granularities: per-tap (the
+// default, taps+2 variables) and per-array (x, h, acc).
+constexpr PinnedCase kFir{"fir_trace_seed1.txt", "fir", 100};
+constexpr PinnedCase kFirPerArray{"fir_per_array_trace_seed1.txt", "fir", 100,
+                                  "per-array"};
 
 TEST(GoldenTrace, First25MatmulStepsMatchCheckedInFixture) {
   CheckPinnedCase(kMatmul);
@@ -140,10 +151,18 @@ TEST(GoldenTrace, First25NnLayerStepsMatchCheckedInFixture) {
   CheckPinnedCase(kNnLayer);
 }
 
+TEST(GoldenTrace, First25FirStepsMatchCheckedInFixture) {
+  CheckPinnedCase(kFir);
+}
+
+TEST(GoldenTrace, First25FirPerArrayStepsMatchCheckedInFixture) {
+  CheckPinnedCase(kFirPerArray);
+}
+
 TEST(GoldenTrace, SharedCacheReproducesTheGoldenTracesExactly) {
   // The cache-mode contract applied to the pinned fixtures themselves.
-  for (const PinnedCase& pinned :
-       {kMatmul, kSobel, kKMeans, kJpegPath, kEdgePath, kNnLayer})
+  for (const PinnedCase& pinned : {kMatmul, kSobel, kKMeans, kJpegPath,
+                                   kEdgePath, kNnLayer, kFir, kFirPerArray})
     EXPECT_EQ(RunPinnedExploration(pinned, CacheMode::kShared),
               RunPinnedExploration(pinned, CacheMode::kPrivate));
 }

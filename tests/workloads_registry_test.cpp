@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "workloads/dot_product_kernel.hpp"
 #include "workloads/fir_kernel.hpp"
 #include "workloads/matmul_kernel.hpp"
@@ -92,6 +95,41 @@ TEST(KernelRegistry, BadExtraValueThrows) {
   params.extra = {{"granularity", "per-banana"}};
   EXPECT_THROW(KernelRegistry::Global().Create("matmul", params),
                std::invalid_argument);
+}
+
+TEST(KernelRegistry, NegativeCountsThrowInvalidArgumentNamingTheKey) {
+  // A negative count used to wrap to a huge size_t and escape as
+  // std::length_error from a vector allocation.
+  const std::pair<const char*, const char*> cases[] = {
+      {"fir", "taps"},         {"conv2d", "width"},   {"conv2d", "bands"},
+      {"sobel3x3", "width"},   {"sobel3x3", "bands"}, {"dot", "blocks"},
+      {"kmeans1d", "clusters"}, {"edge-path", "width"}, {"nn-layer", "width"},
+      {"nn-layer", "channels"}};
+  for (const auto& [kernel, key] : cases) {
+    KernelParams params;
+    params.extra = {{key, "-1"}};
+    try {
+      KernelRegistry::Global().Create(kernel, params);
+      ADD_FAILURE() << kernel << " accepted " << key << "=-1";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(std::string("'") + key + "'"),
+                std::string::npos)
+          << kernel << ": " << error.what();
+    }
+  }
+  // The spec-string form reaches the same checks.
+  EXPECT_THROW(KernelRegistry::Global().Create(
+                   KernelSpec::Parse("fir@100{taps=-1}"), 1),
+               std::invalid_argument);
+  EXPECT_THROW(KernelRegistry::Global().Create(
+                   KernelSpec::Parse("conv2d@16{width=-1}"), 1),
+               std::invalid_argument);
+  KernelParams params;
+  params.extra = {{"taps", "-3"}};
+  EXPECT_THROW(params.GetCount("taps", 17), std::invalid_argument);
+  params.extra = {{"taps", "0"}};
+  EXPECT_EQ(params.GetCount("taps", 17), 0u);
+  EXPECT_EQ(params.GetCount("absent", 5), 5u);
 }
 
 TEST(KernelRegistry, CustomRegistrationAndDuplicates) {
