@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 
+#include "common/test_support.hpp"
 #include "report/figures.hpp"
 #include "report/tables.hpp"
 #include "workloads/dot_product_kernel.hpp"
@@ -55,6 +57,79 @@ TEST(Tables, MultiplierTableContainsAllRows) {
   const std::string out = RenderMultiplierTable("TABLE II", specs, {});
   for (const auto& spec : specs)
     EXPECT_NE(out.find(spec.type_code), std::string::npos);
+}
+
+// Tables I and II with measured columns, pinned byte for byte: the 8-bit
+// lists are characterized exhaustively, the 16/32-bit lists on a small
+// seeded sample. Below each table, every Characterization field is printed
+// at full precision so any drift in an operator's arithmetic shows up here.
+// Regenerate intentionally with AXDSE_UPDATE_GOLDEN=1 and review the diff.
+constexpr std::uint64_t kGoldenSeed = 7;
+constexpr std::size_t kGoldenWideSamples = 4096;
+
+std::string CharacterizationLines(
+    const std::vector<std::string>& types,
+    const std::vector<axc::Characterization>& measured) {
+  std::string out;
+  char line[256];
+  for (std::size_t i = 0; i < measured.size(); ++i) {
+    const axc::Characterization& c = measured[i];
+    std::snprintf(line, sizeof(line),
+                  "%s mred=%.17g mae=%.17g error_rate=%.17g worst=%.17g "
+                  "bias=%.17g samples=%zu exhaustive=%d\n",
+                  types[i].c_str(), c.mred, c.mae, c.error_rate, c.worst_case,
+                  c.mean_error, c.samples, c.exhaustive ? 1 : 0);
+    out += line;
+  }
+  return out;
+}
+
+std::string AdderGoldenSection(const std::string& title,
+                               const std::vector<axc::AdderSpec>& specs,
+                               int bits, std::size_t samples) {
+  std::vector<axc::Characterization> measured;
+  std::vector<std::string> types;
+  for (const axc::AdderSpec& spec : specs) {
+    measured.push_back(
+        axc::CharacterizeAdder(*spec.model, bits, samples, kGoldenSeed));
+    types.push_back(spec.type_code);
+  }
+  return RenderAdderTable(title, specs, measured) +
+         CharacterizationLines(types, measured);
+}
+
+std::string MultiplierGoldenSection(
+    const std::string& title, const std::vector<axc::MultiplierSpec>& specs,
+    int bits, std::size_t samples) {
+  std::vector<axc::Characterization> measured;
+  std::vector<std::string> types;
+  for (const axc::MultiplierSpec& spec : specs) {
+    measured.push_back(
+        axc::CharacterizeMultiplier(*spec.model, bits, samples, kGoldenSeed));
+    types.push_back(spec.type_code);
+  }
+  return RenderMultiplierTable(title, specs, measured) +
+         CharacterizationLines(types, measured);
+}
+
+TEST(Tables, Table1MatchesGolden) {
+  const auto& catalog = axc::EvoApproxCatalog::Instance();
+  testsupport::ExpectMatchesGolden(
+      AXDSE_SOURCE_DIR "/tests/golden/table1_adders.txt",
+      AdderGoldenSection("TABLE I 8-bit", catalog.Adders8(), 8,
+                         std::size_t{1} << 16) +
+          AdderGoldenSection("TABLE I 16-bit", catalog.Adders16(), 16,
+                             kGoldenWideSamples));
+}
+
+TEST(Tables, Table2MatchesGolden) {
+  const auto& catalog = axc::EvoApproxCatalog::Instance();
+  testsupport::ExpectMatchesGolden(
+      AXDSE_SOURCE_DIR "/tests/golden/table2_multipliers.txt",
+      MultiplierGoldenSection("TABLE II 8-bit", catalog.Multipliers8(), 8,
+                              std::size_t{1} << 16) +
+          MultiplierGoldenSection("TABLE II 32-bit", catalog.Multipliers32(),
+                                  32, kGoldenWideSamples));
 }
 
 TEST(Tables, Table3HasPaperStructure) {
