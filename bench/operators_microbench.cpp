@@ -1,12 +1,13 @@
-// google-benchmark microbenchmarks of the behavioral operator models:
-// throughput of every catalog adder/multiplier plus the instrumented-context
-// dispatch overhead. These are software-model costs (the *hardware* costs
+// google-benchmark microbenchmarks of the behavioral operators: throughput
+// of every catalog adder/multiplier through its descriptor plus the
+// instrumented-context dispatch overhead. These are software-model costs (the *hardware* costs
 // come from the published characterization in the catalog) — they bound the
 // exploration wall-clock, not the reported Δpower/Δtime.
 
 #include <benchmark/benchmark.h>
 
 #include "axc/catalog.hpp"
+#include "axc/execution_plan.hpp"
 #include "instrument/approx_context.hpp"
 #include "util/rng.hpp"
 #include "workloads/matmul_kernel.hpp"
@@ -28,7 +29,8 @@ void BM_Adder(benchmark::State& state, const axc::AdderSpec& spec) {
   const auto b = MakeOperands(spec.bits, 4096, 2);
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(spec.model->Add(a[i & 4095], b[i & 4095]));
+    benchmark::DoNotOptimize(
+        axc::DispatchAdd(spec.op, a[i & 4095], b[i & 4095]));
     ++i;
   }
 }
@@ -38,42 +40,25 @@ void BM_Multiplier(benchmark::State& state, const axc::MultiplierSpec& spec) {
   const auto b = MakeOperands(spec.bits, 4096, 4);
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(spec.model->Multiply(a[i & 4095], b[i & 4095]));
+    benchmark::DoNotOptimize(
+        axc::DispatchMul(spec.op, a[i & 4095], b[i & 4095]));
     ++i;
   }
 }
 
-// --- scalar-vs-plan dispatch comparison -------------------------------------
-// The same MAC through (a) the historical virtual Adder/Multiplier calls,
-// (b) the compiled-plan descriptor switch, and (c) the batched context
-// primitive — the three dispatch generations on the evaluate hot path.
-
-void BM_ScalarMacVirtual(benchmark::State& state,
-                         const axc::MultiplierSpec& mul_spec,
-                         const axc::AdderSpec& add_spec) {
-  const auto a = MakeOperands(8, 4096, 5);
-  const auto b = MakeOperands(8, 4096, 6);
-  const axc::Multiplier* mul = mul_spec.model.get();
-  const axc::Adder* add = add_spec.model.get();
-  std::int64_t acc = 0;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    acc = add->AddSigned(
-        acc, mul->MultiplySigned(static_cast<std::int64_t>(a[i & 4095]),
-                                 static_cast<std::int64_t>(b[i & 4095])));
-    benchmark::DoNotOptimize(acc);
-    acc = 0;
-    ++i;
-  }
-}
+// --- scalar-vs-batched dispatch comparison ----------------------------------
+// The same MAC through (a) the descriptor switch per scalar op and (b) the
+// batched context primitive, which hoists the switch out of the loop.
 
 void BM_ScalarMacPlan(benchmark::State& state,
                       const axc::MultiplierSpec& mul_spec,
                       const axc::AdderSpec& add_spec) {
   const auto a = MakeOperands(8, 4096, 5);
   const auto b = MakeOperands(8, 4096, 6);
-  const axc::MulOpDescriptor mul = mul_spec.model->PlanDescriptor();
-  const axc::AddOpDescriptor add = add_spec.model->PlanDescriptor();
+  // Local copies: DoNotOptimize clobbers memory, so references into the
+  // specs would be reloaded every iteration.
+  const axc::MulOpDescriptor mul = mul_spec.op;
+  const axc::AddOpDescriptor add = add_spec.op;
   std::int64_t acc = 0;
   std::size_t i = 0;
   for (auto _ : state) {
@@ -156,16 +141,12 @@ const int kRegistered = [] {
                                  BM_Multiplier, spec);
   benchmark::RegisterBenchmark("instrument/context_dispatch",
                                BM_ContextDispatch);
-  // Dispatch-generation comparison on a representative approximate pair
+  // Scalar-vs-batched comparison on a representative approximate pair
   // (GTR multiplier + 6R6 adder) and on the fully exact pair.
   const auto& mul8 = catalog.Multipliers8();
   const auto& add8 = catalog.Adders8();
-  benchmark::RegisterBenchmark("dispatch/scalar_mac_virtual/GTRx6R6",
-                               BM_ScalarMacVirtual, mul8[2], add8[2]);
   benchmark::RegisterBenchmark("dispatch/scalar_mac_plan/GTRx6R6",
                                BM_ScalarMacPlan, mul8[2], add8[2]);
-  benchmark::RegisterBenchmark("dispatch/scalar_mac_virtual/exact",
-                               BM_ScalarMacVirtual, mul8[0], add8[0]);
   benchmark::RegisterBenchmark("dispatch/scalar_mac_plan/exact",
                                BM_ScalarMacPlan, mul8[0], add8[0]);
   for (std::uint32_t mi : {0u, 2u, 3u})

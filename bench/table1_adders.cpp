@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   std::vector<axc::Characterization> measured8;
   for (const axc::AdderSpec& spec : catalog.Adders8())
     measured8.push_back(
-        axc::CharacterizeAdder(*spec.model, 8, std::size_t{1} << 16, seed));
+        axc::CharacterizeAdder(spec.op, 8, std::size_t{1} << 16, seed));
   std::printf("%s\n",
               report::RenderAdderTable(
                   "TABLE I (paper) — selected 8-bit adders, published "
@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   std::vector<axc::Characterization> measured16;
   for (const axc::AdderSpec& spec : catalog.Adders16())
     measured16.push_back(
-        axc::CharacterizeAdder(*spec.model, 16, samples16, seed));
+        axc::CharacterizeAdder(spec.op, 16, samples16, seed));
   std::printf("%s\n",
               report::RenderAdderTable(
                   "TABLE I (paper) — selected 16-bit adders, published "

@@ -23,8 +23,8 @@ int main(int argc, char** argv) {
 
   std::vector<axc::Characterization> measured8;
   for (const axc::MultiplierSpec& spec : catalog.Multipliers8())
-    measured8.push_back(axc::CharacterizeMultiplier(
-        *spec.model, 8, std::size_t{1} << 16, seed));
+    measured8.push_back(
+        axc::CharacterizeMultiplier(spec.op, 8, std::size_t{1} << 16, seed));
   std::printf("%s\n",
               report::RenderMultiplierTable(
                   "TABLE II (paper) — selected 8-bit multipliers, published "
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   std::vector<axc::Characterization> measured32;
   for (const axc::MultiplierSpec& spec : catalog.Multipliers32())
     measured32.push_back(
-        axc::CharacterizeMultiplier(*spec.model, 32, samples32, seed));
+        axc::CharacterizeMultiplier(spec.op, 32, samples32, seed));
   std::printf("%s\n",
               report::RenderMultiplierTable(
                   "TABLE II (paper) — selected 32-bit multipliers, published "

@@ -204,6 +204,6 @@ int main(int argc, char** argv) {
       "approximation; FIR pairs aggressive adders with\nconservative "
       "multipliers (accuracy is multiplier-dominated in Q30 accumulation).\n"
       "Absolute accuracy units differ from the paper (unspecified there); "
-      "see EXPERIMENTS.md.\n");
+      "see README \"Inferred parameters\".\n");
   return 0;
 }

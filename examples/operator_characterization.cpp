@@ -20,8 +20,8 @@ int main() {
                    "worst abs err", "bias"});
   for (const axc::MultiplierSpec& spec : catalog.Multipliers8()) {
     const axc::Characterization c =
-        axc::CharacterizeMultiplier(*spec.model, 8, std::size_t{1} << 16);
-    table.AddRow({spec.type_code, spec.model->Describe(),
+        axc::CharacterizeMultiplier(spec.op, 8, std::size_t{1} << 16);
+    table.AddRow({spec.type_code, axc::Describe(spec.op),
                   util::AsciiTable::Num(c.mred * 100.0, 3),
                   util::AsciiTable::Num(c.mae, 1),
                   util::AsciiTable::Num(c.error_rate * 100.0, 1),
@@ -32,13 +32,14 @@ int main() {
 
   // 2. Characterize a *custom* operator the library doesn't ship: a very
   //    coarse DRUM with 3 kept bits at 16-bit width, as a candidate for a
-  //    hypothetical 16-bit multiplier slot.
-  const auto custom = axc::MakeDrumMultiplier(16, 3);
+  //    hypothetical 16-bit multiplier slot. Any family/parameter pair is a
+  //    descriptor; the factory validates the parameters.
+  const axc::MulOpDescriptor custom = axc::MakeDrumMultiplier(16, 3);
   const axc::Characterization c =
-      axc::CharacterizeMultiplier(*custom, 16, 1 << 20, /*seed=*/99);
+      axc::CharacterizeMultiplier(custom, 16, 1 << 20, /*seed=*/99);
   std::printf("custom %s @16-bit: MRED %.2f%%, error rate %.1f%%, "
               "bias %.1f (%s, %zu samples)\n\n",
-              custom->Describe().c_str(), c.mred * 100.0,
+              axc::Describe(custom).c_str(), c.mred * 100.0,
               c.error_rate * 100.0, c.mean_error,
               c.exhaustive ? "exhaustive" : "sampled", c.samples);
 

@@ -1,25 +1,24 @@
 #pragma once
 // The EvoApprox-named operator catalog: every operator the paper selected
-// (Tables I and II) with its *published* characterization (MRED %, power mW,
-// computation time ns) and the calibrated behavioral model standing in for
-// the original netlist (see DESIGN.md §1 for the substitution argument and
-// EXPERIMENTS.md for published-vs-measured MRED).
+// (Tables I and II) as a record of its *published* characterization (MRED %,
+// power mW, computation time ns) and the descriptor of the calibrated
+// behavioral family standing in for the original netlist. README
+// "Operators" gives the substitution argument; bench/table1_adders and
+// bench/table2_multipliers print published next to measured MRED.
 //
 // Both per-width lists are ordered by increasing published MRED — exactly the
 // ordering the paper's environment assumes ("Both sets are sorted by
 // increasing accuracy degradation"), so index 0 is the exact operator and the
 // last index is the most aggressive one.
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "axc/adders.hpp"
-#include "axc/multipliers.hpp"
+#include "axc/execution_plan.hpp"
 
 namespace axdse::axc {
 
-/// One named adder: published characterization + behavioral model.
+/// One named adder: published characterization + behavioral operator.
 struct AdderSpec {
   std::string name;        ///< catalog name, e.g. "8-bit adder 6PT"
   std::string type_code;   ///< the paper's "Type" column, e.g. "6PT"
@@ -27,10 +26,10 @@ struct AdderSpec {
   double published_mred_pct = 0.0;  ///< Table I MRED column (percent)
   double power_mw = 0.0;            ///< Table I power column (mW)
   double time_ns = 0.0;             ///< Table I computation-time column (ns)
-  std::shared_ptr<const Adder> model;  ///< calibrated behavioral substitute
+  AddOpDescriptor op;               ///< calibrated behavioral substitute
 };
 
-/// One named multiplier: published characterization + behavioral model.
+/// One named multiplier: published characterization + behavioral operator.
 struct MultiplierSpec {
   std::string name;
   std::string type_code;
@@ -38,7 +37,7 @@ struct MultiplierSpec {
   double published_mred_pct = 0.0;  ///< Table II MRED column (percent)
   double power_mw = 0.0;
   double time_ns = 0.0;
-  std::shared_ptr<const Multiplier> model;
+  MulOpDescriptor op;               ///< calibrated behavioral substitute
 };
 
 /// The adder/multiplier sets one benchmark explores over. The paper pairs
@@ -53,6 +52,12 @@ struct OperatorSet {
   std::size_t AdderCount() const noexcept { return adders.size(); }
   /// Number of multiplier choices (paper's N_mul).
   std::size_t MultiplierCount() const noexcept { return multipliers.size(); }
+
+  /// Compiles one configuration: [0] the precise (index 0) operators, [1]
+  /// the selected ones, with their 8-bit product tables resolved (built on
+  /// first use). Indices must be in range.
+  OperatorPlan Compile(std::size_t adder_index,
+                       std::size_t multiplier_index) const;
 };
 
 /// Immutable catalog of all operators from the paper's Tables I and II.

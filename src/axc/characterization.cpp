@@ -1,5 +1,6 @@
 #include "axc/characterization.hpp"
 
+#include "axc/execution_plan.hpp"
 #include "util/rng.hpp"
 
 namespace axdse::axc {
@@ -25,49 +26,45 @@ bool DomainFits(int bits, std::size_t max_samples) {
   return domain <= max_samples;
 }
 
-}  // namespace
-
-Characterization CharacterizeAdder(const Adder& adder, int bits,
-                                   std::size_t max_samples,
-                                   std::uint64_t seed) {
+/// Characterizes the unsigned functor `op` against `exact` over `bits`-wide
+/// operand pairs.
+template <class Op, class Exact>
+Characterization Characterize(const Op& op, const Exact& exact, int bits,
+                              std::size_t max_samples, std::uint64_t seed) {
   metrics::ErrorAccumulator acc;
   const std::uint64_t limit = bits >= 64 ? 0 : (1ULL << bits);
   if (DomainFits(bits, max_samples)) {
     for (std::uint64_t a = 0; a < limit; ++a)
       for (std::uint64_t b = 0; b < limit; ++b)
-        acc.Add(static_cast<double>(a + b),
-                static_cast<double>(adder.Add(a, b)));
+        acc.Add(static_cast<double>(exact(a, b)),
+                static_cast<double>(op(a, b)));
     return FromAccumulator(acc, /*exhaustive=*/true);
   }
   util::Rng rng(seed);
   for (std::size_t i = 0; i < max_samples; ++i) {
     const std::uint64_t a = rng.UniformBelow(limit);
     const std::uint64_t b = rng.UniformBelow(limit);
-    acc.Add(static_cast<double>(a + b), static_cast<double>(adder.Add(a, b)));
+    acc.Add(static_cast<double>(exact(a, b)), static_cast<double>(op(a, b)));
   }
   return FromAccumulator(acc, /*exhaustive=*/false);
 }
 
-Characterization CharacterizeMultiplier(const Multiplier& multiplier, int bits,
-                                        std::size_t max_samples,
+}  // namespace
+
+Characterization CharacterizeAdder(const AddOpDescriptor& adder, int bits,
+                                   std::size_t max_samples,
+                                   std::uint64_t seed) {
+  return WithAddOp(adder, [&](auto add) {
+    return Characterize(add, ops::ExactAdd, bits, max_samples, seed);
+  });
+}
+
+Characterization CharacterizeMultiplier(const MulOpDescriptor& multiplier,
+                                        int bits, std::size_t max_samples,
                                         std::uint64_t seed) {
-  metrics::ErrorAccumulator acc;
-  const std::uint64_t limit = bits >= 64 ? 0 : (1ULL << bits);
-  if (DomainFits(bits, max_samples)) {
-    for (std::uint64_t a = 0; a < limit; ++a)
-      for (std::uint64_t b = 0; b < limit; ++b)
-        acc.Add(static_cast<double>(a * b),
-                static_cast<double>(multiplier.Multiply(a, b)));
-    return FromAccumulator(acc, /*exhaustive=*/true);
-  }
-  util::Rng rng(seed);
-  for (std::size_t i = 0; i < max_samples; ++i) {
-    const std::uint64_t a = rng.UniformBelow(limit);
-    const std::uint64_t b = rng.UniformBelow(limit);
-    acc.Add(static_cast<double>(a * b),
-            static_cast<double>(multiplier.Multiply(a, b)));
-  }
-  return FromAccumulator(acc, /*exhaustive=*/false);
+  return WithMulOp(multiplier, [&](auto mul) {
+    return Characterize(mul, ops::ExactMul, bits, max_samples, seed);
+  });
 }
 
 }  // namespace axdse::axc

@@ -1,5 +1,5 @@
 #pragma once
-// Measures the error characteristics of an operator model over its nominal
+// Measures the error characteristics of an operator over its nominal
 // input domain — exhaustively when the domain is small enough, by seeded
 // uniform sampling otherwise. Used by tests (ordering/magnitude assertions)
 // and by bench/table1+2 (published-vs-measured columns).
@@ -7,8 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "axc/adders.hpp"
-#include "axc/multipliers.hpp"
+#include "axc/operators.hpp"
 #include "metrics/error_metrics.hpp"
 
 namespace axdse::axc {
@@ -27,14 +26,14 @@ struct Characterization {
 /// Characterizes an adder over `bits`-wide unsigned operand pairs.
 /// If 4^bits <= max_samples the domain is enumerated exhaustively; otherwise
 /// `max_samples` uniform pairs are drawn with the given seed.
-Characterization CharacterizeAdder(const Adder& adder, int bits,
+Characterization CharacterizeAdder(const AddOpDescriptor& adder, int bits,
                                    std::size_t max_samples,
                                    std::uint64_t seed = 0x5EED);
 
 /// Characterizes a multiplier over `bits`-wide unsigned operand pairs
 /// (same exhaustive/sampled rule as CharacterizeAdder).
-Characterization CharacterizeMultiplier(const Multiplier& multiplier, int bits,
-                                        std::size_t max_samples,
+Characterization CharacterizeMultiplier(const MulOpDescriptor& multiplier,
+                                        int bits, std::size_t max_samples,
                                         std::uint64_t seed = 0x5EED);
 
 }  // namespace axdse::axc

@@ -1,94 +1,27 @@
 #pragma once
-// Compiled-plan operator dispatch: POD descriptors (opcode + family
-// parameter) standing in for the virtual Adder/Multiplier hierarchy on the
-// evaluate hot path. An ApproxSelection is fixed for an entire kernel run,
-// so instrument::ApproxContext::Configure resolves each catalog model to a
-// descriptor ONCE per configuration; every scalar op then goes through a
-// flat, inlinable switch (Dispatch*) instead of a virtual call, and batched
-// primitives hoist even the switch out of inner loops (WithAddOp/WithMulOp).
-//
-// Operators outside the built-in families (user subclasses of Adder /
-// Multiplier) degrade gracefully: their descriptor carries kVirtual plus
-// the model pointer, and dispatch routes through the historical virtual
-// call — identical results, identical cost to the pre-plan code.
+// Compiled-plan operator dispatch over the operator descriptors of
+// axc/operators.hpp. An ApproxSelection is fixed for an entire kernel run,
+// so instrument::ApproxContext::Configure compiles the four operators in
+// play into an OperatorPlan ONCE per configuration; every scalar op then
+// goes through a flat, inlinable switch (Dispatch*), and batched primitives
+// hoist even the switch out of inner loops (WithAddOp/WithMulOp).
 
 #include <cstdint>
 
 #include "axc/op_primitives.hpp"
+#include "axc/operators.hpp"
 
 namespace axdse::axc {
-
-class Adder;
-class Multiplier;
-
-enum class AddOpCode : std::uint8_t {
-  kExact,
-  kLowerOr,
-  kTruncatedZero,
-  kTruncatedPassA,
-  kSegmentedCarry,
-  kAlmostCorrect,
-  kAma,
-  kVirtual,  ///< fall back to Adder::Add through `fallback`
-};
-
-enum class MulOpCode : std::uint8_t {
-  kExact,
-  kPpTruncated,
-  kOperandTruncated,
-  kMitchell,
-  kDrum,
-  kLeadingOne,
-  kKulkarni,
-  kRoba,
-  kVirtual,  ///< fall back to Multiplier::Multiply through `fallback`
-};
-
-/// POD adder descriptor: everything DispatchAdd needs, resolved once.
-/// Content equality means "dispatches identically for every operand pair" —
-/// the lane-parallel context merges lanes whose resolved descriptors compare
-/// equal (e.g. a lane whose selected "approximate" adder is the exact one
-/// shares the precise lanes' dedup group).
-struct AddOpDescriptor {
-  AddOpCode code = AddOpCode::kExact;
-  std::int32_t param = 0;               ///< approx/segment bits or window
-  const Adder* fallback = nullptr;      ///< kVirtual only
-
-  friend bool operator==(const AddOpDescriptor&,
-                         const AddOpDescriptor&) noexcept = default;
-};
-
-/// POD multiplier descriptor. Content equality mirrors AddOpDescriptor's:
-/// equal descriptors dispatch identically for every operand pair.
-struct MulOpDescriptor {
-  MulOpCode code = MulOpCode::kExact;
-  std::int32_t param = 0;               ///< cut column / kept / msb bits
-  const Multiplier* fallback = nullptr; ///< kVirtual only
-  /// Full 256x256 product table (table8[a << 8 | b] == Multiply(a, b)) for
-  /// operators whose model lazily memoized its 8-bit domain — the batched
-  /// u8 MAC loops turn family math into one load. Null for wide operators,
-  /// the exact multiplier (a*b is cheaper than a load), and kVirtual.
-  const std::uint32_t* table8 = nullptr;
-
-  friend bool operator==(const MulOpDescriptor&,
-                         const MulOpDescriptor&) noexcept = default;
-};
 
 /// A configuration compiled to operators: [0] = the precise operator the
 /// unselected ops use, [1] = the selected approximate operator.
 struct OperatorPlan {
   AddOpDescriptor add[2];
   MulOpDescriptor mul[2];
+  /// ProductTable8(mul[b]), resolved with the plan: the batched u8 MAC
+  /// loops turn family math into one load where it is non-null.
+  const std::uint32_t* table8[2] = {nullptr, nullptr};
 };
-
-namespace detail {
-/// Out-of-line virtual escapes (defined in execution_plan.cpp, which can
-/// see the full Adder/Multiplier types without an include cycle).
-std::uint64_t VirtualAdd(const Adder* model, std::uint64_t a,
-                         std::uint64_t b) noexcept;
-std::uint64_t VirtualMul(const Multiplier* model, std::uint64_t a,
-                         std::uint64_t b) noexcept;
-}  // namespace detail
 
 /// Invokes `fn` with an inlinable functor implementing the descriptor's
 /// unsigned add — the switch runs once, so loops passed as `fn` carry zero
@@ -119,10 +52,6 @@ decltype(auto) WithAddOp(const AddOpDescriptor& d, Fn&& fn) {
     case AddOpCode::kAma:
       return fn([k = d.param](std::uint64_t a, std::uint64_t b) noexcept {
         return ops::AmaAdd(a, b, k);
-      });
-    case AddOpCode::kVirtual:
-      return fn([m = d.fallback](std::uint64_t a, std::uint64_t b) noexcept {
-        return detail::VirtualAdd(m, a, b);
       });
     case AddOpCode::kExact:
       break;
@@ -164,10 +93,6 @@ decltype(auto) WithMulOp(const MulOpDescriptor& d, Fn&& fn) {
       return fn([](std::uint64_t a, std::uint64_t b) noexcept {
         return ops::RobaMul(a, b);
       });
-    case MulOpCode::kVirtual:
-      return fn([m = d.fallback](std::uint64_t a, std::uint64_t b) noexcept {
-        return detail::VirtualMul(m, a, b);
-      });
     case MulOpCode::kExact:
       break;
   }
@@ -194,8 +119,6 @@ inline std::uint64_t DispatchAdd(const AddOpDescriptor& d, std::uint64_t a,
       return ops::AlmostCorrectAdd(a, b, d.param);
     case AddOpCode::kAma:
       return ops::AmaAdd(a, b, d.param);
-    case AddOpCode::kVirtual:
-      return detail::VirtualAdd(d.fallback, a, b);
   }
   return ops::ExactAdd(a, b);  // unreachable; silences -Wreturn-type
 }
@@ -220,14 +143,12 @@ inline std::uint64_t DispatchMul(const MulOpDescriptor& d, std::uint64_t a,
       return ops::KulkarniMul(a, b);
     case MulOpCode::kRoba:
       return ops::RobaMul(a, b);
-    case MulOpCode::kVirtual:
-      return detail::VirtualMul(d.fallback, a, b);
   }
   return ops::ExactMul(a, b);  // unreachable; silences -Wreturn-type
 }
 
-/// Signed addition with the historical sign-magnitude semantics
-/// (bit-identical to Adder::AddSigned for the same descriptor's model).
+/// Signed addition with sign-magnitude semantics: same-sign operands are
+/// approximated on their magnitudes, mixed signs subtract exactly.
 inline std::int64_t DispatchAddSigned(const AddOpDescriptor& d, std::int64_t a,
                                       std::int64_t b) noexcept {
   return ops::SignedAdd(
@@ -237,7 +158,7 @@ inline std::int64_t DispatchAddSigned(const AddOpDescriptor& d, std::int64_t a,
       a, b);
 }
 
-/// Signed multiplication (bit-identical to Multiplier::MultiplySigned).
+/// Signed multiplication: approximates |a|*|b| and reapplies the sign.
 inline std::int64_t DispatchMulSigned(const MulOpDescriptor& d, std::int64_t a,
                                       std::int64_t b) noexcept {
   return ops::SignedMul(

@@ -1,15 +1,15 @@
 #pragma once
 // Closed-form arithmetic of every behavioral operator family, as inlinable
 // free functions. This is the single source of truth for the family math:
-// both the virtual Adder/Multiplier classes (catalog / characterization
-// API) and the compiled-plan dispatcher (execution_plan.hpp, the evaluate
-// hot path) call these, so the two dispatch paths cannot diverge.
+// the descriptor dispatcher (execution_plan.hpp) calls these, and so does
+// everything built on it (the evaluate hot path, characterization, the
+// memoized product tables).
 //
-// Also home of the sign-magnitude helpers shared by AddSigned /
-// MultiplySigned and the plan dispatcher. Negation goes through
-// std::uint64_t so INT64_MIN magnitudes are well-defined (signed `-a`
-// overflows there); for every other input the results are bit-identical to
-// the historical signed negation.
+// Also home of the sign-magnitude helpers behind DispatchAddSigned /
+// DispatchMulSigned. Negation goes through std::uint64_t so INT64_MIN
+// magnitudes are well-defined (signed `-a` overflows there); for every
+// other input the results are bit-identical to the historical signed
+// negation.
 
 #include <bit>
 #include <cstdint>
@@ -283,7 +283,8 @@ inline std::uint64_t RobaMul(std::uint64_t a, std::uint64_t b) noexcept {
 
 /// Signed addition over any unsigned add functor: same-sign operands are
 /// approximated on their magnitudes; mixed signs fall back to exact
-/// subtraction (approximate adders model the ADD datapath; DESIGN.md §4.3).
+/// subtraction, because the approximate adders model the ADD datapath of a
+/// sign-magnitude unit and a subtraction runs on its exact SUB path.
 template <class AddFn>
 constexpr std::int64_t SignedAdd(const AddFn& add, std::int64_t a,
                                  std::int64_t b) noexcept {

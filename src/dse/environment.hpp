@@ -15,7 +15,9 @@
 
 namespace axdse::dse {
 
-/// How the paper's three action kinds are concretized (DESIGN.md §1).
+/// How the paper's three action kinds (change adder, change multiplier,
+/// toggle a variable) become agent actions; the paper does not fix an
+/// encoding (README "Inferred parameters").
 enum class ActionSpaceKind {
   /// 4 + num_variables actions: adder +1/-1, multiplier +1/-1 (cyclic), and
   /// one toggle action per variable. The default.

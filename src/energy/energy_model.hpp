@@ -4,7 +4,8 @@
 // The paper evaluates each approximate version from *pre-characterized*
 // per-operator power (mW) and latency (ns): the cost of a run is the sum of
 // the per-operation costs of every addition and multiplication it executes
-// (Table III arithmetic confirms this additive model; see DESIGN.md §1).
+// (Table III's deltas are consistent with this additive model; README
+// "Inferred parameters").
 // Δpower = power(precise run) - power(approximate run), likewise Δtime.
 
 #include <cstdint>

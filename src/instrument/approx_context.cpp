@@ -105,14 +105,8 @@ void ApproxContext::Configure(const ApproxSelection& selection) {
   if (selection.MultiplierIndex() >= operators_.multipliers.size())
     throw std::invalid_argument("ApproxContext::Configure: multiplier index");
   selection_ = selection;
-  // Compile the plan: resolve the four operators in play to POD descriptors
-  // so the per-op hot path never touches the virtual hierarchy again.
-  plan_.add[0] = operators_.adders.front().model->PlanDescriptor();
-  plan_.add[1] =
-      operators_.adders[selection.AdderIndex()].model->PlanDescriptor();
-  plan_.mul[0] = operators_.multipliers.front().model->PlanDescriptor();
-  plan_.mul[1] =
-      operators_.multipliers[selection.MultiplierIndex()].model->PlanDescriptor();
+  plan_ = operators_.Compile(selection.AdderIndex(),
+                             selection.MultiplierIndex());
   counts_ = {};
 }
 

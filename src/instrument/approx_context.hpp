@@ -5,16 +5,14 @@
 // operator depending on whether any variable involved in the operation is
 // selected, and (b) accounts operation counts for the energy model.
 //
-// Dispatch is compiled, not virtual: an ApproxSelection is fixed for an
-// entire kernel run, so Configure() resolves the four operators in play
-// (precise/approximate adder and multiplier) to POD descriptors ONCE per
-// configuration (axc::OperatorPlan). Every scalar op then goes through a
-// flat, inlinable switch; the batched primitives (DotAccumulate /
+// Dispatch is compiled: an ApproxSelection is fixed for an entire kernel
+// run, so Configure() compiles the four operators in play (precise and
+// approximate adder and multiplier, each a catalog descriptor) into an
+// axc::OperatorPlan ONCE per configuration. Every scalar op then goes
+// through a flat, inlinable switch; the batched primitives (DotAccumulate /
 // AxpyAccumulate / AccumulateProducts) additionally hoist selection
 // resolution, opcode dispatch, and op-count accounting out of their inner
-// loops. The virtual Adder/Multiplier hierarchy remains the
-// catalog/characterization API — operators outside the built-in families
-// dispatch through it via the kVirtual descriptor, with unchanged behavior.
+// loops.
 
 #include <cassert>
 #include <cstdint>
@@ -44,8 +42,8 @@ using VarList = std::initializer_list<std::size_t>;
 /// ApproxSelection::VariableSelected().
 class ApproxContext {
  public:
-  /// Binds the context to an operator set (copied; specs share immutable
-  /// models) and the kernel's variable count.
+  /// Binds the context to an operator set (copied) and the kernel's variable
+  /// count.
   ApproxContext(axc::OperatorSet operators, std::size_t num_variables);
 
   /// Installs the configuration for subsequent operations, compiles the
@@ -131,8 +129,8 @@ class ApproxContext {
     const bool add_approx = AnyApproximated(add_vars);
     counts_.AccumulateMuls(mul_approx, n);
     counts_.AccumulateAdds(add_approx, n);
-    return detail::DotChain(plan_.mul[mul_approx], plan_.add[add_approx], acc,
-                            a, stride_a, b, stride_b, n);
+    return detail::DotChain(plan_, mul_approx, add_approx, acc, a, stride_a,
+                            b, stride_b, n);
   }
 
   /// Batched AXPY: y[i] = Add(y[i], Mul(alpha, x[i])) for i in [0, n) —

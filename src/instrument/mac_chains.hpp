@@ -38,25 +38,26 @@ namespace axdse::instrument::detail {
 
 /// Chained MAC: returns acc after n steps of
 ///   acc = add(acc, mul(a[i*stride_a], b[i*stride_b]))
-/// with both operators fixed to the given descriptors. Bit-identical to the
-/// equivalent loop of scalar DispatchMulSigned/DispatchAddSigned calls
-/// (operand order preserved: element product first operand is `a`,
+/// with the plan's multiplier mul[mul_b] and adder add[add_b]. Bit-identical
+/// to the equivalent loop of scalar DispatchMulSigned/DispatchAddSigned
+/// calls (operand order preserved: element product first operand is `a`,
 /// accumulation first operand is the running `acc`).
 template <class A, class B>
-inline std::int64_t DotChain(const axc::MulOpDescriptor& mul_d,
-                             const axc::AddOpDescriptor& add_d,
-                             std::int64_t acc, const A* a, std::size_t stride_a,
-                             const B* b, std::size_t stride_b,
-                             std::size_t n) noexcept {
+inline std::int64_t DotChain(const axc::OperatorPlan& plan, bool mul_b,
+                             bool add_b, std::int64_t acc, const A* a,
+                             std::size_t stride_a, const B* b,
+                             std::size_t stride_b, std::size_t n) noexcept {
   static_assert(std::is_integral_v<A> && std::is_integral_v<B>,
                 "DotChain operates on integral element types");
   if (n == 0) return acc;
+  const axc::MulOpDescriptor& mul_d = plan.mul[mul_b];
+  const axc::AddOpDescriptor& add_d = plan.add[add_b];
   if constexpr (std::is_unsigned_v<A> && std::is_unsigned_v<B> &&
                 sizeof(A) == 1 && sizeof(B) == 1) {
     // 8-bit operands: approximate multipliers memoize their full 256x256
-    // domain (MulOpDescriptor::table8), turning the family math into one
-    // load per MAC. Bit-identical by construction.
-    if (const std::uint32_t* table8 = mul_d.table8) {
+    // domain (OperatorPlan::table8), turning the family math into one load
+    // per MAC. Bit-identical by construction.
+    if (const std::uint32_t* table8 = plan.table8[mul_b]) {
       assert(acc >= 0);
       if (add_d.code == axc::AddOpCode::kExact) {
         // Exact accumulation of table products: modular uint64 addition is

@@ -53,12 +53,8 @@ void MultiApproxContext::Configure(const ApproxSelection* selections,
   };
   for (std::size_t l = 0; l < num_lanes_; ++l) {
     const ApproxSelection& s = selections_[l];
-    axc::OperatorPlan& plan = plans_[l];
-    plan.add[0] = operators_.adders.front().model->PlanDescriptor();
-    plan.add[1] = operators_.adders[s.AdderIndex()].model->PlanDescriptor();
-    plan.mul[0] = operators_.multipliers.front().model->PlanDescriptor();
-    plan.mul[1] =
-        operators_.multipliers[s.MultiplierIndex()].model->PlanDescriptor();
+    plans_[l] = operators_.Compile(s.AdderIndex(), s.MultiplierIndex());
+    const axc::OperatorPlan& plan = plans_[l];
     for (int b = 0; b < 2; ++b) {
       add_id_[l][b] = add_key(plan.add[b]);
       mul_id_[l][b] = mul_key(plan.mul[b]);

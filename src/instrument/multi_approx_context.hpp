@@ -187,9 +187,8 @@ class MultiApproxContext {
     out.rep = plan.rep;
     for (std::size_t g = 0; g < plan.num_groups; ++g) {
       const std::size_t l = plan.groups[g];
-      out.v[l] = detail::DotChain(plans_[l].mul[(mm >> l) & 1],
-                                  plans_[l].add[(am >> l) & 1], acc, a,
-                                  stride_a, b, stride_b, n);
+      out.v[l] = detail::DotChain(plans_[l], (mm >> l) & 1, (am >> l) & 1,
+                                  acc, a, stride_a, b, stride_b, n);
     }
     AXDSE_SIMD_LOOP
     for (std::size_t l = 0; l < num_lanes_; ++l) out.v[l] = out.v[out.rep[l]];
@@ -212,9 +211,8 @@ class MultiApproxContext {
     for (std::size_t l = 0; l < num_lanes_; ++l) {
       AssertGrouped(acc, l);
       if (out.rep[l] == l) {
-        out.v[l] = detail::DotChain(plans_[l].mul[(mm >> l) & 1],
-                                    plans_[l].add[(am >> l) & 1], acc.v[l], a,
-                                    stride_a, b, stride_b, n);
+        out.v[l] = detail::DotChain(plans_[l], (mm >> l) & 1, (am >> l) & 1,
+                                    acc.v[l], a, stride_a, b, stride_b, n);
       } else {
         out.v[l] = out.v[out.rep[l]];
       }
@@ -262,9 +260,8 @@ class MultiApproxContext {
         continue;
       }
       for (std::size_t i = 0; i < n; ++i) gather_buf_[i] = a[i].v[l];
-      out.v[l] = detail::DotChain(plans_[l].mul[(mm >> l) & 1],
-                                  plans_[l].add[(am >> l) & 1], acc,
-                                  gather_buf_.data(), std::size_t{1}, b,
+      out.v[l] = detail::DotChain(plans_[l], (mm >> l) & 1, (am >> l) & 1,
+                                  acc, gather_buf_.data(), std::size_t{1}, b,
                                   stride_b, n);
     }
     return out;
@@ -295,10 +292,9 @@ class MultiApproxContext {
     MeetWithKeys(operand_rep, keys, out.rep);
     for (std::size_t l = 0; l < num_lanes_; ++l) {
       if (out.rep[l] == l) {
-        out.v[l] = detail::DotChain(plans_[l].mul[(mm >> l) & 1],
-                                    plans_[l].add[(am >> l) & 1], acc, a[l],
-                                    std::size_t{1}, b[l], std::size_t{1},
-                                    n[l]);
+        out.v[l] = detail::DotChain(plans_[l], (mm >> l) & 1, (am >> l) & 1,
+                                    acc, a[l], std::size_t{1}, b[l],
+                                    std::size_t{1}, n[l]);
       } else {
         assert(n[l] == n[out.rep[l]] && a[l] == a[out.rep[l]] &&
                b[l] == b[out.rep[l]] &&
@@ -329,6 +325,10 @@ class MultiApproxContext {
     while (i < n) {
       std::size_t end = i + 1;
       while (end < n && RepBits(y[end].rep) == RepBits(y[i].rep)) ++end;
+      // Check the incoming invariant before the compute below overwrites
+      // the representatives' values (a lane the meet splits off then no
+      // longer equals its old representative).
+      for (std::size_t j = i; j < end; ++j) AssertGroupedBy(y[j], y[j].rep);
       Partition pi{};
       MeetWithKeys(y[i].rep, keys, pi);
       for (std::size_t l = 0; l < num_lanes_; ++l) {
@@ -347,7 +347,6 @@ class MultiApproxContext {
         });
       }
       for (std::size_t j = i; j < end; ++j) {
-        AssertGroupedBy(y[j], y[j].rep);
         y[j].rep = pi;
         for (std::size_t l = 0; l < num_lanes_; ++l) y[j].v[l] = y[j].v[pi[l]];
       }

@@ -39,7 +39,7 @@ std::string RenderAdderTable(
         AsciiTable::Num(s.time_ns, 2)};
     if (!measured.empty()) {
       row.push_back(AsciiTable::Num(measured[i].mred * 100.0, 3));
-      row.push_back(s.model->Describe());
+      row.push_back(axc::Describe(s.op));
     }
     table.AddRow(std::move(row));
   }
@@ -67,7 +67,7 @@ std::string RenderMultiplierTable(
         AsciiTable::Num(s.time_ns, 3)};
     if (!measured.empty()) {
       row.push_back(AsciiTable::Num(measured[i].mred * 100.0, 3));
-      row.push_back(s.model->Describe());
+      row.push_back(axc::Describe(s.op));
     }
     table.AddRow(std::move(row));
   }

@@ -61,7 +61,7 @@ const std::int64_t* FirKernel::ApproxProducts(
   const axc::MulOpDescriptor& desc = ctx.Plan().mul[1];
   const std::size_t m = ctx.Selection().MultiplierIndex();
   if (desc.code == axc::MulOpCode::kExact || m >= tables_.size() ||
-      !(operators_.multipliers[m].model->PlanDescriptor() == desc))
+      !(operators_.multipliers[m].op == desc))
     return nullptr;
   ProductTable& table = tables_[m];
   std::call_once(table.built, [&] {

@@ -2,7 +2,8 @@
 // FIR low-pass benchmark (paper: 100 and 200 white-noise samples, paired with
 // the 16-bit adder and 32-bit multiplier sets).
 //
-// Fixed-point structure (DESIGN.md §1, inferred parameters):
+// Fixed-point structure (not stated in the paper; inferred, see README
+// "Inferred parameters"):
 //   * input samples and coefficients are Q15 (16-bit signed),
 //   * each tap product goes through the 32-bit multiplier (Q30 result),
 //   * products are accumulated in Q30 by the 16-bit adder model (which

@@ -16,7 +16,8 @@ enum class MatMulGranularity {
   kPerMatrix,
   /// 2n+1 variables: each row of A, each column of B, plus the accumulator —
   /// the granularity that reproduces the paper's partially-approximated
-  /// 50x50 exploration (DESIGN.md §1, inferred parameters).
+  /// 50x50 exploration. The paper does not state its granularity; this one
+  /// is inferred (README "Inferred parameters").
   kRowCol,
 };
 

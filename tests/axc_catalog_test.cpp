@@ -105,14 +105,14 @@ TEST(Catalog, PowerAndTimeDecreaseWithAggressiveness) {
 }
 
 TEST(Catalog, FirstEntryIsAlwaysExact) {
-  Characterization c = CharacterizeAdder(*Catalog().Adders8()[0].model, 8,
+  Characterization c = CharacterizeAdder(Catalog().Adders8()[0].op, 8,
                                          1 << 16);
   EXPECT_DOUBLE_EQ(c.mred, 0.0);
-  c = CharacterizeAdder(*Catalog().Adders16()[0].model, 12, 1 << 16);
+  c = CharacterizeAdder(Catalog().Adders16()[0].op, 12, 1 << 16);
   EXPECT_DOUBLE_EQ(c.mred, 0.0);
-  c = CharacterizeMultiplier(*Catalog().Multipliers8()[0].model, 8, 1 << 16);
+  c = CharacterizeMultiplier(Catalog().Multipliers8()[0].op, 8, 1 << 16);
   EXPECT_DOUBLE_EQ(c.mred, 0.0);
-  c = CharacterizeMultiplier(*Catalog().Multipliers32()[0].model, 16,
+  c = CharacterizeMultiplier(Catalog().Multipliers32()[0].op, 16,
                              1 << 16);
   EXPECT_DOUBLE_EQ(c.mred, 0.0);
 }
@@ -121,7 +121,7 @@ TEST(Catalog, MeasuredMredOrderingMatchesPublishedOrdering8BitAdders) {
   const auto& specs = Catalog().Adders8();
   double previous = -1.0;
   for (const AdderSpec& spec : specs) {
-    const Characterization c = CharacterizeAdder(*spec.model, 8, 1 << 16);
+    const Characterization c = CharacterizeAdder(spec.op, 8, 1 << 16);
     EXPECT_GT(c.mred, previous - 1e-12) << spec.name;
     previous = c.mred;
   }
@@ -132,7 +132,7 @@ TEST(Catalog, MeasuredMredOrderingMatchesPublishedOrdering16BitAdders) {
   double previous = -1.0;
   for (const AdderSpec& spec : specs) {
     const Characterization c =
-        CharacterizeAdder(*spec.model, 16, 1 << 18, 42);
+        CharacterizeAdder(spec.op, 16, 1 << 18, 42);
     EXPECT_GT(c.mred, previous - 1e-12) << spec.name;
     previous = c.mred;
   }
@@ -142,7 +142,7 @@ TEST(Catalog, MeasuredMredOrderingMatchesPublishedOrdering8BitMultipliers) {
   const auto& specs = Catalog().Multipliers8();
   double previous = -1.0;
   for (const MultiplierSpec& spec : specs) {
-    const Characterization c = CharacterizeMultiplier(*spec.model, 8, 1 << 16);
+    const Characterization c = CharacterizeMultiplier(spec.op, 8, 1 << 16);
     EXPECT_GT(c.mred, previous - 1e-12) << spec.name;
     previous = c.mred;
   }
@@ -153,16 +153,16 @@ TEST(Catalog, MeasuredMredOrderingMatchesPublishedOrdering32BitMultipliers) {
   double previous = -1.0;
   for (const MultiplierSpec& spec : specs) {
     const Characterization c =
-        CharacterizeMultiplier(*spec.model, 32, 1 << 18, 42);
+        CharacterizeMultiplier(spec.op, 32, 1 << 18, 42);
     EXPECT_GT(c.mred, previous - 1e-12) << spec.name;
     previous = c.mred;
   }
 }
 
 TEST(Catalog, MeasuredMredWithinCalibrationBandOfPublished) {
-  // Calibration contract (EXPERIMENTS.md): for every non-exact operator the
-  // measured MRED of the behavioral stand-in is within a factor of 2.5 of
-  // the published value. Exact operators must measure exactly zero.
+  // Calibration contract (README "Operators"): for every non-exact operator
+  // the measured MRED of the behavioral stand-in is within a factor of 2.5
+  // of the published value. Exact operators must measure exactly zero.
   const double kLogBand = std::log(2.5);
   const auto check = [&](double published_pct, double measured,
                          const std::string& name) {
@@ -177,16 +177,16 @@ TEST(Catalog, MeasuredMredWithinCalibrationBandOfPublished) {
   };
   for (const AdderSpec& s : Catalog().Adders8())
     check(s.published_mred_pct,
-          CharacterizeAdder(*s.model, 8, 1 << 16).mred, s.name);
+          CharacterizeAdder(s.op, 8, 1 << 16).mred, s.name);
   for (const AdderSpec& s : Catalog().Adders16())
     check(s.published_mred_pct,
-          CharacterizeAdder(*s.model, 16, 1 << 18, 7).mred, s.name);
+          CharacterizeAdder(s.op, 16, 1 << 18, 7).mred, s.name);
   for (const MultiplierSpec& s : Catalog().Multipliers8())
     check(s.published_mred_pct,
-          CharacterizeMultiplier(*s.model, 8, 1 << 16).mred, s.name);
+          CharacterizeMultiplier(s.op, 8, 1 << 16).mred, s.name);
   for (const MultiplierSpec& s : Catalog().Multipliers32())
     check(s.published_mred_pct,
-          CharacterizeMultiplier(*s.model, 32, 1 << 18, 7).mred, s.name);
+          CharacterizeMultiplier(s.op, 32, 1 << 18, 7).mred, s.name);
 }
 
 TEST(Catalog, OperatorSetsPairTheRightWidths) {
@@ -208,14 +208,14 @@ TEST(Catalog, NamesEmbedWidthAndType) {
 
 TEST(Characterize, ExhaustiveFlagSetForSmallDomains) {
   const Characterization c =
-      CharacterizeAdder(*Catalog().Adders8()[1].model, 8, 1 << 16);
+      CharacterizeAdder(Catalog().Adders8()[1].op, 8, 1 << 16);
   EXPECT_TRUE(c.exhaustive);
   EXPECT_EQ(c.samples, 65536u);
 }
 
 TEST(Characterize, SampledForLargeDomains) {
   const Characterization c =
-      CharacterizeAdder(*Catalog().Adders16()[1].model, 16, 10000, 3);
+      CharacterizeAdder(Catalog().Adders16()[1].op, 16, 10000, 3);
   EXPECT_FALSE(c.exhaustive);
   EXPECT_EQ(c.samples, 10000u);
 }
@@ -223,9 +223,9 @@ TEST(Characterize, SampledForLargeDomains) {
 TEST(Characterize, DeterministicUnderSeed) {
   const auto& spec = Catalog().Multipliers32()[3];
   const Characterization a =
-      CharacterizeMultiplier(*spec.model, 32, 50000, 11);
+      CharacterizeMultiplier(spec.op, 32, 50000, 11);
   const Characterization b =
-      CharacterizeMultiplier(*spec.model, 32, 50000, 11);
+      CharacterizeMultiplier(spec.op, 32, 50000, 11);
   EXPECT_DOUBLE_EQ(a.mred, b.mred);
   EXPECT_DOUBLE_EQ(a.mae, b.mae);
 }

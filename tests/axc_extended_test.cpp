@@ -4,9 +4,10 @@
 
 #include <gtest/gtest.h>
 
-#include "axc/adders.hpp"
+#include <cmath>
+
 #include "axc/characterization.hpp"
-#include "axc/multipliers.hpp"
+#include "axc/execution_plan.hpp"
 #include "util/rng.hpp"
 
 namespace axdse::axc {
@@ -17,54 +18,54 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(AlmostCorrect, ExactWhenCarryChainsFitWindow) {
-  const AlmostCorrectAdder adder(8, 4);
+  const AddOpDescriptor adder = MakeAlmostCorrectAdder(8, 4);
   // 0x0F + 0x01: the longest carry chain is 4 = window -> exact.
-  EXPECT_EQ(adder.Add(0x0F, 0x01), 0x10u);
+  EXPECT_EQ(DispatchAdd(adder, 0x0F, 0x01), 0x10u);
   // No carries at all.
-  EXPECT_EQ(adder.Add(0x50, 0x0A), 0x5Au);
+  EXPECT_EQ(DispatchAdd(adder, 0x50, 0x0A), 0x5Au);
 }
 
 TEST(AlmostCorrect, CutsChainsLongerThanWindow) {
-  const AlmostCorrectAdder adder(8, 1);
+  const AddOpDescriptor adder = MakeAlmostCorrectAdder(8, 1);
   // 0b0101 + 0b0011 = 8 needs a 3-long chain; window 1 cuts it.
-  EXPECT_NE(adder.Add(0b0101, 0b0011), 8u);
+  EXPECT_NE(DispatchAdd(adder, 0b0101, 0b0011), 8u);
 }
 
 TEST(AlmostCorrect, LargeWindowIsExactEverywhere8Bit) {
-  const AlmostCorrectAdder adder(8, 9);
+  const AddOpDescriptor adder = MakeAlmostCorrectAdder(8, 9);
   for (std::uint64_t a = 0; a < 256; ++a)
     for (std::uint64_t b = 0; b < 256; ++b)
-      EXPECT_EQ(adder.Add(a, b), a + b) << "a=" << a << " b=" << b;
+      EXPECT_EQ(DispatchAdd(adder, a, b), a + b) << "a=" << a << " b=" << b;
 }
 
 TEST(AlmostCorrect, ErrorRateDropsWithWindow) {
   const Characterization w1 =
-      CharacterizeAdder(AlmostCorrectAdder(8, 1), 8, 1 << 16);
+      CharacterizeAdder(MakeAlmostCorrectAdder(8, 1), 8, 1 << 16);
   const Characterization w2 =
-      CharacterizeAdder(AlmostCorrectAdder(8, 2), 8, 1 << 16);
+      CharacterizeAdder(MakeAlmostCorrectAdder(8, 2), 8, 1 << 16);
   const Characterization w4 =
-      CharacterizeAdder(AlmostCorrectAdder(8, 4), 8, 1 << 16);
+      CharacterizeAdder(MakeAlmostCorrectAdder(8, 4), 8, 1 << 16);
   EXPECT_GT(w1.error_rate, w2.error_rate);
   EXPECT_GT(w2.error_rate, w4.error_rate);
   EXPECT_GT(w4.error_rate, 0.0);
 }
 
 TEST(AlmostCorrect, Commutative) {
-  const AlmostCorrectAdder adder(8, 2);
+  const AddOpDescriptor adder = MakeAlmostCorrectAdder(8, 2);
   for (std::uint64_t a = 0; a < 256; a += 3)
     for (std::uint64_t b = a; b < 256; b += 5)
-      EXPECT_EQ(adder.Add(a, b), adder.Add(b, a));
+      EXPECT_EQ(DispatchAdd(adder, a, b), DispatchAdd(adder, b, a));
 }
 
 TEST(AlmostCorrect, WorksBeyondNominalWidth) {
-  const AlmostCorrectAdder adder(8, 8);
+  const AddOpDescriptor adder = MakeAlmostCorrectAdder(8, 8);
   // Chains within 8 bits are resolved even for wide operands.
-  EXPECT_EQ(adder.Add(1'000'000, 1'000'000), 2'000'000u);
+  EXPECT_EQ(DispatchAdd(adder, 1'000'000, 1'000'000), 2'000'000u);
 }
 
 TEST(AlmostCorrect, RejectsInvalidWindow) {
-  EXPECT_THROW(AlmostCorrectAdder(8, 0), std::invalid_argument);
-  EXPECT_THROW(AlmostCorrectAdder(8, 64), std::invalid_argument);
+  EXPECT_THROW(MakeAlmostCorrectAdder(8, 0), std::invalid_argument);
+  EXPECT_THROW(MakeAlmostCorrectAdder(8, 64), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -73,32 +74,32 @@ TEST(AlmostCorrect, RejectsInvalidWindow) {
 
 TEST(Ama, SingleBitCellTruthTable) {
   // One approximate position: sum bit = NOT(majority(a0,b0,0)) = NOT(a0&b0).
-  const AmaAdder adder(8, 1);
+  const AddOpDescriptor adder = MakeAmaAdder(8, 1);
   // (0,0): cout 0, sum 1 -> result low bit 1 (exact would be 0). High exact.
-  EXPECT_EQ(adder.Add(0, 0), 1u);
+  EXPECT_EQ(DispatchAdd(adder, 0, 0), 1u);
   // (1,0): cout 0, sum 1 -> exact.
-  EXPECT_EQ(adder.Add(1, 0), 1u);
-  EXPECT_EQ(adder.Add(0, 1), 1u);
+  EXPECT_EQ(DispatchAdd(adder, 1, 0), 1u);
+  EXPECT_EQ(DispatchAdd(adder, 0, 1), 1u);
   // (1,1): cout 1, sum 0 -> 2, exact.
-  EXPECT_EQ(adder.Add(1, 1), 2u);
+  EXPECT_EQ(DispatchAdd(adder, 1, 1), 2u);
 }
 
 TEST(Ama, CarriesStayExactThroughApproxRegion) {
   // AMA1's carry is the exact majority, so the high part never sees a wrong
   // carry: (a+b) and Add(a,b) agree above the approx region.
-  const AmaAdder adder(8, 4);
+  const AddOpDescriptor adder = MakeAmaAdder(8, 4);
   for (std::uint64_t a = 0; a < 256; ++a) {
     for (std::uint64_t b = 0; b < 256; ++b) {
-      EXPECT_EQ(adder.Add(a, b) >> 4, (a + b) >> 4);
+      EXPECT_EQ(DispatchAdd(adder, a, b) >> 4, (a + b) >> 4);
     }
   }
 }
 
 TEST(Ama, ErrorBoundedByApproxRegion) {
-  const AmaAdder adder(8, 4);
+  const AddOpDescriptor adder = MakeAmaAdder(8, 4);
   for (std::uint64_t a = 0; a < 256; a += 3) {
     for (std::uint64_t b = 0; b < 256; b += 5) {
-      const std::int64_t err = static_cast<std::int64_t>(adder.Add(a, b)) -
+      const std::int64_t err = static_cast<std::int64_t>(DispatchAdd(adder, a, b)) -
                                static_cast<std::int64_t>(a + b);
       EXPECT_LT(std::abs(err), 16);  // wrong bits confined below bit 4
     }
@@ -106,14 +107,14 @@ TEST(Ama, ErrorBoundedByApproxRegion) {
 }
 
 TEST(Ama, HasErrorsButModestMred) {
-  const Characterization c = CharacterizeAdder(AmaAdder(8, 4), 8, 1 << 16);
+  const Characterization c = CharacterizeAdder(MakeAmaAdder(8, 4), 8, 1 << 16);
   EXPECT_GT(c.error_rate, 0.0);
   EXPECT_LT(c.mred, 0.08);
 }
 
 TEST(Ama, RejectsInvalidBits) {
-  EXPECT_THROW(AmaAdder(8, 0), std::invalid_argument);
-  EXPECT_THROW(AmaAdder(8, 9), std::invalid_argument);
+  EXPECT_THROW(MakeAmaAdder(8, 0), std::invalid_argument);
+  EXPECT_THROW(MakeAmaAdder(8, 9), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -121,22 +122,22 @@ TEST(Ama, RejectsInvalidBits) {
 // ---------------------------------------------------------------------------
 
 TEST(Kulkarni, BaseBlockOnlyErrorIsThreeTimesThree) {
-  const KulkarniMultiplier mul(8);
+  const MulOpDescriptor mul = MakeKulkarniMultiplier(8);
   for (std::uint64_t a = 0; a < 4; ++a) {
     for (std::uint64_t b = 0; b < 4; ++b) {
       if (a == 3 && b == 3)
-        EXPECT_EQ(mul.Multiply(a, b), 7u);
+        EXPECT_EQ(DispatchMul(mul, a, b), 7u);
       else
-        EXPECT_EQ(mul.Multiply(a, b), a * b);
+        EXPECT_EQ(DispatchMul(mul, a, b), a * b);
     }
   }
 }
 
 TEST(Kulkarni, NeverOverestimatesAndBounded) {
-  const KulkarniMultiplier mul(8);
+  const MulOpDescriptor mul = MakeKulkarniMultiplier(8);
   for (std::uint64_t a = 0; a < 256; ++a) {
     for (std::uint64_t b = 0; b < 256; ++b) {
-      const std::uint64_t approx = mul.Multiply(a, b);
+      const std::uint64_t approx = DispatchMul(mul, a, b);
       EXPECT_LE(approx, a * b);
       // Each 2x2 block loses at most 2 per occurrence of (3,3); relative
       // error is classically bounded by ~22% (worst at a=b=3 itself).
@@ -152,29 +153,29 @@ TEST(Kulkarni, NeverOverestimatesAndBounded) {
 TEST(Kulkarni, KnownComposedValue) {
   // 15 * 15 = 225; Kulkarni 4-bit: al=ah=bl=bh=3 -> ll=lh=hl=hh=7:
   // (7<<4) + (7+7)<<2 + 7 = 112 + 56 + 7 = 175 (documented example).
-  const KulkarniMultiplier mul(8);
-  EXPECT_EQ(mul.Multiply(15, 15), 175u);
+  const MulOpDescriptor mul = MakeKulkarniMultiplier(8);
+  EXPECT_EQ(DispatchMul(mul, 15, 15), 175u);
 }
 
 TEST(Kulkarni, MredInClassicRange) {
   const Characterization c =
-      CharacterizeMultiplier(KulkarniMultiplier(8), 8, 1 << 16);
+      CharacterizeMultiplier(MakeKulkarniMultiplier(8), 8, 1 << 16);
   // Literature reports ~3.3% mean error for uniformly distributed inputs.
   EXPECT_GT(c.mred, 0.01);
   EXPECT_LT(c.mred, 0.06);
 }
 
 TEST(Kulkarni, Commutative) {
-  const KulkarniMultiplier mul(8);
+  const MulOpDescriptor mul = MakeKulkarniMultiplier(8);
   for (std::uint64_t a = 0; a < 256; a += 3)
     for (std::uint64_t b = a; b < 256; b += 7)
-      EXPECT_EQ(mul.Multiply(a, b), mul.Multiply(b, a));
+      EXPECT_EQ(DispatchMul(mul, a, b), DispatchMul(mul, b, a));
 }
 
 TEST(Kulkarni, WideOperandsFallBackToExact) {
-  const KulkarniMultiplier mul(32);
+  const MulOpDescriptor mul = MakeKulkarniMultiplier(32);
   const std::uint64_t a = 1ULL << 40;
-  EXPECT_EQ(mul.Multiply(a, 3), a * 3);
+  EXPECT_EQ(DispatchMul(mul, a, 3), a * 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -182,24 +183,24 @@ TEST(Kulkarni, WideOperandsFallBackToExact) {
 // ---------------------------------------------------------------------------
 
 TEST(Roba, RoundToNearestPowerOfTwo) {
-  EXPECT_EQ(RobaMultiplier::RoundToNearestPowerOfTwo(0), 0u);
-  EXPECT_EQ(RobaMultiplier::RoundToNearestPowerOfTwo(1), 1u);
-  EXPECT_EQ(RobaMultiplier::RoundToNearestPowerOfTwo(2), 2u);
-  EXPECT_EQ(RobaMultiplier::RoundToNearestPowerOfTwo(3), 4u);  // tie -> up
-  EXPECT_EQ(RobaMultiplier::RoundToNearestPowerOfTwo(5), 4u);
-  EXPECT_EQ(RobaMultiplier::RoundToNearestPowerOfTwo(6), 8u);  // tie -> up
-  EXPECT_EQ(RobaMultiplier::RoundToNearestPowerOfTwo(7), 8u);
-  EXPECT_EQ(RobaMultiplier::RoundToNearestPowerOfTwo(100), 128u);
-  EXPECT_EQ(RobaMultiplier::RoundToNearestPowerOfTwo(95), 64u);
+  EXPECT_EQ(ops::RoundToNearestPowerOfTwo(0), 0u);
+  EXPECT_EQ(ops::RoundToNearestPowerOfTwo(1), 1u);
+  EXPECT_EQ(ops::RoundToNearestPowerOfTwo(2), 2u);
+  EXPECT_EQ(ops::RoundToNearestPowerOfTwo(3), 4u);  // tie -> up
+  EXPECT_EQ(ops::RoundToNearestPowerOfTwo(5), 4u);
+  EXPECT_EQ(ops::RoundToNearestPowerOfTwo(6), 8u);  // tie -> up
+  EXPECT_EQ(ops::RoundToNearestPowerOfTwo(7), 8u);
+  EXPECT_EQ(ops::RoundToNearestPowerOfTwo(100), 128u);
+  EXPECT_EQ(ops::RoundToNearestPowerOfTwo(95), 64u);
 }
 
 TEST(Roba, ExactWhenEitherOperandIsPowerOfTwo) {
-  const RobaMultiplier mul(8);
+  const MulOpDescriptor mul = MakeRobaMultiplier(8);
   for (int p = 0; p < 8; ++p) {
     const std::uint64_t pow2 = 1ULL << p;
     for (std::uint64_t b = 0; b < 256; b += 3) {
-      EXPECT_EQ(mul.Multiply(pow2, b), pow2 * b);
-      EXPECT_EQ(mul.Multiply(b, pow2), b * pow2);
+      EXPECT_EQ(DispatchMul(mul, pow2, b), pow2 * b);
+      EXPECT_EQ(DispatchMul(mul, b, pow2), b * pow2);
     }
   }
 }
@@ -207,11 +208,11 @@ TEST(Roba, ExactWhenEitherOperandIsPowerOfTwo) {
 TEST(Roba, RelativeErrorWithinTheoreticalBound) {
   // Dropped term (a-ra)(b-rb): |a-ra| <= a/3 for nearest-pow2 rounding, so
   // the relative error is bounded by 1/9 (+ small slack for ties).
-  const RobaMultiplier mul(8);
+  const MulOpDescriptor mul = MakeRobaMultiplier(8);
   for (std::uint64_t a = 1; a < 256; ++a) {
     for (std::uint64_t b = 1; b < 256; ++b) {
       const double exact = static_cast<double>(a * b);
-      const double approx = static_cast<double>(mul.Multiply(a, b));
+      const double approx = static_cast<double>(DispatchMul(mul, a, b));
       EXPECT_LE(std::abs(exact - approx) / exact, 1.0 / 9.0 + 1e-9)
           << "a=" << a << " b=" << b;
     }
@@ -221,11 +222,11 @@ TEST(Roba, RelativeErrorWithinTheoreticalBound) {
 TEST(Roba, CanOverestimate) {
   // Unlike LeadingOne, the dropped term can be negative: find a case where
   // the approximation exceeds the exact product.
-  const RobaMultiplier mul(8);
+  const MulOpDescriptor mul = MakeRobaMultiplier(8);
   bool overestimates = false;
   for (std::uint64_t a = 1; a < 256 && !overestimates; ++a)
     for (std::uint64_t b = 1; b < 256; ++b)
-      if (mul.Multiply(a, b) > a * b) {
+      if (DispatchMul(mul, a, b) > a * b) {
         overestimates = true;
         break;
       }
@@ -234,24 +235,24 @@ TEST(Roba, CanOverestimate) {
 
 TEST(Roba, NearlyUnbiasedOnUniformInputs) {
   const Characterization c =
-      CharacterizeMultiplier(RobaMultiplier(8), 8, 1 << 16);
+      CharacterizeMultiplier(MakeRobaMultiplier(8), 8, 1 << 16);
   EXPECT_LT(std::abs(c.mean_error), c.mae);
   EXPECT_LT(c.mred, 0.05);  // ROBA is an accurate approximation
   EXPECT_GT(c.mred, 0.001);
 }
 
 TEST(Roba, ZeroAnnihilates) {
-  const RobaMultiplier mul(8);
-  EXPECT_EQ(mul.Multiply(0, 200), 0u);
-  EXPECT_EQ(mul.Multiply(200, 0), 0u);
+  const MulOpDescriptor mul = MakeRobaMultiplier(8);
+  EXPECT_EQ(DispatchMul(mul, 0, 200), 0u);
+  EXPECT_EQ(DispatchMul(mul, 200, 0), 0u);
 }
 
 TEST(Roba, LargeOperandsNoOverflow) {
-  const RobaMultiplier mul(32);
+  const MulOpDescriptor mul = MakeRobaMultiplier(32);
   const std::uint64_t a = 0xFFFFFFFFULL;  // rounds up to 2^32
   const std::uint64_t b = 3;
   // ra*b + rb*a - ra*rb computed in 128 bits; result near exact 3a.
-  const std::uint64_t approx = mul.Multiply(a, b);
+  const std::uint64_t approx = DispatchMul(mul, a, b);
   const double rel = std::abs(static_cast<double>(approx) -
                               static_cast<double>(a * b)) /
                      static_cast<double>(a * b);
@@ -263,17 +264,17 @@ TEST(Roba, LargeOperandsNoOverflow) {
 // ---------------------------------------------------------------------------
 
 TEST(ExtendedFactories, ProduceWorkingInstances) {
-  EXPECT_EQ(MakeAlmostCorrectAdder(8, 3)->OperandBits(), 8);
-  EXPECT_EQ(MakeAmaAdder(8, 2)->OperandBits(), 8);
-  EXPECT_EQ(MakeKulkarniMultiplier(8)->Multiply(2, 2), 4u);
-  EXPECT_EQ(MakeRobaMultiplier(8)->Multiply(4, 5), 20u);
+  EXPECT_EQ(MakeAlmostCorrectAdder(8, 3).bits, 8);
+  EXPECT_EQ(MakeAmaAdder(8, 2).bits, 8);
+  EXPECT_EQ(DispatchMul(MakeKulkarniMultiplier(8), 2, 2), 4u);
+  EXPECT_EQ(DispatchMul(MakeRobaMultiplier(8), 4, 5), 20u);
 }
 
 TEST(ExtendedDescribe, Names) {
-  EXPECT_EQ(AlmostCorrectAdder(8, 4).Describe(), "ACA(w=4)");
-  EXPECT_EQ(AmaAdder(8, 3).Describe(), "AMA1(k=3)");
-  EXPECT_EQ(KulkarniMultiplier(8).Describe(), "Kulkarni2x2");
-  EXPECT_EQ(RobaMultiplier(8).Describe(), "ROBA");
+  EXPECT_EQ(Describe(MakeAlmostCorrectAdder(8, 4)), "ACA(w=4)");
+  EXPECT_EQ(Describe(MakeAmaAdder(8, 3)), "AMA1(k=3)");
+  EXPECT_EQ(Describe(MakeKulkarniMultiplier(8)), "Kulkarni2x2");
+  EXPECT_EQ(Describe(MakeRobaMultiplier(8)), "ROBA");
 }
 
 }  // namespace

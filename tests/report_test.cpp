@@ -91,7 +91,7 @@ std::string AdderGoldenSection(const std::string& title,
   std::vector<std::string> types;
   for (const axc::AdderSpec& spec : specs) {
     measured.push_back(
-        axc::CharacterizeAdder(*spec.model, bits, samples, kGoldenSeed));
+        axc::CharacterizeAdder(spec.op, bits, samples, kGoldenSeed));
     types.push_back(spec.type_code);
   }
   return RenderAdderTable(title, specs, measured) +
@@ -105,7 +105,7 @@ std::string MultiplierGoldenSection(
   std::vector<std::string> types;
   for (const axc::MultiplierSpec& spec : specs) {
     measured.push_back(
-        axc::CharacterizeMultiplier(*spec.model, bits, samples, kGoldenSeed));
+        axc::CharacterizeMultiplier(spec.op, bits, samples, kGoldenSeed));
     types.push_back(spec.type_code);
   }
   return RenderMultiplierTable(title, specs, measured) +
