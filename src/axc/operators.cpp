@@ -44,11 +44,6 @@ struct TableSlot {
   std::unique_ptr<std::uint32_t[]> table;
 };
 
-TableSlot& Slot(const MulOpDescriptor& op) {
-  static TableSlot slots[kTableFamilies][kTableParams];
-  return slots[static_cast<int>(op.code)][op.param];
-}
-
 }  // namespace
 
 AddOpDescriptor MakeExactAdder(int operand_bits) {
@@ -185,7 +180,8 @@ const std::uint32_t* ProductTable8(const MulOpDescriptor& op) noexcept {
   if (op.code == MulOpCode::kExact || op.bits > 8 || op.param < 0 ||
       op.param >= kTableParams)
     return nullptr;
-  TableSlot& slot = Slot(op);
+  static TableSlot slots[kTableFamilies][kTableParams];
+  TableSlot& slot = slots[static_cast<int>(op.code)][op.param];
   std::call_once(slot.once, [&slot, op]() noexcept {
     auto table = std::unique_ptr<std::uint32_t[]>(
         new (std::nothrow) std::uint32_t[65536]);
