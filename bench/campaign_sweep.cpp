@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   std::printf("Grid: %zu cells, %zu explorations\n", spec.NumCells(),
               spec.NumJobs());
 
-  Session session(dse::EngineOptions{
+  const dse::Engine engine(dse::EngineOptions{
       static_cast<std::size_t>(args.GetInt("workers", 0))});
   dse::CampaignOptions options;
   options.chunk_cells = static_cast<std::size_t>(args.GetInt("chunk", 10));
@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   options.max_chunks =
       static_cast<std::size_t>(args.GetInt("max-chunks", 0));
 
-  const dse::CampaignResult result = session.RunCampaign(spec, options);
+  const dse::CampaignResult result = dse::Campaign(engine).Run(spec, options);
 
   if (!result.Complete()) {
     std::printf(

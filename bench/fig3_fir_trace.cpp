@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
 
   // 17-tap LPF on 100 white-noise samples, per-tap variables.
   const dse::ExplorationRequest request =
-      Session::Request("fir")
+      dse::RequestBuilder("fir")
           .Size(100)
           .KernelSeed(2023)
           .MaxSteps(static_cast<std::size_t>(args.GetInt("steps", 10000)))
@@ -29,11 +29,10 @@ int main(int argc, char** argv) {
           .RecordTrace()
           .Build();
 
-  Session session;
   std::printf("Exploring %s (%zu steps max)...\n", request.kernel.ToString().c_str(),
               request.max_steps);
-  const dse::RequestResult run = session.Explore(request);
-  const dse::ExplorationResult& result = run.runs.front();
+  const dse::BatchResult batch = dse::Engine().Run({request});
+  const dse::ExplorationResult& result = batch.results.front().runs.front();
 
   const std::size_t stride =
       static_cast<std::size_t>(args.GetInt("stride", 250));

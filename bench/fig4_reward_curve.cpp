@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(args.GetInt("seed", 1));
   const auto make_request = [&](const std::string& kernel,
                                 std::size_t size) {
-    return Session::Request(kernel)
+    return dse::RequestBuilder(kernel)
         .Size(size)
         .KernelSeed(2023)
         .MaxSteps(steps)
@@ -32,10 +32,10 @@ int main(int argc, char** argv) {
   };
 
   // Both curves as one parallel batch.
-  Session session;
+  const dse::Engine engine;
   std::printf("Exploring matmul 10x10 and fir 100 (%zu workers)...\n",
-              session.Engine().NumWorkers());
-  const dse::BatchResult batch = session.ExploreBatch(
+              engine.NumWorkers());
+  const dse::BatchResult batch = engine.Run(
       {make_request("matmul", 10), make_request("fir", 100)});
   const dse::ExplorationResult& matmul_result =
       batch.results[0].runs.front();

@@ -47,7 +47,7 @@ axdse::dse::ExplorationRequest MakeRequest(const axdse::util::CliArgs& args,
                                            const std::string& label,
                                            std::uint64_t seed_offset) {
   auto builder =
-      axdse::Session::Request(kernel)
+      axdse::dse::RequestBuilder(kernel)
           .Size(size)
           .KernelSeed(2023)
           .Label(label)
@@ -104,12 +104,12 @@ int main(int argc, char** argv) {
       MakeRequest(args, "fir", 200, "", "FIR 200", 3),
   };
 
-  Session session(dse::EngineOptions{
+  const dse::Engine engine(dse::EngineOptions{
       static_cast<std::size_t>(args.GetInt("workers", 0))});
   std::printf("Running %zu explorations (%zu requests) on %zu workers...\n",
               requests.size() *
                   static_cast<std::size_t>(args.GetInt("seeds", 1)),
-              requests.size(), session.Engine().NumWorkers());
+              requests.size(), engine.NumWorkers());
 
   dse::CheckpointOptions checkpoint;
   if (args.Has("checkpoint")) {
@@ -124,10 +124,7 @@ int main(int argc, char** argv) {
         checkpoint.directory.c_str(), checkpoint.interval,
         checkpoint.step_budget > 0 ? ", budget-limited" : "");
   }
-  const dse::BatchResult batch =
-      checkpoint.directory.empty()
-          ? session.ExploreBatch(requests)
-          : session.ExploreBatch(requests, checkpoint);
+  const dse::BatchResult batch = engine.Run(requests, checkpoint);
 
   if (!batch.Complete()) {
     std::printf(

@@ -19,8 +19,8 @@ int main() {
   std::printf("grid: %zu cells, %zu explorations\n\n", spec.NumCells(),
               spec.NumJobs());
 
-  Session session;
-  const dse::CampaignResult result = session.RunCampaign(spec);
+  const dse::Engine engine;
+  const dse::CampaignResult result = dse::Campaign(engine).Run(spec);
 
   std::printf("%s\n", report::RenderCampaignSummary(result).c_str());
 

@@ -96,22 +96,24 @@ class SadKernel final : public workloads::Kernel {
 int main() {
   // Register the custom kernel by name: `size` is the number of candidate
   // positions, `seed` drives the synthetic frame.
-  Session session;
-  session.RegisterKernel("sad", [](const workloads::KernelParams& p) {
+  workloads::KernelRegistry& registry = workloads::KernelRegistry::Global();
+  registry.Register("sad", [](const workloads::KernelParams& p) {
     return std::make_unique<SadKernel>(p.size == 0 ? 32 : p.size, p.seed);
   });
   std::printf("registered kernels:");
-  for (const std::string& name : session.Kernels())
+  for (const std::string& name : registry.Names())
     std::printf(" %s", name.c_str());
   std::printf("\n");
 
   // From here on "sad" works exactly like the built-in benchmarks.
-  const dse::RequestResult run = session.Explore(Session::Request("sad")
-                                                     .Size(32)
-                                                     .KernelSeed(11)
-                                                     .MaxSteps(6000)
-                                                     .Seed(3)
-                                                     .Build());
+  const dse::Engine engine;
+  const dse::BatchResult batch = engine.Run({dse::RequestBuilder("sad")
+                                                 .Size(32)
+                                                 .KernelSeed(11)
+                                                 .MaxSteps(6000)
+                                                 .Seed(3)
+                                                 .Build()});
+  const dse::RequestResult& run = batch.results.front();
   const dse::ExplorationResult& result = run.runs.front();
 
   std::printf("custom kernel '%s': %zu steps (%s)\n",

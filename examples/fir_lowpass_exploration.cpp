@@ -45,13 +45,13 @@ int main(int argc, char** argv) {
               signal::MagnitudeResponse(h, cutoff),
               signal::MagnitudeResponse(h, 0.45));
 
-  Session session;
-  const dse::RequestResult run = session.Explore(
-      dse::RequestBuilder(kernel)
-          .MaxSteps(static_cast<std::size_t>(args.GetInt("steps", 10000)))
-          .Seed(static_cast<std::uint64_t>(args.GetInt("seed", 7)))
-          .RecordTrace()
-          .Build());
+  const dse::BatchResult batch = dse::Engine().Run(
+      {dse::RequestBuilder(kernel)
+           .MaxSteps(static_cast<std::size_t>(args.GetInt("steps", 10000)))
+           .Seed(static_cast<std::uint64_t>(args.GetInt("seed", 7)))
+           .RecordTrace()
+           .Build()});
+  const dse::RequestResult& run = batch.results.front();
   const dse::ExplorationResult& result = run.runs.front();
 
   std::printf("\nexploration: %zu steps (%s)\n", result.steps,

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
 
   const dse::ExplorationRequest request =
-      Session::Request("matmul")
+      dse::RequestBuilder("matmul")
           .Size(static_cast<std::size_t>(args.GetInt("n", 10)))
           .KernelSeed(42)
           .KernelParam("granularity",
@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
                                                  request.kernel_seed);
   const auto& ops = pinned.kernel_override->Operators();
 
-  Session session;
-  const dse::RequestResult run = session.Explore(pinned);
+  const dse::BatchResult batch = dse::Engine().Run({pinned});
+  const dse::RequestResult& run = batch.results.front();
   const dse::ExplorationResult& result = run.runs.front();
 
   std::printf("\n%s: precise run %.1f mW / %.1f ns, acc_th=%.2f\n",

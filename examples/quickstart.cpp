@@ -4,8 +4,8 @@
 //
 //   $ ./build/examples/quickstart
 //
-// Pipeline: open a Session -> describe the run as an ExplorationRequest
-// (kernel by registry name + paper budget) -> Explore() -> read the
+// Pipeline: make an Engine -> describe the run as an ExplorationRequest
+// (kernel by registry name + paper budget) -> Run() -> read the
 // solution. Thresholds are derived from the precise run automatically
 // (acc_th = 0.4 x mean output, p_th/t_th = 50% of precise power/time).
 
@@ -16,13 +16,14 @@
 int main() {
   using namespace axdse;
 
-  // 1. A session: kernel registry ("matmul", "fir", "iir", "conv2d", "dct",
-  //    "dot") plus a batch engine sized to the hardware.
-  Session session;
+  // 1. A batch engine sized to the hardware; it resolves kernels by name
+  //    from the global registry ("matmul", "fir", "iir", "conv2d", "dct",
+  //    "dot", ...).
+  const dse::Engine engine;
 
   // 2. The run, as one validated value: C = A*B on random 8-bit 10x10
   //    matrices, <= 10,000 Q-learning steps, straight from the paper.
-  const dse::ExplorationRequest request = Session::Request("matmul")
+  const dse::ExplorationRequest request = dse::RequestBuilder("matmul")
                                               .Size(10)
                                               .KernelSeed(42)
                                               .MaxSteps(10000)
@@ -31,8 +32,8 @@ int main() {
 
   // 3. Explore (a request can carry many seeds; this one runs a single
   //    exploration).
-  const dse::RequestResult batch = session.Explore(request);
-  const dse::ExplorationResult& result = batch.runs.front();
+  const dse::BatchResult batch = engine.Run({request});
+  const dse::ExplorationResult& result = batch.results.front().runs.front();
 
   // 4. Use the solution.
   std::printf("explored %zu steps (%s), %zu distinct versions executed\n",

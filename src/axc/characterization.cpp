@@ -40,10 +40,14 @@ Characterization Characterize(const Op& op, const Exact& exact, int bits,
                 static_cast<double>(op(a, b)));
     return FromAccumulator(acc, /*exhaustive=*/true);
   }
+  // 64-bit operands span the whole word: draw raw bits (limit wrapped to 0).
   util::Rng rng(seed);
+  const auto draw = [&] {
+    return bits >= 64 ? rng.NextBits() : rng.UniformBelow(limit);
+  };
   for (std::size_t i = 0; i < max_samples; ++i) {
-    const std::uint64_t a = rng.UniformBelow(limit);
-    const std::uint64_t b = rng.UniformBelow(limit);
+    const std::uint64_t a = draw();
+    const std::uint64_t b = draw();
     acc.Add(static_cast<double>(exact(a, b)), static_cast<double>(op(a, b)));
   }
   return FromAccumulator(acc, /*exhaustive=*/false);

@@ -1,18 +1,22 @@
 #pragma once
 // axdse — the public facade. Include this one header to use the library:
 //
-//   axdse::Session session;                          // registry + engine
-//   auto request = axdse::Session::Request("fir")    // fluent builder
-//                      .Size(100).Seeds(8).Build();  // validated value type
-//   auto result = session.Explore(request);          // parallel multi-seed
-//   axdse::report::WriteBatchJson(std::cout, batch); // machine-readable out
+//   const axdse::dse::Engine engine;                  // worker pool
+//   const auto request = axdse::dse::RequestBuilder("fir")
+//                            .Size(100).Seeds(8).Build();  // validated value
+//   const auto batch = engine.Run({request});         // parallel multi-seed
+//   axdse::report::WriteBatchJson(std::cout, batch);  // machine-readable out
 //
-// Layering underneath, still reachable through this header when needed:
-//   workloads::KernelRegistry  — kernels by name ("matmul", "fir", ...)
+// Layering underneath, all reachable through this header:
+//   workloads::KernelRegistry  — kernels by name ("matmul", "fir", ...);
+//                                Global().Register() adds custom ones
 //   dse::ExplorationRequest    — one serializable run description
-//   dse::CampaignSpec          — a declarative sweep grid over requests
-//   dse::Engine                — batch execution on a worker pool
+//   dse::Engine                — batch execution on a worker pool; its one
+//                                Run() also resumes and preempts batches
 //   dse::Checkpoint            — suspend/resume snapshots (byte-identical)
+//   dse::CampaignSpec/Campaign — a declarative sweep grid over requests
+//   dse::ShardWorker           — one process's share of a sharded campaign,
+//                                folded by dse::MergeShardedCampaign
 //   dse::Explorer / Evaluator  — the single-run core from the paper
 //   report::*                  — Tables I-III / Figures 2-4 / JSON / CSV
 
@@ -25,11 +29,11 @@
 #include "dse/explorer.hpp"
 #include "dse/pareto.hpp"
 #include "dse/request.hpp"
+#include "dse/shard.hpp"
 #include "report/campaign.hpp"
 #include "report/export.hpp"
 #include "report/figures.hpp"
 #include "report/tables.hpp"
-#include "session.hpp"
 #include "util/ascii_table.hpp"
 #include "util/cli.hpp"
 #include "workloads/kernel.hpp"

@@ -610,11 +610,6 @@ CampaignSlice RunCampaignSlice(const Engine& engine,
 // --- Campaign ---------------------------------------------------------------
 
 CampaignResult Campaign::Run(const CampaignSpec& spec,
-                             const CampaignOptions& options) const {
-  return Run(spec, options, CampaignObserver{});
-}
-
-CampaignResult Campaign::Run(const CampaignSpec& spec,
                              const CampaignOptions& options,
                              const CampaignObserver& observer) const {
   const ChunkPlan plan(spec, options.chunk_cells);

@@ -316,14 +316,14 @@ class Campaign {
   /// std::invalid_argument on invalid specs and ShardError when the
   /// directory belongs to a different campaign or chunking; torn result
   /// documents and engine snapshots are recomputed, not fatal.
+  ///
+  /// `observer` streams per-chunk progress (see CampaignObserver). Hooks
+  /// never change results; observer.engine.should_suspend additionally lets
+  /// a caller drain the campaign mid-chunk (requires a checkpoint
+  /// directory).
   CampaignResult Run(const CampaignSpec& spec,
-                     const CampaignOptions& options = {}) const;
-
-  /// Run() with streaming hooks (see CampaignObserver). Hooks never change
-  /// results; engine.should_suspend additionally lets a caller drain the
-  /// campaign mid-chunk (requires a checkpoint directory).
-  CampaignResult Run(const CampaignSpec& spec, const CampaignOptions& options,
-                     const CampaignObserver& observer) const;
+                     const CampaignOptions& options = {},
+                     const CampaignObserver& observer = {}) const;
 
  private:
   const Engine* engine_;

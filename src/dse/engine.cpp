@@ -7,6 +7,7 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 #include <thread>
 #include <utility>
@@ -59,8 +60,9 @@ struct JobOutcome {
   RewardConfig reward;
   std::string kernel_name;
   std::exception_ptr error;
-  /// The job hit the checkpoint step budget and suspended mid-run.
-  bool suspended = false;
+  /// Set when the job suspended mid-run (step budget or should_suspend): its
+  /// snapshot, written at batch end after every worker has joined.
+  std::optional<Checkpoint> suspended;
   /// The job ran to completion in this invocation (not restored from a
   /// finished snapshot); its finished snapshot is owed if the batch stops
   /// short.
@@ -186,32 +188,6 @@ std::size_t Engine::NumWorkers() const noexcept {
   if (options_.num_workers > 0) return options_.num_workers;
   const unsigned hardware = std::thread::hardware_concurrency();
   return hardware == 0 ? 1 : static_cast<std::size_t>(hardware);
-}
-
-BatchResult Engine::Run(const std::vector<ExplorationRequest>& requests) const {
-  return Run(requests, CheckpointOptions{});
-}
-
-BatchResult Engine::Run(const std::vector<ExplorationRequest>& requests,
-                        const CheckpointOptions& checkpoint) const {
-  return Run(requests, checkpoint, RunHooks{});
-}
-
-BatchResult Engine::SaveBatchCheckpoint(
-    const std::vector<ExplorationRequest>& requests,
-    const std::string& directory, std::size_t step_budget) const {
-  CheckpointOptions checkpoint;
-  checkpoint.directory = directory;
-  checkpoint.step_budget = step_budget;
-  return Run(requests, checkpoint);
-}
-
-BatchResult Engine::ResumeBatch(
-    const std::vector<ExplorationRequest>& requests,
-    const std::string& directory) const {
-  CheckpointOptions checkpoint;
-  checkpoint.directory = directory;
-  return Run(requests, checkpoint);
 }
 
 BatchResult Engine::Run(const std::vector<ExplorationRequest>& requests,
@@ -361,18 +337,17 @@ BatchResult Engine::Run(const std::vector<ExplorationRequest>& requests,
         config.seed = request.seed + job.seed_index;
         Explorer explorer(*evaluator, reward, config);
 
-        // Progress snapshot from the live explorer (must be called before
-        // Finish(), which consumes the run state).
-        const auto emit = [&](bool finished, bool suspended) {
+        const auto report = [&](std::size_t steps, double cumulative_reward,
+                                const instrument::Measurement* best,
+                                bool finished, bool suspended) {
           if (!hooks.on_progress) return;
           JobProgress progress;
           progress.request_index = job.request_index;
           progress.seed_index = job.seed_index;
           progress.seed = config.seed;
-          progress.steps = explorer.StepsTaken();
-          progress.cumulative_reward = explorer.CumulativeRewardSoFar();
-          if (const instrument::Measurement* best =
-                  explorer.BestFeasibleSoFar()) {
+          progress.steps = steps;
+          progress.cumulative_reward = cumulative_reward;
+          if (best) {
             progress.has_best = true;
             progress.best = *best;
           }
@@ -380,113 +355,95 @@ BatchResult Engine::Run(const std::vector<ExplorationRequest>& requests,
           progress.suspended = suspended;
           hooks.on_progress(progress);
         };
+        // Progress snapshot from the live explorer (must be called before
+        // Finish(), which consumes the run state).
+        const auto emit = [&](bool finished, bool suspended) {
+          report(explorer.StepsTaken(), explorer.CumulativeRewardSoFar(),
+                 explorer.BestFeasibleSoFar(), finished, suspended);
+        };
 
-        if (!checkpointing && hook_interval == 0) {
-          out.result = explorer.Explore();
-        } else if (!checkpointing) {
-          // Hooked but snapshot-free: chunked stepping purely so progress
-          // callbacks fire; results are identical to Explore().
-          while (!explorer.Finished()) {
-            explorer.RunSteps(hook_interval);
-            emit(explorer.Finished(), false);
+        const std::string& request_text = request_texts[job.request_index];
+        const std::string path =
+            checkpointing ? (fs::path(checkpoint.directory) /
+                             JobCheckpointFileName(request_text, config.seed))
+                                .string()
+                          : std::string();
+        const auto take_snapshot = [&]() {
+          Checkpoint snapshot = explorer.Suspend();
+          snapshot.request = request_text;
+          snapshot.seed = config.seed;
+          return snapshot;
+        };
+
+        // Resume: a mid-run snapshot restores the explorer; a finished one
+        // short-circuits the job entirely (its queries must not hit the
+        // shared cache a second time).
+        bool done = false;
+        std::error_code ec;
+        if (checkpointing && fs::exists(path, ec)) {
+          restoring = true;
+          Checkpoint snapshot = Checkpoint::Load(path);
+          if (snapshot.request != request_text || snapshot.seed != config.seed)
+            throw CheckpointError(
+                "Engine::Run: snapshot at " + path +
+                " belongs to a different job (request/seed mismatch)");
+          if (!snapshot.finished) explorer.ResumeFrom(snapshot);
+          restoring = false;
+          if (snapshot.finished) {
+            out.result = std::move(snapshot.result);
+            // stage_counts is derived data (recomputed from the solution at
+            // Finish()), not part of the snapshot format.
+            out.result.stage_counts = kernel->StageCounts(out.result.solution);
+            done = true;
+            // The explorer never ran; report from the restored result.
+            report(out.result.steps, out.result.cumulative_reward,
+                   out.result.has_best_feasible
+                       ? &out.result.best_feasible_measurement
+                       : nullptr,
+                   true, false);
           }
-          out.result = explorer.Finish();
-        } else {
-          const std::string& request_text = request_texts[job.request_index];
-          const std::string path =
-              (fs::path(checkpoint.directory) /
-               JobCheckpointFileName(request_text, config.seed))
-                  .string();
-          const auto stamp = [&](Checkpoint& snapshot) {
-            snapshot.request = request_text;
-            snapshot.seed = config.seed;
-          };
+        }
 
-          // Resume: a mid-run snapshot restores the explorer; a finished
-          // one short-circuits the job entirely (its queries must not hit
-          // the shared cache a second time).
-          bool done = false;
-          std::error_code ec;
-          if (fs::exists(path, ec)) {
-            restoring = true;
-            Checkpoint snapshot = Checkpoint::Load(path);
-            if (snapshot.request != request_text ||
-                snapshot.seed != config.seed)
-              throw CheckpointError(
-                  "Engine::Run: snapshot at " + path +
-                  " belongs to a different job (request/seed mismatch)");
-            if (!snapshot.finished) explorer.ResumeFrom(snapshot);
-            restoring = false;
-            if (snapshot.finished) {
-              out.result = std::move(snapshot.result);
-              // stage_counts is derived data (recomputed from the solution
-              // at Finish()), not part of the snapshot format.
-              out.result.stage_counts =
-                  kernel->StageCounts(out.result.solution);
-              done = true;
-              if (hooks.on_progress) {
-                // The explorer never ran; report from the restored result.
-                JobProgress progress;
-                progress.request_index = job.request_index;
-                progress.seed_index = job.seed_index;
-                progress.seed = config.seed;
-                progress.steps = out.result.steps;
-                progress.cumulative_reward = out.result.cumulative_reward;
-                if (out.result.has_best_feasible) {
-                  progress.has_best = true;
-                  progress.best = out.result.best_feasible_measurement;
-                }
-                progress.finished = true;
-                hooks.on_progress(progress);
-              }
+        if (!done) {
+          // The one stepping loop. A chunk ends at the next autosave, hook
+          // poll or budget edge; with none of them set the job runs as one
+          // chunk, the same StepOnce sequence as Explorer::Explore().
+          // Autosave and budget apply only with a checkpoint directory.
+          const std::size_t interval =
+              !checkpointing                    ? 0
+              : request.checkpoint_interval > 0 ? request.checkpoint_interval
+                                                : checkpoint.interval;
+          const std::size_t budget =
+              checkpointing ? checkpoint.step_budget : 0;
+          std::size_t new_steps = 0;
+          std::size_t since_save = 0;
+          bool suspended = false;
+          while (true) {
+            std::size_t chunk = std::numeric_limits<std::size_t>::max();
+            if (interval > 0) chunk = interval;
+            if (hook_interval > 0) chunk = std::min(chunk, hook_interval);
+            if (budget > 0) chunk = std::min(chunk, budget - new_steps);
+            const std::size_t taken = explorer.RunSteps(chunk);
+            new_steps += taken;
+            since_save += taken;
+            if (explorer.Finished()) break;
+            suspended = (budget > 0 && new_steps >= budget) ||
+                        (hooks.should_suspend && hooks.should_suspend());
+            if (suspended) break;
+            emit(false, false);
+            if (interval > 0 && since_save >= interval) {
+              take_snapshot().Save(path);
+              since_save = 0;
             }
           }
-
-          if (!done) {
-            const std::size_t interval = request.checkpoint_interval > 0
-                                             ? request.checkpoint_interval
-                                             : checkpoint.interval;
-            const std::size_t budget = checkpoint.step_budget;
-            std::size_t new_steps = 0;
-            std::size_t since_save = 0;
-            bool suspended = false;
-            while (true) {
-              std::size_t chunk = std::numeric_limits<std::size_t>::max();
-              if (interval > 0) chunk = interval;
-              if (hook_interval > 0) chunk = std::min(chunk, hook_interval);
-              if (budget > 0) chunk = std::min(chunk, budget - new_steps);
-              const std::size_t taken = explorer.RunSteps(chunk);
-              new_steps += taken;
-              since_save += taken;
-              if (explorer.Finished()) break;
-              if (budget > 0 && new_steps >= budget) {
-                suspended = true;
-                break;
-              }
-              if (hooks.should_suspend && hooks.should_suspend()) {
-                suspended = true;
-                break;
-              }
-              emit(false, false);
-              if (interval > 0 && since_save >= interval) {
-                Checkpoint snapshot = explorer.Suspend();
-                stamp(snapshot);
-                snapshot.Save(path);
-                since_save = 0;
-              }
-            }
-            if (suspended) {
-              Checkpoint snapshot = explorer.Suspend();
-              stamp(snapshot);
-              snapshot.Save(path);
-              out.result = explorer.PartialResult();
-              out.suspended = true;
-              emit(false, true);
-            } else {
-              emit(true, false);
-              out.result = explorer.Finish();
-              out.finished_here = true;  // snapshot written at batch end
-            }
+          if (suspended) {
+            out.suspended = take_snapshot();  // written at batch end
+            out.result = explorer.PartialResult();
+            emit(false, true);
+          } else {
+            emit(true, false);
+            out.result = explorer.Finish();
+            out.finished_here = true;  // snapshot written at batch end
           }
         }
         out.reward = reward;
@@ -524,24 +481,30 @@ BatchResult Engine::Run(const std::vector<ExplorationRequest>& requests,
   if (checkpointing && (unfinished > 0 || failed)) {
     // The batch stops short (a step budget, should_suspend, or a failed
     // sibling job), so the next invocation against this directory resumes
-    // it. Jobs that finished in this invocation persist their results now:
-    // that invocation loads them instead of re-running them against the
+    // it. Jobs that suspended persist their mid-run state now, and jobs that
+    // finished in this invocation persist their results: the next
+    // invocation loads those instead of re-running them against the
     // persisted shared caches, which would distort the exported statistics.
-    // A batch that completes never writes one, and a crash mid-batch leaves
-    // none behind, so the rerun recomputes the finished jobs against the
+    // Writing both only here, before the cache snapshots below, means a
+    // crash mid-batch leaves no job snapshot newer than its cache state (bar
+    // interval autosaves), so the rerun recomputes those jobs against the
     // same cache state. A failed save is that job's failure.
     for (std::size_t index = 0; index < jobs.size(); ++index) {
       JobOutcome& outcome = outcomes[index];
-      if (!outcome.finished_here) continue;
+      if (!outcome.finished_here && !outcome.suspended) continue;
       const Job& job = jobs[index];
       const ExplorationRequest& request = requests[job.request_index];
       try {
         Checkpoint snapshot;
-        snapshot.request = request_texts[job.request_index];
-        snapshot.seed = request.seed + job.seed_index;
-        snapshot.agent_kind = dse::ToString(request.agent_kind);
-        snapshot.finished = true;
-        snapshot.result = outcome.result;
+        if (outcome.suspended) {
+          snapshot = std::move(*outcome.suspended);
+        } else {
+          snapshot.request = request_texts[job.request_index];
+          snapshot.seed = request.seed + job.seed_index;
+          snapshot.agent_kind = dse::ToString(request.agent_kind);
+          snapshot.finished = true;
+          snapshot.result = outcome.result;
+        }
         snapshot.Save((fs::path(checkpoint.directory) /
                        JobCheckpointFileName(snapshot.request, snapshot.seed))
                           .string());
@@ -664,11 +627,6 @@ std::vector<instrument::Measurement> Engine::Score(
                std::make_move_iterator(part.end()));
   }
   return out;
-}
-
-RequestResult Engine::RunOne(const ExplorationRequest& request) const {
-  BatchResult batch = Run({request});
-  return std::move(batch.results.front());
 }
 
 }  // namespace axdse::dse

@@ -76,13 +76,18 @@ struct EngineOptions {
 /// the uninterrupted run. Requires registry-named kernels
 /// (kernel_override is not serializable; Run() throws otherwise).
 ///
-/// When snapshots are written: a suspended job saves its mid-run state as
-/// it suspends; a finished job's result and the shared-cache groups are
-/// saved only when the batch ends unfinished (a suspended or failed job).
-/// A batch that completes writes no finished snapshot and removes its
-/// files. A crash mid-batch therefore leaves only what earlier invocations
-/// and autosaves wrote: the rerun recomputes the jobs that had finished,
-/// byte-identically, against the same cache state.
+/// When snapshots are written: a suspended job's mid-run state, a finished
+/// job's result and the shared-cache groups are all saved after every
+/// worker has joined, and only when the batch ends unfinished (a suspended
+/// or failed job). A batch that completes writes no job snapshot and
+/// removes its files. A crash mid-batch therefore leaves only what earlier
+/// invocations and interval autosaves wrote: the rerun recomputes the jobs
+/// of this invocation, byte-identically, against the same cache state.
+/// Interval autosaves are the one write during the run, so they keep a
+/// window: a kill after an autosave but before the batch ends leaves a
+/// mid-run snapshot newer than the persisted shared cache. Its rerun
+/// restores that job against the older cache; logical results stay
+/// byte-identical, but the shared-cache totals may shift.
 struct CheckpointOptions {
   /// Snapshot directory (created on demand). Empty = checkpointing off.
   std::string directory;
@@ -117,7 +122,7 @@ struct JobProgress {
   instrument::Measurement best;
   /// The job ran its last step (Finish() comes next).
   bool finished = false;
-  /// The job suspended into the checkpoint directory.
+  /// The job suspended; its snapshot is written when the batch ends.
   bool suspended = false;
 };
 
@@ -133,8 +138,8 @@ struct RunHooks {
   /// Called roughly every `interval` steps per job, plus once when the job
   /// finishes or suspends.
   std::function<void(const JobProgress&)> on_progress;
-  /// Polled between step slices; returning true suspends the job into the
-  /// checkpoint directory exactly like an exhausted step budget (requires
+  /// Polled between step slices; returning true suspends the job exactly
+  /// like an exhausted step budget (requires
   /// CheckpointOptions::directory; Run throws std::invalid_argument
   /// otherwise). The engine's cooperative-drain hook.
   std::function<bool()> should_suspend;
@@ -279,50 +284,35 @@ class Engine {
           workloads::KernelRegistry::Global());
 
   /// Validates and runs all requests (each times num_seeds explorations) on
-  /// the worker pool and returns results in request order. Throws
-  /// std::invalid_argument on an invalid request or unknown kernel; the
+  /// the worker pool and returns results in request order, identical for
+  /// any worker count. Every job runs through one stepping loop.
+  ///
+  /// Resume and preemption: with `checkpoint.directory` set, jobs resume
+  /// from snapshots already in the directory (a finished snapshot is not
+  /// run again), autosave every `interval` steps, and suspend after
+  /// `step_budget` new steps or when `hooks.should_suspend` returns true.
+  /// Rerunning the same batch against the same directory continues it; the
+  /// final results and JSON/CSV exports are byte-identical to an
+  /// uninterrupted run. When the batch ends unfinished, every job that
+  /// suspended or finished in this call saves its snapshot (jobs restored
+  /// as finished are not written again), then the shared-cache groups;
+  /// once every job completed, the batch's snapshot files are removed
+  /// instead. Without a directory, `interval` and `step_budget` are ignored.
+  ///
+  /// Hooks (see RunHooks) add per-job progress callbacks, cooperative
+  /// suspension polling and external shared-cache provision; they never
+  /// change logical results.
+  ///
+  /// Throws std::invalid_argument on an invalid request or unknown kernel,
+  /// when checkpointing is combined with kernel_override requests, and when
+  /// `hooks.should_suspend` is set without a checkpoint directory. The
   /// first failing job's exception (in job order) is rethrown after all
-  /// workers finish.
-  BatchResult Run(const std::vector<ExplorationRequest>& requests) const;
-
-  /// Run() under a checkpoint policy: jobs resume from snapshots already in
-  /// `checkpoint.directory`, autosave every `interval` steps and suspend
-  /// after `step_budget` new steps. When the batch ends unfinished, every
-  /// job that finished in this call saves a finished snapshot (jobs
-  /// restored as finished are not written again); once every job
-  /// completed, the batch's snapshot files are removed instead. A job whose
-  /// snapshot fails to load or validate fails with that CheckpointError
-  /// itself, unwrapped, so the first failure in job order may be a
-  /// CheckpointError; a snapshot that fails to save is its job's
-  /// BatchJobError. Throws std::invalid_argument when checkpointing is
-  /// combined with kernel_override requests.
+  /// workers finish: a snapshot that fails to load or validate surfaces as
+  /// that CheckpointError itself, unwrapped; any other failure, a snapshot
+  /// that fails to save included, is that job's BatchJobError.
   BatchResult Run(const std::vector<ExplorationRequest>& requests,
-                  const CheckpointOptions& checkpoint) const;
-
-  /// Run() with observation/control hooks (see RunHooks): per-job progress
-  /// callbacks, cooperative suspension polling, and external shared-cache
-  /// provision. Hooks never change logical results.
-  BatchResult Run(const std::vector<ExplorationRequest>& requests,
-                  const CheckpointOptions& checkpoint,
-                  const RunHooks& hooks) const;
-
-  /// Convenience preemption entry: runs each job for at most `step_budget`
-  /// NEW steps, then suspends the batch into `directory` (per-job snapshots
-  /// plus shared-cache state). The returned BatchResult reports the partial
-  /// runs; finish them later with ResumeBatch().
-  BatchResult SaveBatchCheckpoint(
-      const std::vector<ExplorationRequest>& requests,
-      const std::string& directory, std::size_t step_budget) const;
-
-  /// Convenience resume entry: continues a batch previously suspended into
-  /// `directory` (jobs without a snapshot start from scratch) and runs it to
-  /// completion, after which the directory's snapshot files are removed.
-  /// The result is byte-identical to running the batch uninterrupted.
-  BatchResult ResumeBatch(const std::vector<ExplorationRequest>& requests,
-                          const std::string& directory) const;
-
-  /// Convenience: single-request batch.
-  RequestResult RunOne(const ExplorationRequest& request) const;
+                  const CheckpointOptions& checkpoint = {},
+                  const RunHooks& hooks = {}) const;
 
   /// Scores a list of candidate configurations of ONE kernel identity (the
   /// request names the kernel/size/seed/params; its exploration fields are

@@ -6,8 +6,8 @@
 //
 // This is the single-run core. Applications should normally go through the
 // axdse.hpp facade instead: describe runs as dse::ExplorationRequest values
-// and execute them (batched, multi-seed, parallel) with dse::Engine or
-// axdse::Session.
+// and execute them (batched, multi-seed, parallel) with dse::Engine::Run,
+// which steps every job through RunSteps()/Finish().
 
 #include <cmath>
 #include <limits>

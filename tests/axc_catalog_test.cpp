@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "axc/characterization.hpp"
+#include "axc/operators.hpp"
 
 namespace axdse::axc {
 namespace {
@@ -218,6 +219,24 @@ TEST(Characterize, SampledForLargeDomains) {
       CharacterizeAdder(Catalog().Adders16()[1].op, 16, 10000, 3);
   EXPECT_FALSE(c.exhaustive);
   EXPECT_EQ(c.samples, 10000u);
+}
+
+TEST(Characterize, SixtyFourBitOperandsAreSampled) {
+  const Characterization exact =
+      CharacterizeAdder(MakeExactAdder(64), 64, 1000);
+  EXPECT_FALSE(exact.exhaustive);
+  EXPECT_EQ(exact.samples, 1000u);
+  EXPECT_EQ(exact.mred, 0.0);
+  EXPECT_EQ(exact.mae, 0.0);
+  EXPECT_EQ(exact.error_rate, 0.0);
+
+  const Characterization lower_or =
+      CharacterizeAdder(MakeLowerOrAdder(64, 8), 64, 1000);
+  EXPECT_FALSE(lower_or.exhaustive);
+  EXPECT_TRUE(std::isfinite(lower_or.mred));
+  EXPECT_TRUE(std::isfinite(lower_or.mae));
+  EXPECT_TRUE(std::isfinite(lower_or.error_rate));
+  EXPECT_TRUE(std::isfinite(lower_or.worst_case));
 }
 
 TEST(Characterize, DeterministicUnderSeed) {

@@ -1,4 +1,4 @@
-#include "rl/toy_envs.hpp"
+#include "common/toy_envs.hpp"
 
 #include <stdexcept>
 

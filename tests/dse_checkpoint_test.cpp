@@ -573,7 +573,8 @@ TEST(EngineSnapshots, UnloadableJobSnapshotsThrowCheckpointErrorInJobOrder) {
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
     const Engine engine(EngineOptions{workers});
     testsupport::ScopedTempDir dir("engine-corrupt-job");
-    ASSERT_EQ(engine.SaveBatchCheckpoint(batch, dir.Str(), 20).unfinished_jobs,
+    ASSERT_EQ(engine.Run(batch, {.directory = dir.Str(), .step_budget = 20})
+                  .unfinished_jobs,
               2u);
     const std::string first = JobSnapshotPath(dir.Str(), batch[0]);
     const std::string second = JobSnapshotPath(dir.Str(), batch[1]);
@@ -584,7 +585,7 @@ TEST(EngineSnapshots, UnloadableJobSnapshotsThrowCheckpointErrorInJobOrder) {
       std::ofstream out(second, std::ios::binary | std::ios::trunc);
       out << second_text.substr(0, second_text.size() / 2);
     }
-    EXPECT_THROW(engine.ResumeBatch(batch, dir.Str()), CheckpointError);
+    EXPECT_THROW(engine.Run(batch, {.directory = dir.Str()}), CheckpointError);
 
     // Mismatched: the second job's snapshot copied over the first one's.
     // Both jobs now fail; the first in job order is rethrown.
@@ -593,7 +594,7 @@ TEST(EngineSnapshots, UnloadableJobSnapshotsThrowCheckpointErrorInJobOrder) {
       out << second_text;
     }
     try {
-      engine.ResumeBatch(batch, dir.Str());
+      engine.Run(batch, {.directory = dir.Str()});
       ADD_FAILURE() << "expected CheckpointError";
     } catch (const CheckpointError& error) {
       EXPECT_NE(std::string(error.what()).find(first), std::string::npos)
@@ -765,7 +766,8 @@ TEST(GoldenCheckpoint, FinishedSnapshotMatchesCheckedInFixture) {
 
   testsupport::ScopedTempDir dir("finished-fixture");
   const BatchResult partial =
-      engine.SaveBatchCheckpoint(batch, dir.Str(), kFinishedFixtureBudget);
+      engine.Run(batch, {.directory = dir.Str(),
+                         .step_budget = kFinishedFixtureBudget});
   ASSERT_EQ(partial.unfinished_jobs, 1u);
   const std::string path =
       (std::filesystem::path(dir.Str()) /
@@ -777,7 +779,7 @@ TEST(GoldenCheckpoint, FinishedSnapshotMatchesCheckedInFixture) {
   EXPECT_TRUE(finished.finished);
   EXPECT_EQ(finished.Serialize(), written);
 
-  const BatchResult resumed = engine.ResumeBatch(batch, dir.Str());
+  const BatchResult resumed = engine.Run(batch, {.directory = dir.Str()});
   EXPECT_TRUE(resumed.Complete());
   EXPECT_EQ(report::BatchJson(resumed), report::BatchJson(reference));
   EXPECT_EQ(report::BatchCsv(resumed), report::BatchCsv(reference));

@@ -30,7 +30,7 @@ ExplorationRequest FastRequest(std::size_t num_seeds) {
 
 RequestResult RunFast(std::size_t num_seeds) {
   const Engine engine;
-  return engine.RunOne(FastRequest(num_seeds));
+  return engine.Run({FastRequest(num_seeds)}).results.front();
 }
 
 TEST(EngineAggregate, RunsRequestedSeedCount) {

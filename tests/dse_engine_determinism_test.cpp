@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -204,7 +205,7 @@ TEST(EngineDeterminism, KilledAndResumedBatchIsByteIdenticalToUninterrupted) {
 
       // First "kill": every job suspends after 35 new steps.
       const BatchResult first =
-          engine.SaveBatchCheckpoint(requests, dir.string(), 35);
+          engine.Run(requests, {.directory = dir.string(), .step_budget = 35});
       ASSERT_GT(first.unfinished_jobs, 0u)
           << "mode=" << dse::ToString(mode) << " workers=" << workers;
       EXPECT_FALSE(first.Complete());
@@ -217,11 +218,12 @@ TEST(EngineDeterminism, KilledAndResumedBatchIsByteIdenticalToUninterrupted) {
 
       // Second "kill" from a brand-new engine (a new process, effectively).
       const BatchResult second =
-          engine.SaveBatchCheckpoint(requests, dir.string(), 35);
+          engine.Run(requests, {.directory = dir.string(), .step_budget = 35});
       EXPECT_LE(second.unfinished_jobs, first.unfinished_jobs);
 
       // Final resume runs everything to completion.
-      const BatchResult resumed = engine.ResumeBatch(requests, dir.string());
+      const BatchResult resumed =
+          engine.Run(requests, {.directory = dir.string()});
       EXPECT_TRUE(resumed.Complete());
       EXPECT_EQ(PayloadOf(resumed), reference_payload)
           << "mode=" << dse::ToString(mode) << " workers=" << workers;
@@ -265,9 +267,10 @@ TEST(EngineDeterminism, ResumedBatchCoversEveryAgentKind) {
         ScratchDir("resume-agents-" + std::to_string(workers));
     const Engine engine(EngineOptions{workers});
     const BatchResult partial =
-        engine.SaveBatchCheckpoint(requests, dir.string(), 41);
+        engine.Run(requests, {.directory = dir.string(), .step_budget = 41});
     ASSERT_GT(partial.unfinished_jobs, 0u);
-    const BatchResult resumed = engine.ResumeBatch(requests, dir.string());
+    const BatchResult resumed =
+        engine.Run(requests, {.directory = dir.string()});
     EXPECT_TRUE(resumed.Complete());
     EXPECT_EQ(PayloadOf(resumed), reference_payload) << "workers=" << workers;
     EXPECT_EQ(report::BatchJson(resumed), reference_json)
@@ -323,14 +326,14 @@ TEST(EngineDeterminism, BatchesSharingADirectoryDoNotCrossContaminate) {
 
   const std::filesystem::path dir = ScratchDir("resume-two-batches");
   // Suspend A, then run B to completion in the same directory.
-  ASSERT_GT(engine.SaveBatchCheckpoint(batch_a, dir.string(), 30)
+  ASSERT_GT(engine.Run(batch_a, {.directory = dir.string(), .step_budget = 30})
                 .unfinished_jobs,
             0u);
-  const BatchResult b = engine.ResumeBatch(batch_b, dir.string());
+  const BatchResult b = engine.Run(batch_b, {.directory = dir.string()});
   EXPECT_TRUE(b.Complete());
   EXPECT_EQ(report::BatchJson(b), reference_b_json);  // A's state not seen
   // A's snapshots survived B's completion cleanup and resume intact.
-  const BatchResult a = engine.ResumeBatch(batch_a, dir.string());
+  const BatchResult a = engine.Run(batch_a, {.directory = dir.string()});
   EXPECT_TRUE(a.Complete());
   EXPECT_EQ(report::BatchJson(a), reference_a_json);
   EXPECT_FALSE(DirectoryHasFiles(dir));
@@ -383,11 +386,85 @@ TEST(EngineDeterminism, CrashAfterAFinishedJobRecomputesItByteIdentically) {
     EXPECT_NE(entry.path().filename().string().rfind("job-", 0), 0u)
         << entry.path();
 
-  const BatchResult rerun = engine.ResumeBatch(requests, crashed.string());
+  const BatchResult rerun =
+      engine.Run(requests, {.directory = crashed.string()});
   EXPECT_TRUE(rerun.Complete());
   EXPECT_EQ(report::BatchJson(rerun), reference_json);
   EXPECT_EQ(report::BatchCsv(rerun), reference_csv);
   EXPECT_FALSE(DirectoryHasFiles(crashed));
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(crashed);
+}
+
+TEST(EngineDeterminism, SuspendWhileSiblingsRunLeavesNoSnapshotBeforeBatchEnd) {
+  // Two shared-cache jobs on one kernel, one worker. should_suspend drains
+  // job 0 and then lets job 1 run to completion. The copy of the directory
+  // taken when job 1 first reports is what a SIGKILL at that moment leaves
+  // behind. It must hold no job snapshot yet: job 0's mid-run state is only
+  // consistent with the shared cache persisted at batch end. Running the
+  // same suspend-then-resume sequence on the copy then reproduces the
+  // sequence on a fresh directory, cache counters included.
+  const auto build = [](std::uint64_t seed) {
+    return RequestBuilder("matmul")
+        .Size(4)
+        .KernelSeed(7)
+        .MaxSteps(90)
+        .RewardCap(1e18)
+        .Epsilon(1.0, 0.05, 60)
+        .Seed(seed)
+        .RecordTrace()
+        .Cache(CacheMode::kShared)
+        .Build();
+  };
+  const std::vector<ExplorationRequest> requests = {build(3), build(11)};
+  const Engine engine(EngineOptions{1});
+  const BatchResult reference = engine.Run(requests);
+
+  // First invocation: should_suspend holds until job 0 has suspended, so
+  // job 0 suspends after one hook interval and job 1 finishes. Second
+  // invocation: resume to completion. `on_job1` fires when job 1 first
+  // reports in the first invocation.
+  const auto suspend_then_resume = [&](const std::filesystem::path& dir,
+                                       const std::function<void()>& on_job1) {
+    bool job0_suspended = false;
+    bool job1_reported = false;
+    RunHooks hooks;
+    hooks.interval = 16;
+    hooks.should_suspend = [&] { return !job0_suspended; };
+    hooks.on_progress = [&](const JobProgress& progress) {
+      if (progress.request_index == 0 && progress.suspended)
+        job0_suspended = true;
+      if (progress.request_index != 1 || job1_reported) return;
+      job1_reported = true;
+      on_job1();
+    };
+    const BatchResult first =
+        engine.Run(requests, {.directory = dir.string()}, hooks);
+    EXPECT_EQ(first.unfinished_jobs, 1u);
+    EXPECT_TRUE(job1_reported);
+    const BatchResult resumed =
+        engine.Run(requests, {.directory = dir.string()});
+    EXPECT_TRUE(resumed.Complete());
+    EXPECT_FALSE(DirectoryHasFiles(dir));
+    return resumed;
+  };
+
+  const std::filesystem::path dir = ScratchDir("suspend-live");
+  const std::filesystem::path crashed = ScratchDir("suspend-copy");
+  std::filesystem::create_directories(dir);
+  const BatchResult live = suspend_then_resume(dir, [&] {
+    std::filesystem::copy(dir, crashed,
+                          std::filesystem::copy_options::recursive);
+  });
+  EXPECT_EQ(PayloadOf(live), PayloadOf(reference));
+  ASSERT_TRUE(std::filesystem::exists(crashed));
+  for (const auto& entry : std::filesystem::directory_iterator(crashed))
+    EXPECT_NE(entry.path().filename().string().rfind("job-", 0), 0u)
+        << entry.path();
+
+  const BatchResult rerun = suspend_then_resume(crashed, [] {});
+  EXPECT_EQ(report::BatchJson(rerun), report::BatchJson(live));
+  EXPECT_EQ(report::BatchCsv(rerun), report::BatchCsv(live));
   std::filesystem::remove_all(dir);
   std::filesystem::remove_all(crashed);
 }
@@ -401,8 +478,9 @@ TEST(EngineDeterminism, CheckpointingRejectsKernelOverrideRequests) {
   const ExplorationRequest request =
       RequestBuilder(kernel).MaxSteps(20).Build();
   const std::filesystem::path dir = ScratchDir("resume-override");
-  EXPECT_THROW(Engine(EngineOptions{1}).SaveBatchCheckpoint({request},
-                                                            dir.string(), 10),
+  EXPECT_THROW(Engine(EngineOptions{1})
+                   .Run({request},
+                        {.directory = dir.string(), .step_budget = 10}),
                std::invalid_argument);
   std::filesystem::remove_all(dir);
 }

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "report/export.hpp"
-#include "session.hpp"
 #include "workloads/dot_product_kernel.hpp"
 
 namespace axdse::dse {
@@ -68,7 +67,7 @@ TEST(Engine, MatchesTheSerialExplorerPath) {
   const ExplorationResult serial = explorer.Explore();
 
   const RequestResult engine_result =
-      Engine(EngineOptions{2}).RunOne(request);
+      Engine(EngineOptions{2}).Run({request}).results.front();
   ASSERT_EQ(engine_result.runs.size(), 1u);
   const ExplorationResult& run = engine_result.runs.front();
   EXPECT_EQ(run.steps, serial.steps);
@@ -83,7 +82,7 @@ TEST(Engine, MatchesTheSerialExplorerPath) {
 
 TEST(Engine, MultiSeedAggregatesMatchRuns) {
   const RequestResult result =
-      Engine(EngineOptions{3}).RunOne(FastRequest(100, 5));
+      Engine(EngineOptions{3}).Run({FastRequest(100, 5)}).results.front();
   ASSERT_EQ(result.runs.size(), 5u);
   EXPECT_EQ(result.solution_delta_power.count, 5u);
   double sum = 0.0;
@@ -110,12 +109,13 @@ TEST(Engine, KernelOverrideSharesOneInstanceAcrossSeeds) {
       std::make_shared<const workloads::DotProductKernel>(64, 4, 7);
   ExplorationRequest request = FastRequest(1, 3);
   request.kernel_override = kernel;
-  const RequestResult result = Engine(EngineOptions{3}).RunOne(request);
+  const RequestResult result =
+      Engine(EngineOptions{3}).Run({request}).results.front();
   EXPECT_EQ(result.kernel_name, kernel->Name());
   EXPECT_EQ(result.runs.size(), 3u);
   // Same kernel data as registry construction with the same parameters.
   const RequestResult from_registry =
-      Engine(EngineOptions{3}).RunOne(FastRequest(1, 3));
+      Engine(EngineOptions{3}).Run({FastRequest(1, 3)}).results.front();
   EXPECT_EQ(report::BatchJson(SingleResultBatch(result)),
             report::BatchJson(SingleResultBatch(from_registry)));
 }
@@ -138,21 +138,6 @@ TEST(Engine, UnknownKernelNameFailsFastBeforeAnyJobRuns) {
     EXPECT_NE(std::string(error.what()).find("not-a-kernel"),
               std::string::npos);
   }
-}
-
-TEST(Session, ExploreAndBatchGoThroughTheEngine) {
-  Session session(EngineOptions{2});
-  const std::vector<std::string> kernels = session.Kernels();
-  EXPECT_NE(std::find(kernels.begin(), kernels.end(), "matmul"),
-            kernels.end());
-  const RequestResult one = session.Explore(FastRequest(3));
-  EXPECT_EQ(one.runs.size(), 1u);
-  const BatchResult batch =
-      session.ExploreBatch({FastRequest(3), FastRequest(4)});
-  EXPECT_EQ(batch.results.size(), 2u);
-  // Session::Explore is the same computation as Engine::RunOne.
-  EXPECT_EQ(report::BatchJson(SingleResultBatch(one)),
-            report::BatchJson(SingleResultBatch(batch.results[0])));
 }
 
 TEST(BatchExport, CsvHasHeaderAndOneRowPerRun) {

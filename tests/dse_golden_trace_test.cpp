@@ -84,8 +84,9 @@ std::string RenderTrace(const PinnedCase& pinned,
 }
 
 std::string RunPinnedExploration(const PinnedCase& pinned, CacheMode mode) {
-  const RequestResult result =
-      Engine(EngineOptions{1}).RunOne(PinnedRequest(pinned, mode));
+  const RequestResult result = Engine(EngineOptions{1})
+                                   .Run({PinnedRequest(pinned, mode)})
+                                   .results.front();
   const ExplorationResult& run = result.runs.front();
   EXPECT_GE(run.trace.size(), kPinnedSteps);
   return RenderTrace(pinned, run);

@@ -195,13 +195,6 @@ TEST(EngineScore, SameBytesForEveryLaneWidth) {
       EXPECT_EQ(MeasurementBytes(lane_scored[i]), MeasurementBytes(scalar[i]))
           << "lanes=" << lanes << " #" << i;
   }
-  // Session facade forwards.
-  const Session session;
-  const std::vector<instrument::Measurement> via_session =
-      session.Score(identity, configs);
-  ASSERT_EQ(via_session.size(), scalar.size());
-  for (std::size_t i = 0; i < scalar.size(); ++i)
-    EXPECT_EQ(MeasurementBytes(via_session[i]), MeasurementBytes(scalar[i]));
 }
 
 TEST(EngineScore, UnknownKernelThrows) {

@@ -581,8 +581,9 @@ TEST(ShardWorker, DeadWorkersEngineSnapshotsAreResumed) {
   // autosaves are atomic), under a now-stale lease.
   const std::vector<ExplorationRequest> grid = spec.Expand();
   const Engine engine;
-  const BatchResult partial = engine.SaveBatchCheckpoint(
-      {grid.begin(), grid.begin() + kChunkCells}, dir.Str(), 20);
+  const BatchResult partial =
+      engine.Run({grid.begin(), grid.begin() + kChunkCells},
+                 {.directory = dir.Str(), .step_budget = 20});
   ASSERT_GT(partial.unfinished_jobs, 0u);
   ShardLease dead;
   dead.spec_hash = StableHash64(spec.ToString());
@@ -621,8 +622,8 @@ TEST(ShardWorker, CorruptSnapshotRecoveryDropsOnlyItsOwnChunk) {
   for (const char* corrupted : {"cache-", "job-"}) {
     ScopedTempDir dir(std::string("shard-corrupt-snapshot-") + corrupted);
     ASSERT_GT(engine
-                  .SaveBatchCheckpoint({grid.begin(), grid.begin() + kCells},
-                                       dir.Str(), 20)
+                  .Run({grid.begin(), grid.begin() + kCells},
+                       {.directory = dir.Str(), .step_budget = 20})
                   .unfinished_jobs,
               0u);
     std::string victim;  // one of chunk 0's snapshots
@@ -632,8 +633,8 @@ TEST(ShardWorker, CorruptSnapshotRecoveryDropsOnlyItsOwnChunk) {
     }
     ASSERT_FALSE(victim.empty());
     ASSERT_GT(engine
-                  .SaveBatchCheckpoint({grid.begin() + kCells, grid.end()},
-                                       dir.Str(), 20)
+                  .Run({grid.begin() + kCells, grid.end()},
+                       {.directory = dir.Str(), .step_budget = 20})
                   .unfinished_jobs,
               0u);
     WriteRaw(PathIn(dir.Str(), victim), "corrupt\n");

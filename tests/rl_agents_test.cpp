@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "rl/agents.hpp"
-#include "rl/toy_envs.hpp"
+#include "common/toy_envs.hpp"
 #include "rl/trainer.hpp"
 
 namespace axdse::rl {

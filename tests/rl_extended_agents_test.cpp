@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "rl/agents.hpp"
-#include "rl/toy_envs.hpp"
+#include "common/toy_envs.hpp"
 #include "rl/trainer.hpp"
 
 namespace axdse::rl {

@@ -192,8 +192,9 @@ TEST(FirProducts, SharedKernelAcrossEngineWorkersMatchesOneWorker) {
             .Cache(dse::CacheMode::kPrivate)
             .Build();
     dse::BatchResult batch;
-    batch.results.push_back(
-        dse::Engine(dse::EngineOptions{workers}).RunOne(request));
+    batch.results.push_back(dse::Engine(dse::EngineOptions{workers})
+                                .Run({request})
+                                .results.front());
     return report::BatchJson(batch);
   };
   EXPECT_EQ(run(4), run(1));

@@ -338,7 +338,7 @@ TEST(PipelineExploration, EngineSurfacesPerStageCounts) {
                                           .Build();
     request.kernel = spec;  // keep the extras (width, channels, ...)
     const dse::RequestResult result =
-        dse::Engine(dse::EngineOptions{1}).RunOne(request);
+        dse::Engine(dse::EngineOptions{1}).Run({request}).results.front();
     ASSERT_EQ(result.runs.size(), 1u) << c.spec;
     const dse::ExplorationResult& run = result.runs.front();
     ASSERT_EQ(run.stage_counts.size(), c.stages.size()) << c.spec;
@@ -367,13 +367,14 @@ TEST(PipelineExploration, EngineSurfacesPerStageCounts) {
 
 TEST(PipelineExploration, SingleStageKernelsReportNoStages) {
   const dse::RequestResult result = dse::Engine(dse::EngineOptions{1})
-                                        .RunOne(dse::RequestBuilder("matmul")
-                                                    .Size(5)
-                                                    .KernelSeed(2023)
-                                                    .MaxSteps(30)
-                                                    .RewardCap(1e18)
-                                                    .Seed(1)
-                                                    .Build());
+                                        .Run({dse::RequestBuilder("matmul")
+                                                  .Size(5)
+                                                  .KernelSeed(2023)
+                                                  .MaxSteps(30)
+                                                  .RewardCap(1e18)
+                                                  .Seed(1)
+                                                  .Build()})
+                                        .results.front();
   ASSERT_EQ(result.runs.size(), 1u);
   EXPECT_TRUE(result.runs.front().stage_counts.empty());
 }

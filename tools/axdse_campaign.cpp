@@ -58,9 +58,10 @@
 #include <string>
 #include <vector>
 
+#include "dse/campaign.hpp"
+#include "dse/engine.hpp"
 #include "dse/shard.hpp"
 #include "report/campaign.hpp"
-#include "session.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -136,8 +137,8 @@ int main(int argc, char** argv) {
       options.checkpoint_directory = args.GetString("checkpoint-dir", "");
       options.checkpoint_interval =
           args.GetCountStrict("checkpoint-interval", 0);
-      const axdse::Session session(engine);
-      const auto result = session.RunCampaign(spec, options);
+      const axdse::dse::Engine runner(engine);
+      const auto result = axdse::dse::Campaign(runner).Run(spec, options);
       EmitReports(args, result);
       return result.Complete() ? 0 : 3;
     }
@@ -177,8 +178,8 @@ int main(int argc, char** argv) {
       options.poll_period =
           std::chrono::milliseconds(args.GetIntStrict("poll-ms", 250));
       options.wait_for_completion = !args.Has("no-wait");
-      const axdse::Session session(engine);
-      const auto report = session.RunShardedCampaign(spec, options);
+      const axdse::dse::Engine runner(engine);
+      const auto report = axdse::dse::ShardWorker(runner).Run(spec, options);
       std::printf(
           "worker %s: executed=%zu reclaimed=%zu skipped=%zu yielded=%zu "
           "complete=%s\n",
@@ -191,7 +192,7 @@ int main(int argc, char** argv) {
       if (positional.size() != 1) return Fail("merge takes only flags");
       const std::string directory = args.GetString("shard-dir", "");
       if (directory.empty()) return Fail("merge needs --shard-dir");
-      const auto result = axdse::Session::MergeShardedCampaign(directory);
+      const auto result = axdse::dse::MergeShardedCampaign(directory);
       EmitReports(args, result);
       return 0;
     }
