@@ -10,9 +10,9 @@
 // approximate adder and multiplier, each a catalog descriptor) into an
 // axc::OperatorPlan ONCE per configuration. Every scalar op then goes
 // through a flat, inlinable switch; the batched primitives (DotAccumulate /
-// AxpyAccumulate / AccumulateProducts) additionally hoist selection
-// resolution, opcode dispatch, and op-count accounting out of their inner
-// loops.
+// AxpyAccumulate / AccumulateProducts / SumProducts) additionally hoist
+// selection resolution, opcode dispatch, and op-count accounting out of
+// their inner loops.
 
 #include <cassert>
 #include <cstdint>
@@ -166,19 +166,41 @@ class ApproxContext {
     const bool add_approx = AnyApproximated(add_vars);
     counts_.AccumulateMuls(mul_approx, n);
     counts_.AccumulateAdds(add_approx, n);
+    detail::WithSignedAdd(plan_.add[add_approx], [&](auto add) {
+      AXDSE_SIMD_LOOP
+      for (std::size_t i = 0; i < n; ++i) y[i] = add(y[i], p[i]);
+    });
+  }
+
+  /// Dot-form sibling of AccumulateProducts: returns the chained
+  ///   acc = Add(acc, p[i])  for i in [0, n)
+  /// where the caller guarantees p[i] equals the product Mul(a[i], b[i])
+  /// that DotAccumulate with the same `mul_vars` would compute under this
+  /// context's plan. Resolution and counting (`n` muls, `n` adds) match
+  /// DotAccumulate, so the result and Counts() are bit-identical to it.
+  std::int64_t SumProducts(std::int64_t acc, const std::int64_t* p,
+                           std::size_t n, VarList mul_vars,
+                           VarList add_vars) noexcept {
+    if (n == 0) return acc;
+    const bool mul_approx = AnyApproximated(mul_vars);
+    const bool add_approx = AnyApproximated(add_vars);
+    counts_.AccumulateMuls(mul_approx, n);
+    counts_.AccumulateAdds(add_approx, n);
     if (plan_.add[add_approx].code == axc::AddOpCode::kExact) {
-      // Sign-magnitude exact addition is two's-complement addition (modulo
-      // 2^64 for either sign pair), which vectorizes without the sign test.
-      AXDSE_SIMD_LOOP
+      // Modular uint64 addition: the vectorized reduction reorders
+      // bit-identically.
+      std::uint64_t uacc = static_cast<std::uint64_t>(acc);
+      AXDSE_SIMD_REDUCTION(uacc)
       for (std::size_t i = 0; i < n; ++i)
-        y[i] = static_cast<std::int64_t>(static_cast<std::uint64_t>(y[i]) +
-                                         static_cast<std::uint64_t>(p[i]));
-      return;
+        uacc += static_cast<std::uint64_t>(p[i]);
+      return static_cast<std::int64_t>(uacc);
     }
-    axc::WithAddOp(plan_.add[add_approx], [&](auto add) {
-      AXDSE_SIMD_LOOP
+    // Approximate adds are not associative: strict element order.
+    return axc::WithAddOp(plan_.add[add_approx], [&](auto add) {
+      std::int64_t sum = acc;
       for (std::size_t i = 0; i < n; ++i)
-        y[i] = axc::ops::SignedAdd(add, y[i], p[i]);
+        sum = axc::ops::SignedAdd(add, sum, p[i]);
+      return sum;
     });
   }
 

@@ -10,6 +10,8 @@
 //  - Exact accumulation is uint64 modular addition — associative and
 //    commutative — so a vectorized reduction reorders bit-identically.
 //    The u8 table path and the exact*exact path carry `omp simd` pragmas.
+//  - Exact operators on signed operands skip the sign-magnitude wrappers:
+//    their signed forms are wrapping two's-complement arithmetic.
 //  - Approximate adds are NOT associative (carry truncation etc.): those
 //    chains keep the strict element order and never get a reduction pragma.
 //  - Element-independent loops (AXPY) may vectorize freely: no iteration
@@ -35,6 +37,58 @@
 #endif
 
 namespace axdse::instrument::detail {
+
+/// Wrapping two's-complement arithmetic: the exact operators' signed
+/// forms. SignedMul/SignedAdd over ExactMul/ExactAdd are modular (|a|*|b|
+/// and |a|+|b| with the sign reapplied are a*b and a+b modulo 2^64), so
+/// these are bit-identical to them without the sign tests.
+struct WrappingMul {
+  std::int64_t operator()(std::int64_t a, std::int64_t b) const noexcept {
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                     static_cast<std::uint64_t>(b));
+  }
+};
+struct WrappingAdd {
+  std::int64_t operator()(std::int64_t a, std::int64_t b) const noexcept {
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                     static_cast<std::uint64_t>(b));
+  }
+};
+
+/// Invokes `fn(add)` with a signed (sign-magnitude) add functor for the
+/// descriptor; the exact adder gets its wrapping form, with no sign tests.
+template <class Fn>
+void WithSignedAdd(const axc::AddOpDescriptor& add_d, Fn&& fn) {
+  if (add_d.code == axc::AddOpCode::kExact) {
+    fn(WrappingAdd{});
+    return;
+  }
+  axc::WithAddOp(add_d, [&](auto add) {
+    fn([add](std::int64_t a, std::int64_t b) noexcept {
+      return axc::ops::SignedAdd(add, a, b);
+    });
+  });
+}
+
+/// Invokes `fn(mul, add)` with signed functors for both descriptors. Exact
+/// operators get their wrapping forms instead of the family functor under
+/// SignedMul/SignedAdd: the fast path of golden runs and precise ops.
+template <class Fn>
+void WithSignedOps(const axc::MulOpDescriptor& mul_d,
+                   const axc::AddOpDescriptor& add_d, Fn&& fn) {
+  const auto with_mul = [&](auto mul) {
+    WithSignedAdd(add_d, [&](auto add) { fn(mul, add); });
+  };
+  if (mul_d.code == axc::MulOpCode::kExact) {
+    with_mul(WrappingMul{});
+    return;
+  }
+  axc::WithMulOp(mul_d, [&](auto mul) {
+    with_mul([mul](std::int64_t a, std::int64_t b) noexcept {
+      return axc::ops::SignedMul(mul, a, b);
+    });
+  });
+}
 
 /// Chained MAC: returns acc after n steps of
 ///   acc = add(acc, mul(a[i*stride_a], b[i*stride_b]))
@@ -98,13 +152,13 @@ inline std::int64_t DotChain(const axc::OperatorPlan& plan, bool mul_b,
       return static_cast<std::int64_t>(uacc);
     }
   }
-  return axc::WithMulOp(mul_d, [&](auto mul) {
-    return axc::WithAddOp(add_d, [&](auto add) {
-      if constexpr (std::is_unsigned_v<A> && std::is_unsigned_v<B>) {
-        // Both element types unsigned: the whole chain is provably
-        // non-negative (catalog data widths keep magnitudes far below
-        // 2^63), so the sign-magnitude wrappers reduce to the identity.
-        assert(acc >= 0);
+  if constexpr (std::is_unsigned_v<A> && std::is_unsigned_v<B>) {
+    // Both element types unsigned: the whole chain is provably
+    // non-negative (catalog data widths keep magnitudes far below 2^63),
+    // so the sign-magnitude wrappers reduce to the identity.
+    assert(acc >= 0);
+    return axc::WithMulOp(mul_d, [&](auto mul) {
+      return axc::WithAddOp(add_d, [&](auto add) {
         std::uint64_t uacc = static_cast<std::uint64_t>(acc);
         if (stride_a == 1 && stride_b == 1) {
           // Contiguous operands on a separate loop: with the strides
@@ -125,18 +179,18 @@ inline std::int64_t DotChain(const axc::OperatorPlan& plan, bool mul_b,
           uacc = add(uacc, product);
         }
         return static_cast<std::int64_t>(uacc);
-      } else {
-        std::int64_t signed_acc = acc;
-        for (std::size_t i = 0; i < n; ++i) {
-          const std::int64_t product = axc::ops::SignedMul(
-              mul, static_cast<std::int64_t>(a[i * stride_a]),
-              static_cast<std::int64_t>(b[i * stride_b]));
-          signed_acc = axc::ops::SignedAdd(add, signed_acc, product);
-        }
-        return signed_acc;
-      }
+      });
     });
-  });
+  } else {
+    std::int64_t signed_acc = acc;
+    WithSignedOps(mul_d, add_d, [&](auto mul, auto add) {
+      for (std::size_t i = 0; i < n; ++i)
+        signed_acc =
+            add(signed_acc, mul(static_cast<std::int64_t>(a[i * stride_a]),
+                                static_cast<std::int64_t>(b[i * stride_b])));
+    });
+    return signed_acc;
+  }
 }
 
 /// AXPY chain: y[i] = add(y[i], mul(alpha, x[i])) for i in [0, n) — `alpha`
@@ -149,20 +203,10 @@ inline void AxpyChain(const axc::MulOpDescriptor& mul_d,
   static_assert(std::is_integral_v<X>,
                 "AxpyChain operates on integral element types");
   if (n == 0) return;
-  const bool alpha_neg = alpha < 0;
-  const std::uint64_t alpha_mag = axc::ops::UnsignedMagnitude(alpha);
-  axc::WithMulOp(mul_d, [&](auto mul) {
-    axc::WithAddOp(add_d, [&](auto add) {
-      AXDSE_SIMD_LOOP
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::int64_t xv = static_cast<std::int64_t>(x[i]);
-        const std::uint64_t mag =
-            mul(alpha_mag, axc::ops::UnsignedMagnitude(xv));
-        const std::int64_t product =
-            axc::ops::ApplySign(alpha_neg != (xv < 0), mag);
-        y[i] = axc::ops::SignedAdd(add, y[i], product);
-      }
-    });
+  WithSignedOps(mul_d, add_d, [&](auto mul, auto add) {
+    AXDSE_SIMD_LOOP
+    for (std::size_t i = 0; i < n; ++i)
+      y[i] = add(y[i], mul(alpha, static_cast<std::int64_t>(x[i])));
   });
 }
 

@@ -175,6 +175,13 @@ std::size_t SharedEvaluationCache::Size() const {
   return total;
 }
 
+std::size_t SharedEvaluationCache::Waiters(const ApproxSelection& key) const {
+  const Shard& shard = ShardFor(key);
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  const auto flight = shard.in_flight.find(key);
+  return flight == shard.in_flight.end() ? 0 : flight->second;
+}
+
 CacheStats SharedEvaluationCache::Stats() const {
   CacheStats stats;
   for (const auto& shard : shards_) {

@@ -96,6 +96,11 @@ class SharedEvaluationCache {
   /// Number of entries, summed over shards.
   std::size_t Size() const;
 
+  /// Number of FetchOrCompute callers blocked on `key`'s in-flight
+  /// computation (0 when none is in flight). A caller counted here
+  /// receives that computation's value or its error.
+  std::size_t Waiters(const ApproxSelection& key) const;
+
   /// Statistics aggregated across shards. Deterministic for any worker
   /// count when the cache is unbounded and populated via FetchOrCompute.
   CacheStats Stats() const;

@@ -14,7 +14,8 @@ Conv2DKernel::Conv2DKernel(std::size_t height, std::size_t width,
       row_bands_(row_bands),
       name_("conv2d-" + std::to_string(height) + "x" + std::to_string(width)),
       stencil_({1, 2, 1, 2, 4, 2, 1, 2, 1}),
-      operators_(axc::EvoApproxCatalog::Instance().MatMulSet()) {
+      operators_(axc::EvoApproxCatalog::Instance().MatMulSet()),
+      products_(operators_, {height - 2, width - 2, 9}) {
   if (height < 3 || width < 3)
     throw std::invalid_argument("Conv2DKernel: image must be at least 3x3");
   const std::size_t out_rows = height - 2;
@@ -45,16 +46,34 @@ std::vector<double> Conv2DKernel::Run(instrument::ApproxContext& ctx) const {
   std::vector<double> out(out_rows * out_cols);
   const std::size_t stencil_var = VarOfStencil();
   const std::size_t acc_var = VarOfAccumulator();
+  const auto planes =
+      products_.Planes(ctx, [&](const axc::MulOpDescriptor& desc,
+                                std::int64_t* plane) {
+        for (std::size_t y = 0; y < out_rows; ++y)
+          for (std::size_t x = 0; x < out_cols; ++x)
+            for (std::size_t dy = 0; dy < 3; ++dy)
+              for (std::size_t dx = 0; dx < 3; ++dx)
+                *plane++ = axc::DispatchMulSigned(
+                    desc, image_[(y + dy) * width_ + x + dx],
+                    stencil_[dy * 3 + dx]);
+      });
   for (std::size_t y = 0; y < out_rows; ++y) {
     const std::size_t row_var = VarOfRow(y);
+    const std::int64_t* plane =
+        planes[ctx.AnyApproximated({row_var, stencil_var})];
     for (std::size_t x = 0; x < out_cols; ++x) {
-      // Three batched 3-MACs (one per stencil row) chained through `acc` —
-      // same dy-major/dx-minor operation order as the scalar loops.
+      // One 9-product sum, or three batched 3-MACs (one per stencil row)
+      // chained through `acc` — both in the dy-major/dx-minor operation
+      // order of the scalar loops.
       std::int64_t acc = 0;
-      for (std::size_t dy = 0; dy < 3; ++dy) {
-        acc = ctx.DotAccumulate(acc, &image_[(y + dy) * width_ + x], 1,
-                                &stencil_[dy * 3], 1, 3,
-                                {row_var, stencil_var}, {acc_var});
+      if (plane != nullptr) {
+        acc = ctx.SumProducts(0, plane + (y * out_cols + x) * 9, 9,
+                              {row_var, stencil_var}, {acc_var});
+      } else {
+        for (std::size_t dy = 0; dy < 3; ++dy)
+          acc = ctx.DotAccumulate(acc, &image_[(y + dy) * width_ + x], 1,
+                                  &stencil_[dy * 3], 1, 3,
+                                  {row_var, stencil_var}, {acc_var});
       }
       out[y * out_cols + x] = static_cast<double>(acc);
     }

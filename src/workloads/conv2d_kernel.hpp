@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "instrument/product_memo.hpp"
 #include "workloads/kernel.hpp"
 
 namespace axdse::workloads {
@@ -15,6 +16,10 @@ namespace axdse::workloads {
 /// interior (no padding). 8-bit data, 8-bit operator set.
 /// Variables: "image", "stencil", "acc", plus one variable per image row
 /// band when `row_bands > 1`.
+///
+/// Pixels and weights are fixed kernel data, so runs add each output's nine
+/// products, dy-major, from an instrument::ProductMemo plane (above its cap
+/// and in the all-precise golden run the MAC chains stay).
 class Conv2DKernel final : public Kernel {
  public:
   /// A `height` x `width` random image convolved with a fixed 3x3 smoothing
@@ -65,6 +70,7 @@ class Conv2DKernel final : public Kernel {
   std::vector<std::uint8_t> stencil_;
   std::vector<VariableInfo> variables_;
   axc::OperatorSet operators_;
+  instrument::ProductMemo products_;  ///< [(y * out_cols + x) * 9 + dy*3+dx]
 };
 
 }  // namespace axdse::workloads

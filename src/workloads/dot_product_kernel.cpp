@@ -12,7 +12,8 @@ DotProductKernel::DotProductKernel(std::size_t n, std::size_t blocks,
     : blocks_(blocks),
       name_("dot-" + std::to_string(n) + "x" + std::to_string(blocks)),
       variables_({{"a"}, {"b"}, {"acc"}}),
-      operators_(axc::EvoApproxCatalog::Instance().MatMulSet()) {
+      operators_(axc::EvoApproxCatalog::Instance().MatMulSet()),
+      products_(operators_, {n}) {
   if (n == 0) throw std::invalid_argument("DotProductKernel: n == 0");
   if (blocks == 0 || blocks > n)
     throw std::invalid_argument("DotProductKernel: invalid block count");
@@ -29,13 +30,24 @@ std::vector<double> DotProductKernel::Run(
     instrument::ApproxContext& ctx) const {
   std::vector<double> out(blocks_);
   const std::size_t block_len = a_.size() / blocks_;
+  const auto planes =
+      products_.Planes(ctx, [&](const axc::MulOpDescriptor& desc,
+                                std::int64_t* plane) {
+        for (std::size_t i = 0; i < a_.size(); ++i)
+          plane[i] = axc::DispatchMulSigned(desc, a_[i], b_[i]);
+      });
+  const std::int64_t* plane =
+      planes[ctx.AnyApproximated({VarOfA(), VarOfB()})];
   for (std::size_t g = 0; g < blocks_; ++g) {
     const std::size_t begin = g * block_len;
     const std::size_t end = g + 1 == blocks_ ? a_.size() : begin + block_len;
-    // One batched MAC chain per output block.
+    // One batched sum of memoized products, or MAC chain, per output block.
     const std::int64_t acc =
-        ctx.DotAccumulate(0, &a_[begin], 1, &b_[begin], 1, end - begin,
-                          {VarOfA(), VarOfB()}, {VarOfAccumulator()});
+        plane != nullptr
+            ? ctx.SumProducts(0, plane + begin, end - begin,
+                              {VarOfA(), VarOfB()}, {VarOfAccumulator()})
+            : ctx.DotAccumulate(0, &a_[begin], 1, &b_[begin], 1, end - begin,
+                                {VarOfA(), VarOfB()}, {VarOfAccumulator()});
     out[g] = static_cast<double>(acc);
   }
   return out;

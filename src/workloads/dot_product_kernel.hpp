@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "instrument/product_memo.hpp"
 #include "workloads/kernel.hpp"
 
 namespace axdse::workloads {
@@ -13,6 +14,8 @@ namespace axdse::workloads {
 /// out[g] = sum over one block of a[i]*b[i]; the vectors are split into
 /// `blocks` equal blocks so the kernel has more than one output (making MAE
 /// meaningful). 8-bit data, 8-bit operator set. Variables: "a", "b", "acc".
+/// Runs add the products a[i]*b[i] from an instrument::ProductMemo plane
+/// (above its cap and in the all-precise golden run the MAC chains stay).
 class DotProductKernel final : public Kernel {
  public:
   /// Throws std::invalid_argument if n == 0, blocks == 0, or blocks > n.
@@ -47,6 +50,7 @@ class DotProductKernel final : public Kernel {
   std::vector<std::uint8_t> b_;
   std::vector<VariableInfo> variables_;
   axc::OperatorSet operators_;
+  instrument::ProductMemo products_;  ///< [i]
 };
 
 }  // namespace axdse::workloads

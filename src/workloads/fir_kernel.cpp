@@ -18,7 +18,8 @@ constexpr double kDefaultCutoff = 0.2;
 FirKernel::FirKernel(std::size_t num_samples, std::size_t taps, double cutoff,
                      FirGranularity granularity, std::uint64_t seed)
     : granularity_(granularity),
-      operators_(axc::EvoApproxCatalog::Instance().FirSet()) {
+      operators_(axc::EvoApproxCatalog::Instance().FirSet()),
+      products_(operators_, {std::min(taps, num_samples), num_samples}) {
   if (num_samples == 0) throw std::invalid_argument("FirKernel: no samples");
   const std::vector<double> noise =
       signal::UniformWhiteNoise(num_samples, 0.95, seed);
@@ -36,8 +37,6 @@ FirKernel::FirKernel(std::size_t num_samples, std::size_t taps, double cutoff,
       variables_.push_back({"h.tap" + std::to_string(k)});
     variables_.push_back({"acc"});
   }
-  if (h_.size() * x_.size() <= kMaxTableProducts)
-    tables_ = std::vector<ProductTable>(operators_.multipliers.size());
 }
 
 FirKernel::FirKernel(std::size_t num_samples, std::uint64_t seed)
@@ -56,30 +55,6 @@ std::size_t FirKernel::VarOfAccumulator() const noexcept {
   return granularity_ == FirGranularity::kPerArray ? 2 : 1 + h_.size();
 }
 
-const std::int64_t* FirKernel::ApproxProducts(
-    const instrument::ApproxContext& ctx) const {
-  const axc::MulOpDescriptor& desc = ctx.Plan().mul[1];
-  const std::size_t m = ctx.Selection().MultiplierIndex();
-  if (desc.code == axc::MulOpCode::kExact || m >= tables_.size() ||
-      !(operators_.multipliers[m].op == desc))
-    return nullptr;
-  ProductTable& table = tables_[m];
-  std::call_once(table.built, [&] {
-    const std::size_t n = x_.size();
-    const std::size_t rows = std::min(h_.size(), n);
-    table.products.resize(rows * n);
-    axc::WithMulOp(desc, [&](auto mul) {
-      // Row k holds only the n - k products Run() reads.
-      for (std::size_t k = 0; k < rows; ++k)
-        for (std::size_t i = 0; i < n - k; ++i)
-          table.products[k * n + i] = axc::ops::SignedMul(
-              mul, static_cast<std::int64_t>(h_[k]),
-              static_cast<std::int64_t>(x_[i]));
-    });
-  });
-  return table.products.data();
-}
-
 std::vector<double> FirKernel::Run(instrument::ApproxContext& ctx) const {
   // Tap-major formulation: output i accumulates the tap products
   // h[0]*x[i], h[1]*x[i-1], ... in ascending k — exactly the operand
@@ -87,25 +62,27 @@ std::vector<double> FirKernel::Run(instrument::ApproxContext& ctx) const {
   // turns each tap into one batched AXPY over the accumulator array
   // (selection resolution and op accounting hoisted out of the inner loop;
   // per-tap variables make the per-output dot non-uniform, AXPY is the
-  // batchable axis). Approximate taps add memoized products instead (see
-  // the header comment); the table is looked up at the first such tap.
+  // batchable axis). Taps add memoized products where the memo has them
+  // (see the header comment).
   const std::size_t n = x_.size();
   std::vector<std::int64_t> acc(n, 0);  // Q30 accumulators
   const std::size_t x_var = VarOfInput();
   const std::size_t acc_var = VarOfAccumulator();
-  const std::int64_t* products = nullptr;
-  bool products_looked_up = false;
+  const auto planes =
+      products_.Planes(ctx, [&](const axc::MulOpDescriptor& desc,
+                                std::int64_t* plane) {
+        // Row k holds only the n - k products Run() reads.
+        for (std::size_t k = 0; k < h_.size() && k < n; ++k)
+          for (std::size_t i = 0; i < n - k; ++i)
+            plane[k * n + i] = axc::DispatchMulSigned(desc, h_[k], x_[i]);
+      });
   for (std::size_t k = 0; k < h_.size() && k < n; ++k) {
     // acc[i] += h[k] * x[i-k] for all outputs i >= k (zero-padded history
     // contributes nothing below that).
     const std::size_t tap_var = VarOfTap(k);
-    const bool approx_mul = ctx.AnyApproximated({tap_var, x_var});
-    if (approx_mul && !products_looked_up) {
-      products = ApproxProducts(ctx);
-      products_looked_up = true;
-    }
-    if (approx_mul && products != nullptr) {
-      ctx.AccumulateProducts(acc.data() + k, products + k * n, n - k,
+    if (const std::int64_t* plane =
+            planes[ctx.AnyApproximated({tap_var, x_var})]) {
+      ctx.AccumulateProducts(acc.data() + k, plane + k * n, n - k,
                              {tap_var, x_var}, {acc_var});
     } else {
       ctx.AxpyAccumulate(acc.data() + k, x_.data(), n - k,

@@ -13,28 +13,23 @@
 //
 // Memoized tap products: every product h[k]*x[i] multiplies two fixed
 // pieces of kernel data, so under a given multiplier its value never
-// changes between runs. The kernel keeps one table per approximate
-// multiplier of its operator set,
-//   products[m][k * samples + i] == DispatchMulSigned(desc_m, h[k], x[i]),
-// built on first use under std::call_once (the engine runs one instance
-// from several workers at once), and Run() feeds an approximate tap's row
-// to ApproxContext::AccumulateProducts instead of multiplying again.
-// Outputs and op counts are bit-identical to the AxpyAccumulate path. A tap
-// keeps AxpyAccumulate when
-//   * its multiply is precise, or the selected multiplier is the exact one
-//     (a*b is cheaper than a load, so the exact multiplier gets no table);
-//   * taps * samples > kMaxTableProducts, the memory cap (512 KiB of
-//     int64 products per table);
-//   * the context's plan descriptor for the selected multiplier differs
-//     from the kernel's, e.g. a context bound to another operator set.
-// The all-precise golden run therefore builds nothing, and construction
-// does no extra work.
+// changes between runs. The kernel's instrument::ProductMemo keeps one
+// plane per multiplier of its operator set, the exact one included,
+//   plane_m[k * samples + i] == DispatchMulSigned(desc_m, h[k], x[i]),
+// and Run() adds every tap's row through ApproxContext::AccumulateProducts
+// instead of multiplying again, precise taps included. Outputs and op
+// counts are bit-identical to the AxpyAccumulate path, which the taps keep
+// when the memo answers null: above its cap of
+// min(taps, samples) * samples products, for a context bound to another
+// operator set, and for a selection that selects no variable — so the
+// all-precise golden run builds nothing, and construction does no extra
+// work (see instrument/product_memo.hpp).
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
+#include "instrument/product_memo.hpp"
 #include "workloads/kernel.hpp"
 
 namespace axdse::workloads {
@@ -89,30 +84,14 @@ class FirKernel final : public Kernel {
     return h_;
   }
 
-  /// Largest taps * samples that gets product tables (see file comment).
-  static constexpr std::size_t kMaxTableProducts = 65536;
-
  private:
-  /// Memoized products of one multiplier; written once under `built`.
-  struct ProductTable {
-    std::once_flag built;
-    std::vector<std::int64_t> products;  ///< [k * NumSamples() + i]
-  };
-
-  /// The context's selected-multiplier product table, built on first use,
-  /// or null when the fallback rules send approximate taps through
-  /// AxpyAccumulate.
-  const std::int64_t* ApproxProducts(
-      const instrument::ApproxContext& ctx) const;
-
   FirGranularity granularity_;
   std::string name_;
   std::vector<std::int32_t> x_;  ///< Q15 input samples
   std::vector<std::int32_t> h_;  ///< Q15 coefficients
   std::vector<VariableInfo> variables_;
   axc::OperatorSet operators_;
-  /// One per operator-set multiplier; empty above kMaxTableProducts.
-  mutable std::vector<ProductTable> tables_;
+  instrument::ProductMemo products_;  ///< [k * NumSamples() + i]
 };
 
 }  // namespace axdse::workloads

@@ -41,9 +41,10 @@ struct StageOpCounts {
 /// multi-seed explorations of one kernel instance concurrently, each worker
 /// with its own ApproxContext. Keep scratch state inside Run()'s stack
 /// frame. The one allowed kind of mutable member state is immutable data
-/// built once under std::call_once and only read afterwards (FirKernel's
-/// memoized tap products); anything else that changes across runs breaks
-/// the contract. All built-in kernels satisfy this.
+/// built once under std::call_once and only read afterwards (the
+/// instrument::ProductMemo planes of the fixed-operand kernels); anything
+/// else that changes across runs breaks the contract. All built-in kernels
+/// satisfy this.
 class Kernel {
  public:
   virtual ~Kernel() = default;

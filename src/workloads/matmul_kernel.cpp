@@ -12,7 +12,8 @@ MatMulKernel::MatMulKernel(std::size_t n, MatMulGranularity granularity,
     : n_(n),
       granularity_(granularity),
       name_("matmul-" + std::to_string(n) + "x" + std::to_string(n)),
-      operators_(axc::EvoApproxCatalog::Instance().MatMulSet()) {
+      operators_(axc::EvoApproxCatalog::Instance().MatMulSet()),
+      products_(operators_, {n, n, n}) {
   if (n == 0) throw std::invalid_argument("MatMulKernel: n == 0");
   util::Rng rng(seed);
   a_.resize(n * n);
@@ -54,16 +55,31 @@ std::size_t MatMulKernel::VarOfAccumulator() const noexcept {
 std::vector<double> MatMulKernel::Run(instrument::ApproxContext& ctx) const {
   std::vector<double> out(n_ * n_);
   const std::size_t acc_var = VarOfAccumulator();
+  const auto planes =
+      products_.Planes(ctx, [&](const axc::MulOpDescriptor& desc,
+                                std::int64_t* plane) {
+        for (std::size_t i = 0; i < n_; ++i)
+          for (std::size_t j = 0; j < n_; ++j)
+            for (std::size_t k = 0; k < n_; ++k)
+              *plane++ = axc::DispatchMulSigned(desc, a_[i * n_ + k],
+                                                bt_[j * n_ + k]);
+      });
   for (std::size_t i = 0; i < n_; ++i) {
     const std::size_t row_var = VarOfARow(i);
     for (std::size_t j = 0; j < n_; ++j) {
       const std::size_t col_var = VarOfBCol(j);
-      // One batched MAC chain per output entry: row of A dot column of B
-      // (read from the transposed copy, so both operands are unit-stride),
-      // selection and dispatch resolved once.
+      // One batched sum per output entry: the memoized products of row i
+      // of A and column j of B, or the MAC chain over both (read from the
+      // transposed copy, so both operands are unit-stride); selection and
+      // dispatch resolved once.
+      const std::int64_t* plane =
+          planes[ctx.AnyApproximated({row_var, col_var})];
       const std::int64_t acc =
-          ctx.DotAccumulate(0, &a_[i * n_], 1, &bt_[j * n_], 1, n_,
-                            {row_var, col_var}, {acc_var});
+          plane != nullptr
+              ? ctx.SumProducts(0, plane + (i * n_ + j) * n_, n_,
+                                {row_var, col_var}, {acc_var})
+              : ctx.DotAccumulate(0, &a_[i * n_], 1, &bt_[j * n_], 1, n_,
+                                  {row_var, col_var}, {acc_var});
       out[i * n_ + j] = static_cast<double>(acc);
     }
   }

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "instrument/product_memo.hpp"
 #include "workloads/kernel.hpp"
 
 namespace axdse::workloads {
@@ -27,6 +28,11 @@ enum class MatMulGranularity {
 /// covers a's row i or b's column j is selected; the accumulation add is
 /// approximated when the accumulator variable is selected. Outputs are the
 /// n*n entries of C in row-major order.
+///
+/// Every product a[i][k]*b[k][j] multiplies fixed kernel data, so runs add
+/// them from an instrument::ProductMemo plane laid out [(i*n + j)*n + k]
+/// (up to n = 40; larger kernels and the all-precise golden run keep the
+/// MAC chains, see instrument/product_memo.hpp).
 class MatMulKernel final : public Kernel {
  public:
   /// Builds the kernel with deterministic inputs drawn from `seed`.
@@ -71,6 +77,7 @@ class MatMulKernel final : public Kernel {
   std::vector<std::uint8_t> bt_;  ///< B transposed (unit-stride MAC chains)
   std::vector<VariableInfo> variables_;
   axc::OperatorSet operators_;
+  instrument::ProductMemo products_;  ///< [(i * n + j) * n + k]
 };
 
 }  // namespace axdse::workloads

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "instrument/product_memo.hpp"
 #include "workloads/kernel.hpp"
 
 namespace axdse::workloads {
@@ -20,6 +21,11 @@ namespace axdse::workloads {
 /// 8-bit data and weights (batched u8 MACs, strided for Gx, contiguous for
 /// Gy), signed adds for the differences and the magnitude.
 /// Variables: one per image row band, "kx", "ky", "acc".
+///
+/// Pixels and weights are fixed kernel data, so runs add each output's four
+/// 3-product sums (Gx+, Gx-, Gy+, Gy-) from an instrument::ProductMemo
+/// plane (above its cap and in the all-precise golden run the MAC chains
+/// stay).
 class SobelKernel final : public Kernel {
  public:
   /// A `height` x `width` random 8-bit image. `row_bands` >= 1 splits the
@@ -67,6 +73,7 @@ class SobelKernel final : public Kernel {
   std::vector<std::uint8_t> smooth_;
   std::vector<VariableInfo> variables_;
   axc::OperatorSet operators_;
+  instrument::ProductMemo products_;  ///< [((y * out_cols + x) * 4 + g) * 3]
 };
 
 }  // namespace axdse::workloads

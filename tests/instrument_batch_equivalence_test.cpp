@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "axc/catalog.hpp"
@@ -288,6 +289,76 @@ TEST(BatchEquivalence, AxpyAccumulateLaneHostileLengths) {
     }
     ExpectSameCounts(batched.Counts(), scalar.Counts(),
                      "axpy hostile counts " + sel.ToString());
+  }
+}
+
+TEST(BatchEquivalence, ExactMultiplierChainsMatchDispatchLoops) {
+  // The exact multiplier skips the sign-magnitude wrappers (its signed form
+  // is the wrapping product), and so does the exact adder. Checked against
+  // loops of scalar DispatchMulSigned/DispatchAddSigned at negative and
+  // extreme Q15/Q30 operands and accumulators, for exact x exact and for
+  // the exact multiplier under every adder of both operator sets.
+  constexpr std::int64_t kMin64 = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax64 = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int32_t kMin32 = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax32 = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int32_t kQ30 = 1 << 30;
+  const std::vector<std::int32_t> x = {-32768, 32767,    -32767,   -1,
+                                       0,      1,        -16384,   12345,
+                                       -kQ30,  kQ30 - 1, 1 - kQ30, kMin32,
+                                       kMax32};
+  const std::vector<std::int32_t> x_rev(x.rbegin(), x.rend());
+  const std::int64_t alphas[] = {-32768, 32767,    -1,    0,
+                                 -kQ30,  kQ30 - 1, kMin32};
+  const std::int64_t inits[] = {0,
+                                -1,
+                                kMin64,
+                                kMax64,
+                                -(std::int64_t{1} << 60),
+                                (std::int64_t{1} << 60) + 12345};
+  for (const auto& set : {axc::EvoApproxCatalog::Instance().MatMulSet(),
+                          axc::EvoApproxCatalog::Instance().FirSet()}) {
+    ASSERT_EQ(set.multipliers.front().op.code, axc::MulOpCode::kExact);
+    for (std::uint32_t ai = 0; ai < set.adders.size(); ++ai) {
+      // Nothing selected: exact x exact. Everything selected: the exact
+      // multiplier (index 0) with adder `ai`.
+      for (const bool selected : {false, true}) {
+        ApproxSelection sel(3);
+        sel.SetAdderIndex(ai);
+        sel.SetMultiplierIndex(0);
+        for (std::size_t v = 0; v < 3; ++v) sel.SetVariable(v, selected);
+        ApproxContext ctx(set, 3);
+        ctx.Configure(sel);
+        const axc::MulOpDescriptor& mul = ctx.Plan().mul[selected];
+        const axc::AddOpDescriptor& add = ctx.Plan().add[selected];
+        ASSERT_EQ(mul.code, axc::MulOpCode::kExact);
+        const std::string what = set.name + " " + sel.ToString();
+        for (const std::int64_t alpha : alphas) {
+          for (const std::int64_t init : inits) {
+            std::vector<std::int64_t> y(x.size());
+            for (std::size_t i = 0; i < y.size(); ++i)
+              y[i] = i % 2 == 0 ? init : ~init;  // ~init == -init - 1
+            std::vector<std::int64_t> want = y;
+            ctx.AxpyAccumulate(y.data(), x.data(), x.size(), alpha, {0, 1},
+                               {2});
+            for (std::size_t i = 0; i < want.size(); ++i)
+              want[i] = axc::DispatchAddSigned(
+                  add, want[i], axc::DispatchMulSigned(mul, alpha, x[i]));
+            EXPECT_EQ(y, want) << what << " alpha=" << alpha;
+          }
+        }
+        for (const std::int64_t init : inits) {
+          std::int64_t want = init;
+          for (std::size_t i = 0; i < x.size(); ++i)
+            want = axc::DispatchAddSigned(
+                add, want, axc::DispatchMulSigned(mul, x[i], x_rev[i]));
+          EXPECT_EQ(ctx.DotAccumulate(init, x.data(), 1, x_rev.data(), 1,
+                                      x.size(), {0, 1}, {2}),
+                    want)
+              << what << " init=" << init;
+        }
+      }
+    }
   }
 }
 

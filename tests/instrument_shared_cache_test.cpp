@@ -2,14 +2,15 @@
 // sharded statistics aggregation, deterministic capacity admission, the
 // compute-once FetchOrCompute contract, and multi-threaded stress runs
 // (8 threads, overlapping key sets) written to be ThreadSanitizer-friendly —
-// plain std::thread + std::atomic, no sleeps or timing assumptions.
+// plain std::thread + std::atomic, no sleeps or timing assumptions: a test
+// that needs a caller blocked on an in-flight key waits until Waiters()
+// counts it.
 
 #include "instrument/shared_evaluation_cache.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <stdexcept>
 #include <thread>
@@ -153,7 +154,8 @@ TEST(SharedEvaluationCache, FetchOrComputeFailurePropagatesToBlockedWaiters) {
   // record of the computer's failure and silently recomputed (or, worse, a
   // bare catch swallowed the error entirely). A waiter that was blocked when
   // the compute threw must rethrow that same error — without ever running
-  // its own compute.
+  // its own compute. The computer fails only once Waiters() counts the
+  // waiter as blocked, so a regression fails on every run.
   SharedEvaluationCache cache;
   std::atomic<bool> waiter_launched{false};
   std::atomic<std::size_t> waiter_compute_runs{0};
@@ -176,17 +178,17 @@ TEST(SharedEvaluationCache, FetchOrComputeFailurePropagatesToBlockedWaiters) {
       cache.FetchOrCompute(KeyOf(8),
                            [&]() -> Measurement {
                              // We hold the in-flight slot; release the waiter
-                             // and give it ample time to block on the key
-                             // before failing.
+                             // and fail once it is blocked on the key.
                              waiter_launched.store(
                                  true, std::memory_order_release);
-                             std::this_thread::sleep_for(
-                                 std::chrono::milliseconds(200));
+                             while (cache.Waiters(KeyOf(8)) == 0)
+                               std::this_thread::yield();
                              throw std::runtime_error("boom");
                            }),
       std::runtime_error);
   waiter.join();
 
+  EXPECT_EQ(cache.Waiters(KeyOf(8)), 0u);  // nothing in flight any more
   EXPECT_EQ(waiter_compute_runs.load(), 0u);
   ASSERT_TRUE(waiter_error);
   try {

@@ -1,6 +1,6 @@
-// FIR memoized tap products: FirKernel::Run adds each approximate tap's
-// products from a per-multiplier table (ApproxContext::AccumulateProducts)
-// instead of multiplying again. Its outputs and OpCounts must equal the
+// FIR memoized tap products: FirKernel::Run adds each tap's products from
+// a per-multiplier instrument::ProductMemo plane
+// (ApproxContext::AccumulateProducts) instead of multiplying again. Its outputs and OpCounts must equal the
 // AxpyAccumulate path bit for bit across every adder x multiplier pair,
 // both granularities, none/all/random variable masks, a signal shorter than
 // the filter, a kernel above the table memory cap, and a context bound to
@@ -21,6 +21,7 @@
 #include "axc/catalog.hpp"
 #include "dse/engine.hpp"
 #include "instrument/approx_context.hpp"
+#include "instrument/product_memo.hpp"
 #include "report/export.hpp"
 #include "util/rng.hpp"
 #include "workloads/fir_kernel.hpp"
@@ -119,11 +120,11 @@ TEST(FirProducts, ShortSignalMatchesAxpy) {
 }
 
 TEST(FirProducts, KernelsAroundTheMemoryCapMatchAxpy) {
-  // Just under the cap the kernel keeps tables; one sample more crosses it
-  // and every approximate tap falls back to AxpyAccumulate.
+  // Just under the cap the kernel keeps planes; one sample more crosses it
+  // and every tap falls back to AxpyAccumulate.
   const std::size_t taps = 17;
-  const std::size_t at_cap = FirKernel::kMaxTableProducts / taps;
-  ASSERT_GT((at_cap + 1) * taps, FirKernel::kMaxTableProducts);
+  const std::size_t at_cap = instrument::ProductMemo::kMaxProducts / taps;
+  ASSERT_GT((at_cap + 1) * taps, instrument::ProductMemo::kMaxProducts);
   for (const std::size_t samples : {at_cap, at_cap + 1}) {
     const FirKernel kernel(samples, taps, 0.2, FirGranularity::kPerTap, 3);
     CheckAllPairs(kernel, kernel.Operators(), 19, /*random_masks=*/1);
