@@ -20,9 +20,8 @@
 int main(int argc, char** argv) {
   using namespace axdse;
   const util::CliArgs args(argc, argv);
-  const std::size_t steps =
-      static_cast<std::size_t>(args.GetInt("steps", 6000));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.GetInt("seed", 1));
+  const std::size_t steps = args.GetCountStrict("steps", 6000);
+  const std::uint64_t seed = args.GetCountStrict("seed", 1);
 
   struct Case {
     std::string name;

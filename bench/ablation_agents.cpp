@@ -82,9 +82,8 @@ void RunSuite(const workloads::Kernel& kernel, std::size_t steps,
 
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
-  const std::size_t steps =
-      static_cast<std::size_t>(args.GetInt("steps", 6000));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.GetInt("seed", 1));
+  const std::size_t steps = args.GetCountStrict("steps", 6000);
+  const std::uint64_t seed = args.GetCountStrict("seed", 1);
 
   const workloads::MatMulKernel matmul(
       10, workloads::MatMulGranularity::kPerMatrix, 2023);

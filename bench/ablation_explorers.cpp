@@ -144,11 +144,9 @@ void RunSuite(const workloads::Kernel& kernel, std::size_t budget,
 
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
-  const std::size_t budget =
-      static_cast<std::size_t>(args.GetInt("budget", 1500));
-  const std::size_t rl_steps =
-      static_cast<std::size_t>(args.GetInt("steps", 10000));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.GetInt("seed", 1));
+  const std::size_t budget = args.GetCountStrict("budget", 1500);
+  const std::size_t rl_steps = args.GetCountStrict("steps", 10000);
+  const std::uint64_t seed = args.GetCountStrict("seed", 1);
 
   const workloads::MatMulKernel matmul(
       10, workloads::MatMulGranularity::kPerMatrix, 2023);

@@ -36,10 +36,8 @@ int main(int argc, char** argv) {
   using namespace axdse;
   const util::CliArgs args(argc, argv);
   const bool quick = args.Has("quick");
-  const std::size_t steps =
-      static_cast<std::size_t>(args.GetInt("steps", quick ? 120 : 10000));
-  const std::size_t seeds =
-      static_cast<std::size_t>(args.GetInt("seeds", quick ? 2 : 4));
+  const std::size_t steps = args.GetCountStrict("steps", quick ? 120 : 10000);
+  const std::size_t seeds = args.GetCountStrict("seeds", quick ? 2 : 4);
 
   std::string spec_text = args.GetString("spec", "");
   if (spec_text.empty()) {
@@ -57,23 +55,21 @@ int main(int argc, char** argv) {
   std::printf("Grid: %zu cells, %zu explorations\n", spec.NumCells(),
               spec.NumJobs());
 
-  const dse::Engine engine(dse::EngineOptions{
-      static_cast<std::size_t>(args.GetInt("workers", 0))});
+  const dse::Engine engine(
+      dse::EngineOptions{args.GetCountStrict("workers", 0)});
   dse::CampaignOptions options;
-  options.chunk_cells = static_cast<std::size_t>(args.GetInt("chunk", 10));
+  options.chunk_cells = args.GetCountStrict("chunk", 10);
   if (args.Has("checkpoint")) {
     options.checkpoint_directory =
         args.GetString("checkpoint", "campaign-checkpoints");
-    options.checkpoint_interval = static_cast<std::size_t>(
-        args.GetInt("checkpoint-interval", 1000));
-    options.step_budget =
-        static_cast<std::size_t>(args.GetInt("budget", 0));
+    options.checkpoint_interval =
+        args.GetCountStrict("checkpoint-interval", 1000);
+    options.step_budget = args.GetCountStrict("budget", 0);
     std::printf("Checkpointing to %s (chunked resume%s).\n",
                 options.checkpoint_directory.c_str(),
                 options.step_budget > 0 ? ", budget-limited" : "");
   }
-  options.max_chunks =
-      static_cast<std::size_t>(args.GetInt("max-chunks", 0));
+  options.max_chunks = args.GetCountStrict("max-chunks", 0);
 
   const dse::CampaignResult result = dse::Campaign(engine).Run(spec, options);
 

@@ -17,25 +17,23 @@ int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
 
   // 17-tap LPF on 100 white-noise samples, per-tap variables.
-  const dse::ExplorationRequest request =
-      dse::RequestBuilder("fir")
-          .Size(100)
-          .KernelSeed(2023)
-          .MaxSteps(static_cast<std::size_t>(args.GetInt("steps", 10000)))
-          .RewardCap(args.GetDouble("reward-cap", 500.0))
-          .Alpha(0.15)
-          .Gamma(0.95)  // epsilon: linear decay over 3/4 of the steps
-          .Seed(static_cast<std::uint64_t>(args.GetInt("seed", 1)))
-          .RecordTrace()
-          .Build();
+  dse::ExplorationRequest request;
+  request.kernel = workloads::KernelSpec("fir", 100);
+  request.kernel_seed = 2023;
+  request.max_steps = args.GetCountStrict("steps", 10000);
+  request.max_cumulative_reward = args.GetDouble("reward-cap", 500.0);
+  request.alpha = 0.15;
+  request.gamma = 0.95;  // epsilon: linear decay over 3/4 of the steps
+  request.seed = args.GetCountStrict("seed", 1);
+  request.record_trace = true;
+  request.Validate();
 
   std::printf("Exploring %s (%zu steps max)...\n", request.kernel.ToString().c_str(),
               request.max_steps);
   const dse::BatchResult batch = dse::Engine().Run({request});
   const dse::ExplorationResult& result = batch.results.front().runs.front();
 
-  const std::size_t stride =
-      static_cast<std::size_t>(args.GetInt("stride", 250));
+  const std::size_t stride = args.GetCountStrict("stride", 250);
   std::printf("%s\n", report::RenderExplorationFigure(
                           "Fig. 3 — Exploration outcomes evolution, FIR "
                           "(100 samples)",

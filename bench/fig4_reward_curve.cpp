@@ -14,21 +14,20 @@ int main(int argc, char** argv) {
   using namespace axdse;
   const util::CliArgs args(argc, argv);
 
-  const std::size_t steps =
-      static_cast<std::size_t>(args.GetInt("steps", 10000));
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.GetInt("seed", 1));
+  const std::size_t steps = args.GetCountStrict("steps", 10000);
+  const std::uint64_t seed = args.GetCountStrict("seed", 1);
   const auto make_request = [&](const std::string& kernel,
                                 std::size_t size) {
-    return dse::RequestBuilder(kernel)
-        .Size(size)
-        .KernelSeed(2023)
-        .MaxSteps(steps)
-        .RewardCap(1e18)  // watch learning for the full run
-        .Alpha(0.15)
-        .Gamma(0.95)
-        .Seed(seed)
-        .Build();
+    dse::ExplorationRequest request;
+    request.kernel = workloads::KernelSpec(kernel, size);
+    request.kernel_seed = 2023;
+    request.max_steps = steps;
+    request.max_cumulative_reward = 1e18;  // watch learning for the full run
+    request.alpha = 0.15;
+    request.gamma = 0.95;
+    request.seed = seed;
+    request.Validate();
+    return request;
   };
 
   // Both curves as one parallel batch.
@@ -41,7 +40,7 @@ int main(int argc, char** argv) {
       batch.results[0].runs.front();
   const dse::ExplorationResult& fir_result = batch.results[1].runs.front();
 
-  const std::size_t bin = static_cast<std::size_t>(args.GetInt("bin", 100));
+  const std::size_t bin = args.GetCountStrict("bin", 100);
   std::printf("%s\n",
               report::RenderRewardFigure(
                   "Fig. 4 — Average reward per " + std::to_string(bin) +

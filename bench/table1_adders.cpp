@@ -16,9 +16,8 @@
 int main(int argc, char** argv) {
   using namespace axdse;
   const util::CliArgs args(argc, argv);
-  const std::size_t samples16 =
-      static_cast<std::size_t>(args.GetInt("samples16", 4194304));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.GetInt("seed", 7));
+  const std::size_t samples16 = args.GetCountStrict("samples16", 4194304);
+  const std::uint64_t seed = args.GetCountStrict("seed", 7);
 
   const auto& catalog = axc::EvoApproxCatalog::Instance();
 

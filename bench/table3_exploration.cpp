@@ -46,22 +46,21 @@ axdse::dse::ExplorationRequest MakeRequest(const axdse::util::CliArgs& args,
                                            const std::string& granularity,
                                            const std::string& label,
                                            std::uint64_t seed_offset) {
-  auto builder =
-      axdse::dse::RequestBuilder(kernel)
-          .Size(size)
-          .KernelSeed(2023)
-          .Label(label)
-          .MaxSteps(static_cast<std::size_t>(args.GetInt("steps", 10000)))
-          .RewardCap(args.GetDouble("reward-cap", 500.0))
-          .Alpha(0.15)
-          .Gamma(0.95)  // epsilon defaults to linear decay over 3/4 of steps
-          .Seed(static_cast<std::uint64_t>(args.GetInt("seed", 1)) +
-                seed_offset)
-          .Seeds(static_cast<std::size_t>(args.GetInt("seeds", 1)))
-          .Cache(axdse::dse::CacheModeFromName(
-              args.GetString("cache", "private")));
-  if (!granularity.empty()) builder.KernelParam("granularity", granularity);
-  return builder.Build();
+  axdse::dse::ExplorationRequest request;
+  request.kernel = axdse::workloads::KernelSpec(kernel, size);
+  if (!granularity.empty()) request.kernel.extra["granularity"] = granularity;
+  request.kernel_seed = 2023;
+  request.label = label;
+  request.max_steps = args.GetCountStrict("steps", 10000);
+  request.max_cumulative_reward = args.GetDouble("reward-cap", 500.0);
+  request.alpha = 0.15;
+  request.gamma = 0.95;  // epsilon defaults to linear decay over 3/4 of steps
+  request.seed = args.GetCountStrict("seed", 1) + seed_offset;
+  request.num_seeds = args.GetCountStrict("seeds", 1);
+  request.cache_mode =
+      axdse::dse::CacheModeFromName(args.GetString("cache", "private"));
+  request.Validate();
+  return request;
 }
 
 void PrintPaperReference() {
@@ -104,20 +103,17 @@ int main(int argc, char** argv) {
       MakeRequest(args, "fir", 200, "", "FIR 200", 3),
   };
 
-  const dse::Engine engine(dse::EngineOptions{
-      static_cast<std::size_t>(args.GetInt("workers", 0))});
+  const dse::Engine engine(
+      dse::EngineOptions{args.GetCountStrict("workers", 0)});
   std::printf("Running %zu explorations (%zu requests) on %zu workers...\n",
-              requests.size() *
-                  static_cast<std::size_t>(args.GetInt("seeds", 1)),
-              requests.size(), engine.NumWorkers());
+              requests.size() * requests.front().num_seeds, requests.size(),
+              engine.NumWorkers());
 
   dse::CheckpointOptions checkpoint;
   if (args.Has("checkpoint")) {
     checkpoint.directory = args.GetString("checkpoint", "checkpoints");
-    checkpoint.interval = static_cast<std::size_t>(
-        args.GetInt("checkpoint-interval", 1000));
-    checkpoint.step_budget = static_cast<std::size_t>(
-        args.GetInt("checkpoint-budget", 0));
+    checkpoint.interval = args.GetCountStrict("checkpoint-interval", 1000);
+    checkpoint.step_budget = args.GetCountStrict("checkpoint-budget", 0);
     std::printf(
         "Checkpointing to %s (autosave every %zu steps%s); an interrupted "
         "run resumes from there.\n",
@@ -157,8 +153,7 @@ int main(int argc, char** argv) {
     std::printf("  %-24s %zu jobs: %s\n", cache.signature.c_str(), cache.jobs,
                 cache.stats.ToString().c_str());
 
-  const std::size_t seeds =
-      static_cast<std::size_t>(args.GetInt("seeds", 1));
+  const std::size_t seeds = requests.front().num_seeds;
   if (seeds > 1) {
     util::AsciiTable stats("Solution robustness over " +
                            std::to_string(seeds) +

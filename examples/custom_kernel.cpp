@@ -107,12 +107,12 @@ int main() {
 
   // From here on "sad" works exactly like the built-in benchmarks.
   const dse::Engine engine;
-  const dse::BatchResult batch = engine.Run({dse::RequestBuilder("sad")
-                                                 .Size(32)
-                                                 .KernelSeed(11)
-                                                 .MaxSteps(6000)
-                                                 .Seed(3)
-                                                 .Build()});
+  const dse::BatchResult batch = engine.Run({{
+      .kernel = workloads::KernelSpec("sad", 32),
+      .kernel_seed = 11,
+      .max_steps = 6000,
+      .seed = 3,
+  }});
   const dse::RequestResult& run = batch.results.front();
   const dse::ExplorationResult& result = run.runs.front();
 

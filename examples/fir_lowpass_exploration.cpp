@@ -5,8 +5,9 @@
 // one at a few probe frequencies).
 //
 // This example drives the facade with a concrete kernel *instance*
-// (RequestBuilder::KernelInstance) instead of a registry name — the escape
-// hatch for when the caller needs the kernel's own accessors afterwards.
+// (ExplorationRequest::kernel_override) instead of a registry name — the
+// escape hatch for when the caller needs the kernel's own accessors
+// afterwards.
 //
 //   $ ./build/examples/fir_lowpass_exploration --samples=100 --taps=17
 //         --cutoff=0.2 --csv=fir_trace.csv   (one command line)
@@ -24,9 +25,8 @@ int main(int argc, char** argv) {
   using namespace axdse;
   const util::CliArgs args(argc, argv);
 
-  const std::size_t samples =
-      static_cast<std::size_t>(args.GetInt("samples", 100));
-  const std::size_t taps = static_cast<std::size_t>(args.GetInt("taps", 17));
+  const std::size_t samples = args.GetCountStrict("samples", 100);
+  const std::size_t taps = args.GetCountStrict("taps", 17);
   const double cutoff = args.GetDouble("cutoff", 0.2);
   const auto kernel = std::make_shared<const workloads::FirKernel>(
       samples, taps, cutoff, workloads::FirGranularity::kPerTap, 42);
@@ -45,12 +45,13 @@ int main(int argc, char** argv) {
               signal::MagnitudeResponse(h, cutoff),
               signal::MagnitudeResponse(h, 0.45));
 
-  const dse::BatchResult batch = dse::Engine().Run(
-      {dse::RequestBuilder(kernel)
-           .MaxSteps(static_cast<std::size_t>(args.GetInt("steps", 10000)))
-           .Seed(static_cast<std::uint64_t>(args.GetInt("seed", 7)))
-           .RecordTrace()
-           .Build()});
+  dse::ExplorationRequest request;
+  request.kernel.name = kernel->Name();
+  request.kernel_override = kernel;
+  request.max_steps = args.GetCountStrict("steps", 10000);
+  request.seed = args.GetCountStrict("seed", 7);
+  request.record_trace = true;
+  const dse::BatchResult batch = dse::Engine().Run({request});
   const dse::RequestResult& run = batch.results.front();
   const dse::ExplorationResult& result = run.runs.front();
 

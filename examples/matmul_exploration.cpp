@@ -15,20 +15,20 @@ int main(int argc, char** argv) {
   using namespace axdse;
   const util::CliArgs args(argc, argv);
 
-  const dse::ExplorationRequest request =
-      dse::RequestBuilder("matmul")
-          .Size(static_cast<std::size_t>(args.GetInt("n", 10)))
-          .KernelSeed(42)
-          .KernelParam("granularity",
-                       args.GetString("granularity", "per-matrix"))
-          .MaxSteps(static_cast<std::size_t>(args.GetInt("steps", 10000)))
-          .Seed(static_cast<std::uint64_t>(args.GetInt("seed", 7)))
-          .AccuracyFactor(args.GetDouble("acc-factor", 0.4))
-          .PowerFactor(args.GetDouble("power-factor", 0.5))
-          .TimeFactor(args.GetDouble("time-factor", 0.5))
-          .GreedyRollout(64)  // extract the learned policy at the end
-          .RecordTrace()      // keep the per-step trace for the Pareto view
-          .Build();
+  dse::ExplorationRequest request;
+  request.kernel =
+      workloads::KernelSpec("matmul", args.GetCountStrict("n", 10));
+  request.kernel.extra["granularity"] =
+      args.GetString("granularity", "per-matrix");
+  request.kernel_seed = 42;
+  request.max_steps = args.GetCountStrict("steps", 10000);
+  request.seed = args.GetCountStrict("seed", 7);
+  request.thresholds.accuracy_factor = args.GetDouble("acc-factor", 0.4);
+  request.thresholds.power_factor = args.GetDouble("power-factor", 0.5);
+  request.thresholds.time_factor = args.GetDouble("time-factor", 0.5);
+  request.greedy_rollout_steps = 64;  // extract the learned policy at the end
+  request.record_trace = true;  // keep the per-step trace for the Pareto view
+  request.Validate();
   std::printf("request: %s\n", request.ToString().c_str());
 
   // Construct the kernel once and hand the instance to the engine — the

@@ -23,15 +23,15 @@ int main() {
 
   // 2. The run, as one validated value: C = A*B on random 8-bit 10x10
   //    matrices, <= 10,000 Q-learning steps, straight from the paper.
-  const dse::ExplorationRequest request = dse::RequestBuilder("matmul")
-                                              .Size(10)
-                                              .KernelSeed(42)
-                                              .MaxSteps(10000)
-                                              .Seed(7)
-                                              .Build();
+  const dse::ExplorationRequest request{
+      .kernel = workloads::KernelSpec("matmul", 10),
+      .kernel_seed = 42,
+      .max_steps = 10000,
+      .seed = 7,
+  };
 
-  // 3. Explore (a request can carry many seeds; this one runs a single
-  //    exploration).
+  // 3. Explore: Run() validates the request (a request can carry many
+  //    seeds; this one runs a single exploration).
   const dse::BatchResult batch = engine.Run({request});
   const dse::ExplorationResult& result = batch.results.front().runs.front();
 

@@ -2,15 +2,17 @@
 // axdse — the public facade. Include this one header to use the library:
 //
 //   const axdse::dse::Engine engine;                  // worker pool
-//   const auto request = axdse::dse::RequestBuilder("fir")
-//                            .Size(100).Seeds(8).Build();  // validated value
-//   const auto batch = engine.Run({request});         // parallel multi-seed
+//   axdse::dse::ExplorationRequest request;           // plain fields
+//   request.kernel = axdse::workloads::KernelSpec("fir", 100);
+//   request.num_seeds = 8;
+//   const auto batch = engine.Run({request});  // validates, multi-seed
 //   axdse::report::WriteBatchJson(std::cout, batch);  // machine-readable out
 //
 // Layering underneath, all reachable through this header:
 //   workloads::KernelRegistry  — kernels by name ("matmul", "fir", ...);
 //                                Global().Register() adds custom ones
-//   dse::ExplorationRequest    — one serializable run description
+//   dse::ExplorationRequest    — one serializable run description (plain
+//                                fields + Validate(); ToString/Parse)
 //   dse::Engine                — batch execution on a worker pool; its one
 //                                Run() also resumes and preempts batches
 //   dse::Checkpoint            — suspend/resume snapshots (byte-identical)

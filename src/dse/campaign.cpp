@@ -22,37 +22,6 @@ namespace {
 using util::ParseDoubleToken;
 using util::ShortestDouble;
 
-std::vector<std::string> SplitOn(const std::string& text, char separator) {
-  std::vector<std::string> parts;
-  std::string current;
-  for (const char c : text) {
-    if (c == separator) {
-      parts.push_back(std::move(current));
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  parts.push_back(std::move(current));
-  return parts;
-}
-
-/// Whitespace/';' tokenization shared with ExplorationRequest::Parse.
-std::vector<std::string> Tokenize(const std::string& text) {
-  std::vector<std::string> tokens;
-  std::string current;
-  for (const char c : text) {
-    if (c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == ';') {
-      if (!current.empty()) tokens.push_back(std::move(current));
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  if (!current.empty()) tokens.push_back(std::move(current));
-  return tokens;
-}
-
 [[noreturn]] void SpecError(const std::string& message) {
   throw std::invalid_argument("CampaignSpec: " + message);
 }
@@ -301,7 +270,6 @@ std::vector<ExplorationRequest> CampaignSpec::Expand() const {
               for (const CacheMode cache : cache_axis) {
                 ExplorationRequest request = base;
                 request.kernel_override.reset();
-                request.explorer_override.reset();
                 request.kernel = kernel;
                 // Extras in base.kernel.extra apply campaign-wide; the
                 // entry's own extras win on key collisions.
@@ -392,46 +360,42 @@ CampaignSpec CampaignSpec::Parse(const std::string& text) {
   CampaignSpec spec;
   std::string base_text;
   bool saw_kernels = false;
-  for (const std::string& token : Tokenize(text)) {
-    const auto eq = token.find('=');
-    if (eq == std::string::npos)
-      SpecError("token '" + token + "' is not of the form key=value");
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    if (key == "kernels") {
-      if (value.empty()) SpecError("kernels= list is empty");
-      for (const std::string& entry : workloads::SplitSpecList(value)) {
+  for (const auto& [key, value] : SplitRequestTokens(text, "CampaignSpec")) {
+    const bool axis = key == "kernels" || key == "agents" ||
+                      key == "action-spaces" || key == "acc-factors" ||
+                      key == "power-factors" || key == "time-factors" ||
+                      key == "cache-modes";
+    if (!axis) {
+      base_text += (base_text.empty() ? "" : " ") + key + "=" + value;
+      continue;
+    }
+    if (value.empty()) SpecError(key + "= list is empty");
+    if (key == "agents" && value == "all") {
+      spec.agents = {AgentKind::kQLearning, AgentKind::kSarsa,
+                     AgentKind::kExpectedSarsa, AgentKind::kDoubleQ,
+                     AgentKind::kQLambda};
+      continue;
+    }
+    for (const std::string& entry : workloads::SplitSpecList(value)) {
+      if (key == "kernels") {
         workloads::KernelSpec kernel = workloads::KernelSpec::Parse(entry);
         if (kernel.name.empty())
           SpecError("kernel entry '" + entry + "' has an empty name");
         spec.kernels.push_back(std::move(kernel));
-      }
-      saw_kernels = true;
-    } else if (key == "agents") {
-      if (value == "all") {
-        spec.agents = {AgentKind::kQLearning, AgentKind::kSarsa,
-                       AgentKind::kExpectedSarsa, AgentKind::kDoubleQ,
-                       AgentKind::kQLambda};
-      } else {
-        for (const std::string& entry : SplitOn(value, ','))
-          spec.agents.push_back(AgentKindFromName(entry));
-      }
-    } else if (key == "action-spaces") {
-      for (const std::string& entry : SplitOn(value, ','))
+        saw_kernels = true;
+      } else if (key == "agents") {
+        spec.agents.push_back(AgentKindFromName(entry));
+      } else if (key == "action-spaces") {
         spec.action_spaces.push_back(ActionSpaceFromName(entry));
-    } else if (key == "acc-factors" || key == "power-factors" ||
-               key == "time-factors") {
-      std::vector<double>& axis = key == "acc-factors" ? spec.acc_factors
-                                  : key == "power-factors"
-                                      ? spec.power_factors
-                                      : spec.time_factors;
-      for (const std::string& entry : SplitOn(value, ','))
-        axis.push_back(ParseDoubleToken(entry, "CampaignSpec factor"));
-    } else if (key == "cache-modes") {
-      for (const std::string& entry : SplitOn(value, ','))
+      } else if (key == "cache-modes") {
         spec.cache_modes.push_back(CacheModeFromName(entry));
-    } else {
-      base_text += (base_text.empty() ? "" : " ") + token;
+      } else {
+        std::vector<double>& factors = key == "acc-factors" ? spec.acc_factors
+                                       : key == "power-factors"
+                                           ? spec.power_factors
+                                           : spec.time_factors;
+        factors.push_back(ParseDoubleToken(entry, "CampaignSpec factor"));
+      }
     }
   }
   if (!saw_kernels) SpecError("missing required kernels= axis");
@@ -452,9 +416,8 @@ bool operator!=(const CampaignSpec& a, const CampaignSpec& b) {
 CampaignCell CampaignAggregator::Reduce(const RequestResult& result) {
   CampaignCell cell;
   cell.request = result.request;
-  // The escape hatches are not serializable; campaigns never set them.
+  // The kernel instance is not serializable; campaigns never set it.
   cell.request.kernel_override.reset();
-  cell.request.explorer_override.reset();
   cell.kernel_name = result.kernel_name;
   cell.reward = result.reward;
   cell.solution_delta_power = result.solution_delta_power;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <exception>
 #include <filesystem>
-#include <iterator>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -595,38 +594,6 @@ BatchResult Engine::Run(const std::vector<ExplorationRequest>& requests,
     batch.shared_caches.push_back(
         SharedCacheReport{signature, cache_jobs[signature], cache->Stats()});
   return batch;
-}
-
-std::vector<instrument::Measurement> Engine::Score(
-    const ExplorationRequest& identity,
-    const std::vector<Configuration>& configs, std::size_t lanes) const {
-  identity.Validate();
-  if (!identity.kernel_override && !registry_->Has(identity.kernel.name))
-    throw std::invalid_argument("Engine::Score: unknown kernel '" +
-                                identity.kernel.name + "'");
-  std::shared_ptr<const workloads::Kernel> kernel = identity.kernel_override;
-  if (!kernel)
-    kernel = registry_->Create(identity.kernel, identity.kernel_seed);
-  Evaluator evaluator(*kernel);
-  if (lanes == 0) lanes = instrument::MultiApproxContext::kMaxLanes;
-  std::vector<instrument::Measurement> out;
-  out.reserve(configs.size());
-  if (lanes <= 1) {
-    for (const Configuration& config : configs)
-      out.push_back(evaluator.Evaluate(config));
-    return out;
-  }
-  // MultiEvaluate() flushes at kMaxLanes on its own; smaller widths chunk
-  // here so the lane passes never exceed the caller's bound.
-  for (std::size_t begin = 0; begin < configs.size(); begin += lanes) {
-    const std::size_t end = std::min(configs.size(), begin + lanes);
-    const std::vector<Configuration> chunk(configs.begin() + begin,
-                                           configs.begin() + end);
-    std::vector<instrument::Measurement> part = evaluator.MultiEvaluate(chunk);
-    out.insert(out.end(), std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()));
-  }
-  return out;
 }
 
 }  // namespace axdse::dse

@@ -314,19 +314,6 @@ class Engine {
                   const CheckpointOptions& checkpoint = {},
                   const RunHooks& hooks = {}) const;
 
-  /// Scores a list of candidate configurations of ONE kernel identity (the
-  /// request names the kernel/size/seed/params; its exploration fields are
-  /// ignored) through a single evaluator, lane-parallel: uncached
-  /// configurations are grouped into lane passes of up to `lanes`
-  /// configurations per kernel traversal (0 = the full
-  /// MultiApproxContext::kMaxLanes width, 1 = the sequential scalar path).
-  /// Measurements come back in input order and are bit-identical to the
-  /// sequential path for any lane width. Throws std::invalid_argument on an
-  /// unknown kernel or a configuration that does not fit the kernel's shape.
-  std::vector<instrument::Measurement> Score(
-      const ExplorationRequest& identity,
-      const std::vector<Configuration>& configs, std::size_t lanes = 0) const;
-
   /// Effective worker count (resolves the 0 = hardware default).
   std::size_t NumWorkers() const noexcept;
 

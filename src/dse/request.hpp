@@ -3,18 +3,19 @@
 // which kernel (by registry name + parameters), which agent and action
 // space, the step/reward budget, the paper's threshold recipe, and how many
 // seeds to repeat it over. It subsumes the scattered ExplorerConfig /
-// RewardConfig / PaperThresholdFactors surface behind a single value type
-// that round-trips through std::string (for CLI and config-file use), is
-// built fluently via RequestBuilder, and is executed — serially or on a
-// worker pool — by dse::Engine.
+// RewardConfig / PaperThresholdFactors surface behind a single value type:
+// callers assign its fields (or use designated initializers), call
+// Validate(), and hand it to dse::Engine. It round-trips through one
+// key=value token grammar (ToString / Parse), which campaign specs, serve
+// SUBMITs and checkpoints reuse.
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "dse/explorer.hpp"
-#include "util/cli.hpp"
 #include "workloads/registry.hpp"
 
 namespace axdse::dse {
@@ -41,6 +42,12 @@ std::string EscapeRequestToken(const std::string& text);
 /// Inverse of EscapeRequestToken.
 std::string UnescapeRequestToken(const std::string& text);
 
+/// Splits request (and campaign) text on runs of whitespace and ';' into
+/// (key, value) pairs, split at each token's first '='. Throws
+/// std::invalid_argument, prefixed with `context`, for a token without '='.
+std::vector<std::pair<std::string, std::string>> SplitRequestTokens(
+    const std::string& text, const char* context);
+
 /// Human-readable cache-mode name ("private" / "shared").
 const char* ToString(CacheMode mode) noexcept;
 
@@ -57,7 +64,9 @@ AgentKind AgentKindFromName(const std::string& name);
 /// Inverse of ToString(ActionSpaceKind). Throws std::invalid_argument.
 ActionSpaceKind ActionSpaceFromName(const std::string& name);
 
-/// A complete, self-contained exploration job description.
+/// A complete, self-contained exploration job description. Every member
+/// has a default (`{}` where there is no other), so designated initializers
+/// may name any subset, in declaration order.
 struct ExplorationRequest {
   // --- What to explore -----------------------------------------------------
   /// The typed kernel identity: registry name, primary size, and extras
@@ -69,7 +78,7 @@ struct ExplorationRequest {
   /// different data seeds still groups as one kernel in campaign reports.
   std::uint64_t kernel_seed = 42;
   /// Display name for reports; DisplayName() falls back to the spec string.
-  std::string label;
+  std::string label{};
 
   // --- How to explore ------------------------------------------------------
   AgentKind agent_kind = AgentKind::kQLearning;
@@ -114,25 +123,22 @@ struct ExplorationRequest {
   std::size_t epsilon_decay_steps = 0;
 
   // --- Reward thresholds (the paper's Section III recipe) ------------------
-  PaperThresholdFactors thresholds;
+  PaperThresholdFactors thresholds{};
 
-  // --- Escape hatches (not serialized) -------------------------------------
+  // --- Escape hatch (not serialized) --------------------------------------
   /// Explore this kernel instance instead of constructing one from the
-  /// registry. The pointee must stay alive for the duration of the run and
-  /// its Run() must be const-thread-safe (all built-ins are).
-  std::shared_ptr<const workloads::Kernel> kernel_override;
-  /// Bypasses the request's explorer fields entirely, preserving a
-  /// caller-built ExplorerConfig verbatim. The engine still overrides the
-  /// seed per run.
-  std::optional<ExplorerConfig> explorer_override;
+  /// registry; set `kernel.name` to its Name() for reports. The pointee
+  /// must stay alive for the duration of the run and its Run() must be
+  /// const-thread-safe (all built-ins are).
+  std::shared_ptr<const workloads::Kernel> kernel_override{};
 
-  /// Checks invariants (budget > 0, rates in range, a kernel name or
-  /// instance present). Registry membership of the name is checked by the
-  /// engine, which knows the registry. Throws std::invalid_argument.
+  /// Checks invariants (budget > 0, rates in range, finite initial Q, a
+  /// kernel name or non-null instance present). Registry membership of the
+  /// name is checked by the engine, which knows the registry. Throws
+  /// std::invalid_argument.
   void Validate() const;
 
-  /// Lowers the request to the single-run ExplorerConfig it describes
-  /// (or returns `explorer_override` verbatim when set).
+  /// Lowers the request to the single-run ExplorerConfig it describes.
   ExplorerConfig ToExplorerConfig() const;
 
   /// `label` when set, otherwise the kernel spec string.
@@ -146,76 +152,15 @@ struct ExplorationRequest {
   std::string ToString() const;
 
   /// Inverse of ToString(). Accepts whitespace- and/or ';'-separated
-  /// key=value tokens. Throws std::invalid_argument on unknown keys or
-  /// unparsable values.
+  /// key=value tokens. Integers are unsigned decimal (no sign); doubles are
+  /// read locale-independently and may be infinite but never NaN. Throws
+  /// std::invalid_argument naming the key on unknown keys or unparsable
+  /// values.
   static ExplorationRequest Parse(const std::string& text);
-
-  /// Builds a request from command-line flags (same keys as ToString, plus
-  /// the first positional argument as the kernel name). Flags not given
-  /// keep their defaults.
-  static ExplorationRequest FromCli(const util::CliArgs& args);
 };
 
-/// Equality over the serialized representation (escape hatches excluded).
+/// Equality over the serialized representation (kernel_override excluded).
 bool operator==(const ExplorationRequest& a, const ExplorationRequest& b);
 bool operator!=(const ExplorationRequest& a, const ExplorationRequest& b);
-
-/// Fluent construction of ExplorationRequests:
-///
-///   auto request = RequestBuilder("matmul").Size(10).KernelSeed(42)
-///                      .MaxSteps(10000).Seed(7).Seeds(5).Build();
-///
-/// Build() validates and returns the finished value.
-class RequestBuilder {
- public:
-  RequestBuilder() = default;
-  explicit RequestBuilder(std::string kernel);
-  /// Starts from an existing kernel instance (see kernel_override).
-  explicit RequestBuilder(std::shared_ptr<const workloads::Kernel> kernel);
-
-  RequestBuilder& Kernel(std::string name);
-  /// Installs a complete kernel identity in one call.
-  RequestBuilder& Spec(workloads::KernelSpec spec);
-  RequestBuilder& KernelInstance(std::shared_ptr<const workloads::Kernel> k);
-  RequestBuilder& Size(std::size_t size);
-  RequestBuilder& KernelSeed(std::uint64_t seed);
-  RequestBuilder& KernelParam(const std::string& key, std::string value);
-  RequestBuilder& Label(std::string label);
-
-  RequestBuilder& Agent(AgentKind kind);
-  RequestBuilder& Agent(const std::string& name);
-  RequestBuilder& ActionSpace(ActionSpaceKind kind);
-  RequestBuilder& MaxSteps(std::size_t steps);
-  RequestBuilder& RewardCap(double cap);
-  RequestBuilder& Episodes(std::size_t episodes);
-  RequestBuilder& Seeds(std::size_t num_seeds);
-  RequestBuilder& Seed(std::uint64_t seed);
-  RequestBuilder& GreedyRollout(std::size_t steps);
-  RequestBuilder& RecordTrace(bool record = true);
-  RequestBuilder& Cache(CacheMode mode);
-  RequestBuilder& SharedCache(bool shared = true);
-  RequestBuilder& CacheCapacity(std::size_t capacity);
-  RequestBuilder& CheckpointInterval(std::size_t steps);
-  RequestBuilder& Surrogate(bool enabled = true);
-
-  RequestBuilder& Alpha(double alpha);
-  RequestBuilder& Gamma(double gamma);
-  RequestBuilder& InitialQ(double q);
-  RequestBuilder& Lambda(double lambda);
-  RequestBuilder& Epsilon(double start, double end,
-                          std::size_t decay_steps = 0);
-
-  RequestBuilder& Thresholds(const PaperThresholdFactors& factors);
-  RequestBuilder& AccuracyFactor(double factor);
-  RequestBuilder& PowerFactor(double factor);
-  RequestBuilder& TimeFactor(double factor);
-  RequestBuilder& MaxReward(double reward);
-
-  /// Validates and returns the request. Throws std::invalid_argument.
-  ExplorationRequest Build() const;
-
- private:
-  ExplorationRequest request_;
-};
 
 }  // namespace axdse::dse

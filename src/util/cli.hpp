@@ -12,8 +12,9 @@
 namespace axdse::util {
 
 /// Parses argv into a flag map plus positional arguments. Unknown flags are
-/// kept (benches decide what they accept); malformed input never throws —
-/// lookups fall back to defaults.
+/// kept (benches decide what they accept). Parsing never throws; the plain
+/// getters fall back to defaults on malformed values, the *Strict ones
+/// throw.
 class CliArgs {
  public:
   CliArgs(int argc, const char* const* argv);
@@ -48,11 +49,6 @@ class CliArgs {
 
   /// Non-flag arguments in order.
   const std::vector<std::string>& Positional() const { return positional_; }
-
-  /// All parsed flags as name -> raw value (empty for bare --name), sorted
-  /// by name. Lets callers forward flags wholesale, e.g. into
-  /// dse::ExplorationRequest::FromCli.
-  const std::map<std::string, std::string>& Flags() const { return flags_; }
 
  private:
   std::map<std::string, std::string> flags_;

@@ -74,12 +74,12 @@ void WriteMeasurement(std::ostream& out, const instrument::Measurement& m) {
 dse::ExplorationRequest QuickMatmulRequest(std::size_t steps,
                                            std::size_t seeds,
                                            std::uint64_t seed) {
-  return dse::RequestBuilder("matmul")
-      .Size(5)
-      .MaxSteps(steps)
-      .Seeds(seeds)
-      .Seed(seed)
-      .Build();
+  dse::ExplorationRequest request{.kernel = workloads::KernelSpec("matmul", 5),
+                                  .max_steps = steps,
+                                  .num_seeds = seeds,
+                                  .seed = seed};
+  request.Validate();
+  return request;
 }
 
 std::string PayloadField(const std::string& payload, const std::string& key) {

@@ -7,7 +7,7 @@
 //   * the Explorer harness (kernel + evaluator + paper reward) and the
 //     small deterministic ExplorerConfig the resume tests are built on
 //   * canonical Measurement serialization for byte-identity payloads
-//   * request builders for quick daemon/engine jobs
+//   * quick request helpers for daemon/engine jobs
 //   * "key=value" field extraction for serve protocol payloads
 //
 // Everything here is test-only: the library links gtest and must never be

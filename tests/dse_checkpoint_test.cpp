@@ -549,14 +549,14 @@ TEST(CheckpointCorruption, SharedCacheCheckpointHardening) {
 std::vector<ExplorationRequest> TwoMatmulRequests(std::size_t first_steps,
                                                   std::size_t second_steps) {
   const auto build = [](std::size_t steps, std::uint64_t seed) {
-    return RequestBuilder("matmul")
-        .Size(4)
-        .KernelSeed(7)
-        .MaxSteps(steps)
-        .RewardCap(1e18)
-        .Epsilon(1.0, 0.05, 20)
-        .Seed(seed)
-        .Build();
+    return ExplorationRequest{.kernel = workloads::KernelSpec("matmul", 4),
+                              .kernel_seed = 7,
+                              .max_steps = steps,
+                              .max_cumulative_reward = 1e18,
+                              .seed = seed,
+                              .epsilon_start = 1.0,
+                              .epsilon_end = 0.05,
+                              .epsilon_decay_steps = 20};
   };
   return {build(first_steps, 3), build(second_steps, 11)};
 }
@@ -740,15 +740,15 @@ TEST(GoldenCheckpoint, SharedCacheFormatMatchesCheckedInFixture) {
 /// keeps the first job's finished snapshot.
 std::vector<ExplorationRequest> FinishedFixtureBatch() {
   const auto build = [](std::size_t steps) {
-    return RequestBuilder("matmul")
-        .Size(5)
-        .KernelSeed(2023)
-        .MaxSteps(steps)
-        .RewardCap(1e18)
-        .Epsilon(1.0, 0.05, 25)
-        .Seed(1)
-        .RecordTrace()
-        .Build();
+    return ExplorationRequest{.kernel = workloads::KernelSpec("matmul", 5),
+                              .kernel_seed = 2023,
+                              .max_steps = steps,
+                              .max_cumulative_reward = 1e18,
+                              .seed = 1,
+                              .record_trace = true,
+                              .epsilon_start = 1.0,
+                              .epsilon_end = 0.05,
+                              .epsilon_decay_steps = 25};
   };
   return {build(30), build(60)};
 }

@@ -18,14 +18,19 @@ std::shared_ptr<const workloads::Kernel> TestKernel() {
 }
 
 ExplorationRequest FastRequest(std::size_t num_seeds) {
-  return RequestBuilder(TestKernel())
-      .MaxSteps(400)
-      .RewardCap(1e18)
-      .Epsilon(1.0, 0.05, 250)
-      .Seed(100)
-      .Seeds(num_seeds)
-      .RecordTrace(false)
-      .Build();
+  const auto kernel = TestKernel();
+  ExplorationRequest request{.kernel = workloads::KernelSpec(kernel->Name()),
+                             .max_steps = 400,
+                             .max_cumulative_reward = 1e18,
+                             .num_seeds = num_seeds,
+                             .seed = 100,
+                             .record_trace = false,
+                             .epsilon_start = 1.0,
+                             .epsilon_end = 0.05,
+                             .epsilon_decay_steps = 250,
+                             .kernel_override = kernel};
+  request.Validate();
+  return request;
 }
 
 RequestResult RunFast(std::size_t num_seeds) {
@@ -101,8 +106,10 @@ TEST(EngineAggregate, TracesDroppedForMemory) {
 }
 
 TEST(EngineAggregate, RejectsZeroSeeds) {
-  EXPECT_THROW(RequestBuilder(TestKernel()).Seeds(0).Build(),
-               std::invalid_argument);
+  ExplorationRequest request = FastRequest(1);
+  request.num_seeds = 0;
+  EXPECT_THROW(request.Validate(), std::invalid_argument);
+  EXPECT_THROW(Engine().Run({request}), std::invalid_argument);
 }
 
 }  // namespace

@@ -41,17 +41,18 @@ std::size_t SmallSize(const std::string& kernel) {
 std::vector<ExplorationRequest> RegistryBatch(CacheMode mode) {
   std::vector<ExplorationRequest> requests;
   for (const std::string& name : workloads::KernelRegistry::Global().Names())
-    requests.push_back(RequestBuilder(name)
-                           .Size(SmallSize(name))
-                           .KernelSeed(7)
-                           .MaxSteps(120)
-                           .RewardCap(1e18)
-                           .Epsilon(1.0, 0.05, 90)
-                           .Seed(3)
-                           .Seeds(2)
-                           .RecordTrace()
-                           .Cache(mode)
-                           .Build());
+    requests.push_back(
+        {.kernel = workloads::KernelSpec(name, SmallSize(name)),
+         .kernel_seed = 7,
+         .max_steps = 120,
+         .max_cumulative_reward = 1e18,
+         .num_seeds = 2,
+         .seed = 3,
+         .record_trace = true,
+         .cache_mode = mode,
+         .epsilon_start = 1.0,
+         .epsilon_end = 0.05,
+         .epsilon_decay_steps = 90});
   return requests;
 }
 
@@ -142,16 +143,16 @@ TEST(EngineDeterminism, SharedModeSavesRunsOnOverlappingSeeds) {
   // kernel, the shared cache must answer part of the work (matmul's compact
   // space guarantees cross-seed overlap) while payloads stay identical.
   const auto build = [](CacheMode mode) {
-    return RequestBuilder("matmul")
-        .Size(4)
-        .KernelSeed(7)
-        .MaxSteps(150)
-        .RewardCap(1e18)
-        .Epsilon(1.0, 0.05, 100)
-        .Seed(5)
-        .Seeds(4)
-        .Cache(mode)
-        .Build();
+    return ExplorationRequest{.kernel = workloads::KernelSpec("matmul", 4),
+                              .kernel_seed = 7,
+                              .max_steps = 150,
+                              .max_cumulative_reward = 1e18,
+                              .num_seeds = 4,
+                              .seed = 5,
+                              .cache_mode = mode,
+                              .epsilon_start = 1.0,
+                              .epsilon_end = 0.05,
+                              .epsilon_decay_steps = 100};
   };
   const BatchResult priv =
       Engine(EngineOptions{4}).Run({build(CacheMode::kPrivate)});
@@ -247,17 +248,17 @@ TEST(EngineDeterminism, ResumedBatchCoversEveryAgentKind) {
   for (const AgentKind kind :
        {AgentKind::kQLearning, AgentKind::kSarsa, AgentKind::kExpectedSarsa,
         AgentKind::kDoubleQ, AgentKind::kQLambda})
-    requests.push_back(RequestBuilder("matmul")
-                           .Size(4)
-                           .KernelSeed(7)
-                           .Agent(kind)
-                           .MaxSteps(90)
-                           .RewardCap(1e18)
-                           .Epsilon(1.0, 0.05, 60)
-                           .Seed(3)
-                           .Seeds(2)
-                           .RecordTrace()
-                           .Build());
+    requests.push_back({.kernel = workloads::KernelSpec("matmul", 4),
+                        .kernel_seed = 7,
+                        .agent_kind = kind,
+                        .max_steps = 90,
+                        .max_cumulative_reward = 1e18,
+                        .num_seeds = 2,
+                        .seed = 3,
+                        .record_trace = true,
+                        .epsilon_start = 1.0,
+                        .epsilon_end = 0.05,
+                        .epsilon_decay_steps = 60});
   const BatchResult reference = Engine(EngineOptions{4}).Run(requests);
   const std::string reference_payload = PayloadOf(reference);
   const std::string reference_json = report::BatchJson(reference);
@@ -304,17 +305,17 @@ TEST(EngineDeterminism, BatchesSharingADirectoryDoNotCrossContaminate) {
   // neither restore nor delete a suspended batch's cache state, and the
   // suspended batch must still resume byte-identically.
   const auto build = [](std::uint64_t seed, std::size_t steps) {
-    return RequestBuilder("matmul")
-        .Size(4)
-        .KernelSeed(7)
-        .MaxSteps(steps)
-        .RewardCap(1e18)
-        .Epsilon(1.0, 0.05, 60)
-        .Seed(seed)
-        .Seeds(2)
-        .RecordTrace()
-        .Cache(CacheMode::kShared)
-        .Build();
+    return ExplorationRequest{.kernel = workloads::KernelSpec("matmul", 4),
+                              .kernel_seed = 7,
+                              .max_steps = steps,
+                              .max_cumulative_reward = 1e18,
+                              .num_seeds = 2,
+                              .seed = seed,
+                              .record_trace = true,
+                              .cache_mode = CacheMode::kShared,
+                              .epsilon_start = 1.0,
+                              .epsilon_end = 0.05,
+                              .epsilon_decay_steps = 60};
   };
   const std::vector<ExplorationRequest> batch_a = {build(3, 90)};
   const std::vector<ExplorationRequest> batch_b = {build(11, 70)};
@@ -347,16 +348,16 @@ TEST(EngineDeterminism, CrashAfterAFinishedJobRecomputesItByteIdentically) {
   // 1 against the same empty cache and reproduces the uninterrupted exports,
   // cache counters included.
   const auto build = [](std::uint64_t seed) {
-    return RequestBuilder("matmul")
-        .Size(4)
-        .KernelSeed(7)
-        .MaxSteps(90)
-        .RewardCap(1e18)
-        .Epsilon(1.0, 0.05, 60)
-        .Seed(seed)
-        .RecordTrace()
-        .Cache(CacheMode::kShared)
-        .Build();
+    return ExplorationRequest{.kernel = workloads::KernelSpec("matmul", 4),
+                              .kernel_seed = 7,
+                              .max_steps = 90,
+                              .max_cumulative_reward = 1e18,
+                              .seed = seed,
+                              .record_trace = true,
+                              .cache_mode = CacheMode::kShared,
+                              .epsilon_start = 1.0,
+                              .epsilon_end = 0.05,
+                              .epsilon_decay_steps = 60};
   };
   const std::vector<ExplorationRequest> requests = {build(3), build(11)};
   const Engine engine(EngineOptions{1});
@@ -405,16 +406,16 @@ TEST(EngineDeterminism, SuspendWhileSiblingsRunLeavesNoSnapshotBeforeBatchEnd) {
   // same suspend-then-resume sequence on the copy then reproduces the
   // sequence on a fresh directory, cache counters included.
   const auto build = [](std::uint64_t seed) {
-    return RequestBuilder("matmul")
-        .Size(4)
-        .KernelSeed(7)
-        .MaxSteps(90)
-        .RewardCap(1e18)
-        .Epsilon(1.0, 0.05, 60)
-        .Seed(seed)
-        .RecordTrace()
-        .Cache(CacheMode::kShared)
-        .Build();
+    return ExplorationRequest{.kernel = workloads::KernelSpec("matmul", 4),
+                              .kernel_seed = 7,
+                              .max_steps = 90,
+                              .max_cumulative_reward = 1e18,
+                              .seed = seed,
+                              .record_trace = true,
+                              .cache_mode = CacheMode::kShared,
+                              .epsilon_start = 1.0,
+                              .epsilon_end = 0.05,
+                              .epsilon_decay_steps = 60};
   };
   const std::vector<ExplorationRequest> requests = {build(3), build(11)};
   const Engine engine(EngineOptions{1});
@@ -475,8 +476,10 @@ TEST(EngineDeterminism, CheckpointingRejectsKernelOverrideRequests) {
   params.seed = 7;
   std::shared_ptr<const workloads::Kernel> kernel =
       workloads::KernelRegistry::Global().Create("matmul", params);
-  const ExplorationRequest request =
-      RequestBuilder(kernel).MaxSteps(20).Build();
+  const ExplorationRequest request{
+      .kernel = workloads::KernelSpec(kernel->Name()),
+      .max_steps = 20,
+      .kernel_override = kernel};
   const std::filesystem::path dir = ScratchDir("resume-override");
   EXPECT_THROW(Engine(EngineOptions{1})
                    .Run({request},

@@ -20,15 +20,17 @@ BatchResult SingleResultBatch(const RequestResult& result) {
 
 ExplorationRequest FastRequest(std::uint64_t seed, std::size_t num_seeds = 1,
                                std::size_t size = 64) {
-  return RequestBuilder("dot")
-      .Size(size)
-      .KernelSeed(7)
-      .MaxSteps(300)
-      .RewardCap(1e18)
-      .Epsilon(1.0, 0.05, 200)
-      .Seed(seed)
-      .Seeds(num_seeds)
-      .Build();
+  ExplorationRequest request{.kernel = workloads::KernelSpec("dot", size),
+                             .kernel_seed = 7,
+                             .max_steps = 300,
+                             .max_cumulative_reward = 1e18,
+                             .num_seeds = num_seeds,
+                             .seed = seed,
+                             .epsilon_start = 1.0,
+                             .epsilon_end = 0.05,
+                             .epsilon_decay_steps = 200};
+  request.Validate();
+  return request;
 }
 
 TEST(Engine, BatchResultsComeBackInRequestOrder) {

@@ -41,20 +41,23 @@ std::string FixturePath(const PinnedCase& pinned) {
 }
 
 ExplorationRequest PinnedRequest(const PinnedCase& pinned, CacheMode mode) {
-  RequestBuilder builder(pinned.kernel);
+  ExplorationRequest request{
+      .kernel = workloads::KernelSpec(pinned.kernel, pinned.size),
+      .kernel_seed = 2023,
+      .max_steps = 60,
+      .max_cumulative_reward = 1e18,
+      .seed = 1,
+      .record_trace = true,
+      .cache_mode = mode,
+      .alpha = 0.15,
+      .gamma = 0.95,
+      .epsilon_start = 1.0,
+      .epsilon_end = 0.05,
+      .epsilon_decay_steps = 45};
   if (pinned.granularity != nullptr)
-    builder.KernelParam("granularity", pinned.granularity);
-  return builder.Size(pinned.size)
-      .KernelSeed(2023)
-      .MaxSteps(60)
-      .RewardCap(1e18)
-      .Alpha(0.15)
-      .Gamma(0.95)
-      .Epsilon(1.0, 0.05, 45)
-      .Seed(1)
-      .RecordTrace()
-      .Cache(mode)
-      .Build();
+    request.kernel.extra["granularity"] = pinned.granularity;
+  request.Validate();
+  return request;
 }
 
 std::string RenderTrace(const PinnedCase& pinned,

@@ -2,8 +2,7 @@
 // Evaluator::GroundTruthMany must be drop-in replacements for the
 // sequential Evaluate()/GroundTruth() loops — byte-identical measurements,
 // identical private/shared cache contents and counters, identical surrogate
-// bookkeeping — and Engine::Score must return the same bytes for every lane
-// width. Plus the typed batch-job failure contract (BatchJobError).
+// bookkeeping. Plus the typed batch-job failure contract (BatchJobError).
 
 #include <gtest/gtest.h>
 
@@ -175,32 +174,6 @@ TEST(GroundTruthMany, MatchesSequentialGroundTruth) {
     EXPECT_FALSE(batched.evaluator->IsPredicted(config));
     EXPECT_FALSE(sequential.evaluator->IsPredicted(config));
   }
-}
-
-TEST(EngineScore, SameBytesForEveryLaneWidth) {
-  const ExplorationRequest identity = QuickMatmulRequest();
-  Harness shape_source = MakeExplorerHarness("matmul", 5);
-  const std::vector<Configuration> configs =
-      WalkStream(shape_source.evaluator->Shape(), 40, 431);
-  const Engine engine;
-  const std::vector<instrument::Measurement> scalar =
-      engine.Score(identity, configs, 1);
-  ASSERT_EQ(scalar.size(), configs.size());
-  for (const std::size_t lanes : {std::size_t{0}, std::size_t{3},
-                                  std::size_t{8}}) {
-    const std::vector<instrument::Measurement> lane_scored =
-        engine.Score(identity, configs, lanes);
-    ASSERT_EQ(lane_scored.size(), scalar.size()) << "lanes=" << lanes;
-    for (std::size_t i = 0; i < scalar.size(); ++i)
-      EXPECT_EQ(MeasurementBytes(lane_scored[i]), MeasurementBytes(scalar[i]))
-          << "lanes=" << lanes << " #" << i;
-  }
-}
-
-TEST(EngineScore, UnknownKernelThrows) {
-  ExplorationRequest identity = QuickMatmulRequest();
-  identity.kernel.name = "not-a-kernel";
-  EXPECT_THROW(Engine().Score(identity, {}), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
-// Tests for dse/request: builder fluency, validation, string round-trip,
-// CLI construction, and the lowering to ExplorerConfig.
+// Tests for dse/request: plain-field construction, validation, the token
+// grammar (round trip, strict numbers, locale independence), and the
+// lowering to ExplorerConfig.
 
 #include "dse/request.hpp"
 
 #include <gtest/gtest.h>
+
+#include <clocale>
+#include <limits>
+#include <string>
 
 namespace axdse::dse {
 namespace {
@@ -23,75 +28,96 @@ TEST(ActionSpaceNames, RoundTripAllKinds) {
   EXPECT_THROW(ActionSpaceFromName("diagonal"), std::invalid_argument);
 }
 
-TEST(RequestBuilder, FluentConstruction) {
-  const ExplorationRequest request = RequestBuilder("matmul")
-                                         .Size(16)
-                                         .KernelSeed(2023)
-                                         .KernelParam("granularity", "row-col")
-                                         .Label("MatMul 16x16")
-                                         .Agent(AgentKind::kSarsa)
-                                         .ActionSpace(ActionSpaceKind::kCompact)
-                                         .MaxSteps(5000)
-                                         .RewardCap(250.0)
-                                         .Episodes(2)
-                                         .Seeds(4)
-                                         .Seed(11)
-                                         .GreedyRollout(32)
-                                         .RecordTrace()
-                                         .Alpha(0.2)
-                                         .Gamma(0.9)
-                                         .Lambda(0.7)
-                                         .Epsilon(0.9, 0.1, 1000)
-                                         .AccuracyFactor(0.3)
-                                         .Build();
-  EXPECT_EQ(request.kernel.name, "matmul");
-  EXPECT_EQ(request.kernel.size, 16u);
-  EXPECT_EQ(request.kernel_seed, 2023u);
-  EXPECT_EQ(request.kernel.extra.at("granularity"), "row-col");
+TEST(ExplorationRequest, FieldsDescribeTheRun) {
+  ExplorationRequest request{
+      .kernel = workloads::KernelSpec("matmul", 16),
+      .kernel_seed = 2023,
+      .label = "MatMul 16x16",
+      .agent_kind = AgentKind::kSarsa,
+      .action_space = ActionSpaceKind::kCompact,
+      .max_steps = 5000,
+      .max_cumulative_reward = 250.0,
+      .episodes = 2,
+      .num_seeds = 4,
+      .seed = 11,
+      .greedy_rollout_steps = 32,
+      .record_trace = true,
+      .alpha = 0.2,
+      .gamma = 0.9,
+      .lambda = 0.7,
+      .epsilon_start = 0.9,
+      .epsilon_end = 0.1,
+      .epsilon_decay_steps = 1000,
+      .thresholds = {.accuracy_factor = 0.3}};
+  request.kernel.extra["granularity"] = "row-col";
+  EXPECT_NO_THROW(request.Validate());
   EXPECT_EQ(request.DisplayName(), "MatMul 16x16");
-  EXPECT_EQ(request.agent_kind, AgentKind::kSarsa);
-  EXPECT_EQ(request.action_space, ActionSpaceKind::kCompact);
-  EXPECT_EQ(request.max_steps, 5000u);
-  EXPECT_EQ(request.num_seeds, 4u);
-  EXPECT_TRUE(request.record_trace);
-  EXPECT_DOUBLE_EQ(request.thresholds.accuracy_factor, 0.3);
+  // Fields left out keep their defaults.
+  EXPECT_DOUBLE_EQ(request.thresholds.power_factor, 0.5);
+  EXPECT_EQ(request.cache_mode, CacheMode::kPrivate);
+  EXPECT_EQ(request.ToString(),
+            "kernel=matmul@16{granularity=row-col} kernel-seed=2023 "
+            "agent=sarsa action-space=compact steps=5000 reward-cap=250 "
+            "episodes=2 seeds=4 seed=11 rollout=32 trace=1 cache=private "
+            "cache-capacity=0 checkpoint-interval=0 surrogate=0 alpha=0.2 "
+            "gamma=0.9 initial-q=0 lambda=0.7 eps-start=0.9 eps-end=0.1 "
+            "eps-decay=1000 acc-factor=0.3 power-factor=0.5 time-factor=0.5 "
+            "max-reward=100 label=MatMul%2016x16");
 }
 
-TEST(RequestBuilder, ValidatesOnBuild) {
-  EXPECT_THROW(RequestBuilder("").Build(), std::invalid_argument);
-  EXPECT_THROW(RequestBuilder("dot").MaxSteps(0).Build(),
-               std::invalid_argument);
-  EXPECT_THROW(RequestBuilder("dot").Seeds(0).Build(), std::invalid_argument);
-  EXPECT_THROW(RequestBuilder("dot").Episodes(0).Build(),
-               std::invalid_argument);
-  EXPECT_THROW(RequestBuilder("dot").Alpha(0.0).Build(),
-               std::invalid_argument);
-  EXPECT_THROW(RequestBuilder("dot").Gamma(1.5).Build(),
-               std::invalid_argument);
-  EXPECT_THROW(RequestBuilder("dot").Epsilon(2.0, 0.1).Build(),
-               std::invalid_argument);
-  EXPECT_THROW(RequestBuilder("dot").AccuracyFactor(0.0).Build(),
-               std::invalid_argument);
-  EXPECT_THROW(RequestBuilder("dot").MaxReward(-1.0).Build(),
-               std::invalid_argument);
+TEST(ExplorationRequest, ValidateRejectsOutOfRangeFields) {
+  const auto invalid = [](auto mutate) {
+    ExplorationRequest request{.kernel = workloads::KernelSpec("dot")};
+    mutate(request);
+    return request;
+  };
+  const ExplorationRequest cases[] = {
+      invalid([](ExplorationRequest& r) { r.kernel.name.clear(); }),
+      invalid([](ExplorationRequest& r) { r.max_steps = 0; }),
+      invalid([](ExplorationRequest& r) { r.num_seeds = 0; }),
+      invalid([](ExplorationRequest& r) { r.episodes = 0; }),
+      invalid([](ExplorationRequest& r) { r.alpha = 0.0; }),
+      invalid([](ExplorationRequest& r) { r.gamma = 1.5; }),
+      invalid([](ExplorationRequest& r) { r.epsilon_start = 2.0; }),
+      invalid([](ExplorationRequest& r) { r.thresholds.accuracy_factor = 0; }),
+      invalid([](ExplorationRequest& r) { r.thresholds.max_reward = -1.0; }),
+      invalid([](ExplorationRequest& r) {
+        r.initial_q = std::numeric_limits<double>::infinity();
+      }),
+      invalid([](ExplorationRequest& r) {
+        r.initial_q = std::numeric_limits<double>::quiet_NaN();
+      }),
+  };
+  for (const ExplorationRequest& request : cases)
+    EXPECT_THROW(request.Validate(), std::invalid_argument)
+        << request.ToString();
+}
+
+TEST(ExplorationRequest, ValidateRequiresANameOrANonNullInstance) {
+  ExplorationRequest request;
+  request.kernel_override = nullptr;
+  EXPECT_THROW(request.Validate(), std::invalid_argument);
+  request.kernel_override = workloads::KernelRegistry::Global().Create(
+      workloads::KernelSpec("dot", 8), 1);
+  EXPECT_NO_THROW(request.Validate());
 }
 
 TEST(ExplorationRequest, StringRoundTripIsLossless) {
-  const ExplorationRequest request = RequestBuilder("fir")
-                                         .Size(100)
-                                         .KernelSeed(7)
-                                         .KernelParam("taps", "21")
-                                         .KernelParam("cutoff", "0.25")
-                                         .Label("FIR low pass; 21 taps")
-                                         .Agent(AgentKind::kQLambda)
-                                         .Lambda(0.85)
-                                         .MaxSteps(1234)
-                                         .RewardCap(77.5)
-                                         .Seeds(3)
-                                         .Seed(5)
-                                         .Epsilon(0.8, 0.02, 900)
-                                         .CheckpointInterval(2500)
-                                         .Build();
+  ExplorationRequest request{.kernel = workloads::KernelSpec("fir", 100),
+                             .kernel_seed = 7,
+                             .label = "FIR low pass; 21 taps",
+                             .agent_kind = AgentKind::kQLambda,
+                             .max_steps = 1234,
+                             .max_cumulative_reward = 77.5,
+                             .num_seeds = 3,
+                             .seed = 5,
+                             .checkpoint_interval = 2500,
+                             .lambda = 0.85,
+                             .epsilon_start = 0.8,
+                             .epsilon_end = 0.02,
+                             .epsilon_decay_steps = 900};
+  request.kernel.extra = {{"taps", "21"}, {"cutoff", "0.25"}};
+  request.Validate();
   const ExplorationRequest parsed =
       ExplorationRequest::Parse(request.ToString());
   EXPECT_EQ(parsed, request);
@@ -105,10 +131,8 @@ TEST(ExplorationRequest, StringRoundTripIsLossless) {
 TEST(ExplorationRequest, FreeTextFieldsRoundTripWithSeparators) {
   // Kernel names and extra keys/values may contain spaces, ';', '=', '%':
   // serialization must stay lossless (regression for unescaped extras).
-  ExplorationRequest request = RequestBuilder("my kernel; v2")
-                                   .KernelParam("note", "a b=c;d%e")
-                                   .KernelParam("k =;", "plain")
-                                   .Build();
+  ExplorationRequest request{.kernel = workloads::KernelSpec("my kernel; v2")};
+  request.kernel.extra = {{"note", "a b=c;d%e"}, {"k =;", "plain"}};
   const ExplorationRequest parsed =
       ExplorationRequest::Parse(request.ToString());
   EXPECT_EQ(parsed.kernel.name, "my kernel; v2");
@@ -127,8 +151,8 @@ TEST(ExplorationRequest, EscapeDecoderTakesExactlyTwoHexDigits) {
   EXPECT_EQ(UnescapeRequestToken("%0a%3D%25"), "\n=%");
   EXPECT_EQ(EscapeRequestToken("a b=c;d%\t"), "a%20b%3dc%3bd%25%09");
   // Labels carrying those sequences survive a round trip unchanged.
-  const ExplorationRequest request =
-      RequestBuilder("dot").Label("%+a %-1").Build();
+  const ExplorationRequest request{.kernel = workloads::KernelSpec("dot"),
+                                  .label = "%+a %-1"};
   EXPECT_EQ(ExplorationRequest::Parse(request.ToString()).label, "%+a %-1");
 }
 
@@ -164,45 +188,22 @@ TEST(ExplorationRequest, OldKernelGrammarIsRejected) {
                std::invalid_argument);
 }
 
-TEST(ExplorationRequest, FromCliMapsFlagsAndPositional) {
-  const char* argv[] = {"bench",          "dot",         "--steps=800",
-                        "--seeds=3",      "--alpha=0.2", "--kernel.blocks=8",
-                        "--agent=sarsa"};
-  const util::CliArgs args(7, argv);
-  const ExplorationRequest request = ExplorationRequest::FromCli(args);
-  EXPECT_EQ(request.kernel.name, "dot");
-  EXPECT_EQ(request.max_steps, 800u);
-  EXPECT_EQ(request.num_seeds, 3u);
-  EXPECT_DOUBLE_EQ(request.alpha, 0.2);
-  EXPECT_EQ(request.kernel.extra.at("blocks"), "8");
-  EXPECT_EQ(request.agent_kind, AgentKind::kSarsa);
-}
-
-TEST(ExplorationRequest, FromCliBareFlagsAreTraceOrError) {
-  const char* trace_argv[] = {"bench", "dot", "--trace"};
-  const ExplorationRequest with_trace =
-      ExplorationRequest::FromCli(util::CliArgs(3, trace_argv));
-  EXPECT_TRUE(with_trace.record_trace);
-  // A flag that lost its value must fail loudly, not default silently.
-  const char* bare_argv[] = {"bench", "dot", "--steps", "--seed=5"};
-  EXPECT_THROW(ExplorationRequest::FromCli(util::CliArgs(4, bare_argv)),
-               std::invalid_argument);
-}
-
 TEST(ExplorationRequest, LowersToExplorerConfig) {
-  const ExplorationRequest request = RequestBuilder("dot")
-                                         .MaxSteps(2000)
-                                         .RewardCap(300.0)
-                                         .Episodes(2)
-                                         .Agent(AgentKind::kDoubleQ)
-                                         .ActionSpace(ActionSpaceKind::kCompact)
-                                         .Seed(9)
-                                         .GreedyRollout(16)
-                                         .RecordTrace()
-                                         .Alpha(0.25)
-                                         .Gamma(0.8)
-                                         .Epsilon(1.0, 0.1, 0)
-                                         .Build();
+  const ExplorationRequest request{
+      .kernel = workloads::KernelSpec("dot"),
+      .agent_kind = AgentKind::kDoubleQ,
+      .action_space = ActionSpaceKind::kCompact,
+      .max_steps = 2000,
+      .max_cumulative_reward = 300.0,
+      .episodes = 2,
+      .seed = 9,
+      .greedy_rollout_steps = 16,
+      .record_trace = true,
+      .alpha = 0.25,
+      .gamma = 0.8,
+      .epsilon_start = 1.0,
+      .epsilon_end = 0.1,
+      .epsilon_decay_steps = 0};
   const ExplorerConfig config = request.ToExplorerConfig();
   EXPECT_EQ(config.max_steps, 2000u);
   EXPECT_DOUBLE_EQ(config.max_cumulative_reward, 300.0);
@@ -221,15 +222,93 @@ TEST(ExplorationRequest, LowersToExplorerConfig) {
   EXPECT_GT(config.agent.epsilon.Value(750), 0.1);
 }
 
-TEST(ExplorationRequest, ExplorerOverrideWinsVerbatim) {
-  ExplorerConfig custom;
-  custom.max_steps = 42;
-  custom.episodes = 3;
-  ExplorationRequest request = RequestBuilder("dot").MaxSteps(9999).Build();
-  request.explorer_override = custom;
-  const ExplorerConfig lowered = request.ToExplorerConfig();
-  EXPECT_EQ(lowered.max_steps, 42u);
-  EXPECT_EQ(lowered.episodes, 3u);
+// Every integer token, every double token.
+constexpr const char* kIntegerKeys[] = {
+    "kernel-seed", "steps", "episodes", "seeds", "seed",
+    "rollout", "cache-capacity", "checkpoint-interval", "eps-decay"};
+constexpr const char* kDoubleKeys[] = {
+    "reward-cap", "alpha", "gamma", "initial-q", "lambda", "eps-start",
+    "eps-end", "acc-factor", "power-factor", "time-factor", "max-reward"};
+
+/// The message of the std::invalid_argument Parse throws for `text`, or ""
+/// when it parses.
+std::string ParseError(const std::string& text) {
+  try {
+    ExplorationRequest::Parse(text);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(ExplorationRequest, ParseRejectsSignedIntegers) {
+  // strtoull used to wrap "-1" to 2^64-1: seeds=-1 then asked the engine
+  // for 2^64-1 jobs.
+  for (const char* key : kIntegerKeys) {
+    for (const char* value : {"-1", "+7", "nan", "inf", "1e3", "7x"}) {
+      const std::string error =
+          ParseError(std::string("kernel=dot ") + key + "=" + value);
+      EXPECT_NE(error.find(std::string("'") + key + "'"), std::string::npos)
+          << key << "=" << value << " -> [" << error << "]";
+    }
+    EXPECT_EQ(ParseError(std::string("kernel=dot ") + key + "=7"), "");
+  }
+  EXPECT_NE(ParseError("kernel=dot seeds=18446744073709551616"), "");
+}
+
+TEST(ExplorationRequest, ParseRejectsNanAndSignedDoubles) {
+  for (const char* key : kDoubleKeys) {
+    for (const char* value : {"nan", "NaN", "-nan", "+7", "0x1p3", "1,5"}) {
+      const std::string error =
+          ParseError(std::string("kernel=dot ") + key + "=" + value);
+      EXPECT_NE(error.find(std::string("'") + key + "'"), std::string::npos)
+          << key << "=" << value << " -> [" << error << "]";
+    }
+    // A minus sign is part of the number; range checks are Validate's.
+    EXPECT_EQ(ParseError(std::string("kernel=dot ") + key + "=-1"), "");
+  }
+}
+
+TEST(ExplorationRequest, InfinityParsesAndValidateBoundsIt) {
+  // An unreachable reward cap is legitimate and round-trips.
+  const ExplorationRequest capless =
+      ExplorationRequest::Parse("kernel=dot reward-cap=inf");
+  EXPECT_NO_THROW(capless.Validate());
+  EXPECT_EQ(ExplorationRequest::Parse(capless.ToString()), capless);
+  // An infinite initial Q would poison every Q-table entry.
+  const ExplorationRequest infinite_q =
+      ExplorationRequest::Parse("kernel=dot initial-q=inf");
+  EXPECT_THROW(infinite_q.Validate(), std::invalid_argument);
+  EXPECT_THROW(
+      ExplorationRequest::Parse("kernel=dot initial-q=-inf").Validate(),
+      std::invalid_argument);
+  EXPECT_THROW(ExplorationRequest::Parse("kernel=dot alpha=inf").Validate(),
+               std::invalid_argument);
+  EXPECT_THROW(
+      ExplorationRequest::Parse("kernel=dot acc-factor=inf").Validate(),
+      std::invalid_argument);
+}
+
+TEST(ExplorationRequest, ParseIgnoresTheCNumericLocale) {
+  // strtod honours LC_NUMERIC: under a comma-decimal locale it stopped at
+  // the '.' and rejected every fractional value.
+  const std::string previous = std::setlocale(LC_NUMERIC, nullptr);
+  const char* found = nullptr;
+  for (const char* name : {"de_DE.UTF-8", "de_DE.utf8", "de_DE", "fr_FR.UTF-8",
+                           "fr_FR.utf8", "fr_FR"})
+    if ((found = std::setlocale(LC_NUMERIC, name)) != nullptr) break;
+  if (found == nullptr) GTEST_SKIP() << "no comma-decimal locale installed";
+  ExplorationRequest parsed;
+  std::string error;
+  try {
+    parsed = ExplorationRequest::Parse("kernel=dot alpha=0.25 gamma=0.5");
+  } catch (const std::invalid_argument& e) {
+    error = e.what();
+  }
+  std::setlocale(LC_NUMERIC, previous.c_str());
+  EXPECT_EQ(error, "");
+  EXPECT_DOUBLE_EQ(parsed.alpha, 0.25);
+  EXPECT_DOUBLE_EQ(parsed.gamma, 0.5);
 }
 
 }  // namespace

@@ -201,17 +201,17 @@ TEST(SurrogateCheckpoint, SuspendResumeIsByteIdentical) {
 
 ExplorationRequest SmallRequest(const std::string& kernel, std::size_t size,
                                 std::size_t steps, bool surrogate) {
-  RequestBuilder builder(kernel);
-  builder.Size(size)
-      .KernelSeed(2023)
-      .MaxSteps(steps)
-      .RewardCap(500.0)
-      .Alpha(0.15)
-      .Gamma(0.95)
-      .Seed(1)
-      .Seeds(2);
-  if (surrogate) builder.Surrogate();
-  return builder.Build();
+  ExplorationRequest request{.kernel = workloads::KernelSpec(kernel, size),
+                             .kernel_seed = 2023,
+                             .max_steps = steps,
+                             .max_cumulative_reward = 500.0,
+                             .num_seeds = 2,
+                             .seed = 1,
+                             .surrogate = surrogate,
+                             .alpha = 0.15,
+                             .gamma = 0.95};
+  request.Validate();
+  return request;
 }
 
 /// Everything result-shaped, counters excluded (those are supposed to
@@ -270,9 +270,13 @@ TEST(SurrogateEngine, BatchResultsByteIdenticalToSurrogateOff) {
 }
 
 TEST(SurrogateEngine, RecordTraceKeepsSurrogateOff) {
-  RequestBuilder builder("matmul");
-  builder.Size(5).MaxSteps(300).Seed(1).Surrogate().RecordTrace();
-  const BatchResult batch = Engine(EngineOptions{1}).Run({builder.Build()});
+  const ExplorationRequest request{
+      .kernel = workloads::KernelSpec("matmul", 5),
+      .max_steps = 300,
+      .seed = 1,
+      .record_trace = true,
+      .surrogate = true};
+  const BatchResult batch = Engine(EngineOptions{1}).Run({request});
   ASSERT_EQ(batch.results.size(), 1u);
   EXPECT_EQ(batch.results[0].cache.surrogate_hits, 0u);
   EXPECT_EQ(batch.results[0].cache.deferred_runs, 0u);

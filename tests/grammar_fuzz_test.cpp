@@ -133,33 +133,40 @@ dse::ExplorationRequest RandomRequest(util::Rng& rng) {
       dse::AgentKind::kQLearning, dse::AgentKind::kSarsa,
       dse::AgentKind::kExpectedSarsa, dse::AgentKind::kDoubleQ,
       dse::AgentKind::kQLambda};
-  dse::RequestBuilder builder(kKernels[rng.PickIndex(5)]);
-  builder.Size(2 + rng.UniformBelow(30))
-      .KernelSeed(rng.UniformBelow(100000))
-      .Agent(kAgents[rng.PickIndex(5)])
-      .ActionSpace(rng.Bernoulli(0.5) ? dse::ActionSpaceKind::kFull
-                                      : dse::ActionSpaceKind::kCompact)
-      .MaxSteps(1 + rng.UniformBelow(100000))
-      .RewardCap(rng.UniformReal(1.0, 1e6))
-      .Episodes(1 + rng.UniformBelow(4))
-      .Seeds(1 + rng.UniformBelow(5))
-      .Seed(rng.UniformBelow(1000))
-      .Alpha(rng.UniformReal(0.01, 1.0))
-      .Gamma(rng.UniformReal(0.0, 1.0))
-      .Epsilon(rng.UniformReal(0.5, 1.0), rng.UniformReal(0.0, 0.2),
-               rng.UniformBelow(5000));
-  if (rng.Bernoulli(0.5)) builder.Surrogate();
-  if (rng.Bernoulli(0.5)) builder.SharedCache().CacheCapacity(
-      rng.UniformBelow(4096));
-  if (rng.Bernoulli(0.3)) builder.RecordTrace();
-  if (rng.Bernoulli(0.3)) builder.GreedyRollout(1 + rng.UniformBelow(64));
-  if (rng.Bernoulli(0.3)) builder.CheckpointInterval(rng.UniformBelow(512));
-  if (rng.Bernoulli(0.5))
-    builder.Label("fuzz label %=;\t" +
-                  std::to_string(rng.UniformBelow(1000)));
+  dse::ExplorationRequest request;
+  request.kernel.name = kKernels[rng.PickIndex(5)];
+  request.kernel.size = 2 + rng.UniformBelow(30);
+  request.kernel_seed = rng.UniformBelow(100000);
+  request.agent_kind = kAgents[rng.PickIndex(5)];
+  request.action_space = rng.Bernoulli(0.5) ? dse::ActionSpaceKind::kFull
+                                            : dse::ActionSpaceKind::kCompact;
+  request.max_steps = 1 + rng.UniformBelow(100000);
+  request.max_cumulative_reward = rng.UniformReal(1.0, 1e6);
+  request.episodes = 1 + rng.UniformBelow(4);
+  request.num_seeds = 1 + rng.UniformBelow(5);
+  request.seed = rng.UniformBelow(1000);
+  request.alpha = rng.UniformReal(0.01, 1.0);
+  request.gamma = rng.UniformReal(0.0, 1.0);
+  request.epsilon_start = rng.UniformReal(0.5, 1.0);
+  request.epsilon_end = rng.UniformReal(0.0, 0.2);
+  request.epsilon_decay_steps = rng.UniformBelow(5000);
+  if (rng.Bernoulli(0.5)) request.surrogate = true;
+  if (rng.Bernoulli(0.5)) {
+    request.cache_mode = dse::CacheMode::kShared;
+    request.cache_capacity = rng.UniformBelow(4096);
+  }
+  if (rng.Bernoulli(0.3)) request.record_trace = true;
   if (rng.Bernoulli(0.3))
-    builder.KernelParam("granularity", rng.Bernoulli(0.5) ? "row" : "all");
-  return builder.Build();
+    request.greedy_rollout_steps = 1 + rng.UniformBelow(64);
+  if (rng.Bernoulli(0.3))
+    request.checkpoint_interval = rng.UniformBelow(512);
+  if (rng.Bernoulli(0.5))
+    request.label =
+        "fuzz label %=;\t" + std::to_string(rng.UniformBelow(1000));
+  if (rng.Bernoulli(0.3))
+    request.kernel.extra["granularity"] = rng.Bernoulli(0.5) ? "row" : "all";
+  request.Validate();
+  return request;
 }
 
 // Parses and enforces the typed-error contract; returns true on success.
@@ -189,11 +196,37 @@ TEST(GrammarFuzz, ExplorationRequestValidInputsRoundTripLosslessly) {
   }
 }
 
+/// Signed integers and NaN doubles: strtoull wrapped "-1" to 2^64-1 and
+/// strtod accepted "nan" and "+7".
+constexpr const char* kMalformedNumberRequests[] = {
+    "kernel=dot seeds=-1",       "kernel=dot steps=+7",
+    "kernel=dot kernel-seed=-1", "kernel=dot eps-decay=+7",
+    "kernel=dot steps=inf",      "kernel=dot seed=nan",
+    "kernel=dot alpha=nan",      "kernel=dot reward-cap=-nan",
+    "kernel=dot gamma=+0.5",     "kernel=dot initial-q=NAN",
+    "kernel=dot max-reward=nan",
+};
+
+TEST(GrammarFuzz, ExplorationRequestMalformedNumbersFailTyped) {
+  for (const char* input : kMalformedNumberRequests) {
+    dse::ExplorationRequest parsed;
+    EXPECT_FALSE(ParseRequestChecked(input, &parsed))
+        << "accepted: [" << input << "] as [" << parsed.ToString() << "]";
+  }
+  // Infinity stays a legal double; Validate bounds the fields that need it.
+  dse::ExplorationRequest parsed;
+  ASSERT_TRUE(ParseRequestChecked("kernel=dot reward-cap=inf", &parsed));
+  EXPECT_NO_THROW(parsed.Validate());
+  ASSERT_TRUE(ParseRequestChecked("kernel=dot initial-q=inf", &parsed));
+  EXPECT_THROW(parsed.Validate(), std::invalid_argument);
+}
+
 TEST(GrammarFuzz, ExplorationRequestMutationsParseOrFailTyped) {
   util::Rng rng(424242);
   std::vector<std::string> corpus;
   for (std::size_t i = 0; i < 24; ++i)
     corpus.push_back(RandomRequest(rng).ToString());
+  for (const char* input : kMalformedNumberRequests) corpus.push_back(input);
   const std::string baseline = corpus.front();
   const dse::ExplorationRequest baseline_request =
       dse::ExplorationRequest::Parse(baseline);
@@ -235,6 +268,18 @@ bool ParseCampaignChecked(const std::string& input, dse::CampaignSpec* out) {
   }
 }
 
+TEST(GrammarFuzz, CampaignSpecMalformedBaseNumbersFailTyped) {
+  // The base request goes through the same strict number parsers.
+  for (const char* input :
+       {"kernels=dot@8 seeds=-1", "kernels=dot@8 steps=+7",
+        "kernels=dot@8 alpha=nan", "kernels=dot@8 acc-factors=0.4,nan",
+        "kernels=dot@8 agents="}) {
+    dse::CampaignSpec parsed;
+    EXPECT_FALSE(ParseCampaignChecked(input, &parsed))
+        << "accepted: [" << input << "] as [" << parsed.ToString() << "]";
+  }
+}
+
 TEST(GrammarFuzz, CampaignSpecMutationsParseOrFailTyped) {
   util::Rng rng(77007);
   const std::vector<std::string> corpus = {
@@ -246,6 +291,7 @@ TEST(GrammarFuzz, CampaignSpecMutationsParseOrFailTyped) {
       "kernels=matmul{granularity=row-col} kernel={cutoff=0.3} agents=all "
       "alpha=0.15 gamma=0.95 surrogate=1",
       "kernels=fir@64 steps=500",
+      "kernels=dot@8 seeds=-1 steps=+7 alpha=nan reward-cap=inf",
   };
   const std::string baseline = corpus.front();
   const std::string baseline_canonical =
@@ -510,7 +556,9 @@ std::string SurrogateCheckpoint() {
   options.directory = dir.Str();
   options.step_budget = 40;
   const dse::ExplorationRequest request =
-      dse::RequestBuilder("matmul").Size(4).MaxSteps(200).Surrogate().Build();
+      {.kernel = workloads::KernelSpec("matmul", 4),
+       .max_steps = 200,
+       .surrogate = true};
   dse::Engine(dse::EngineOptions{1}).Run({request}, options);
   const std::string path =
       (std::filesystem::path(dir.Str()) /

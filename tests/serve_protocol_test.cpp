@@ -213,12 +213,11 @@ TEST(LocaleIndependence, WireNumbersIgnoreGlobalLocale) {
 
 TEST(LocaleIndependence, SerializationsAreByteStableUnderHostileLocale) {
   // Produce every machine-readable document once under the classic locale...
-  const auto request = dse::RequestBuilder("matmul")
-                           .Size(4)
-                           .MaxSteps(60)
-                           .Seeds(2)
-                           .Seed(1234)
-                           .Build();
+  const dse::ExplorationRequest request{
+      .kernel = workloads::KernelSpec("matmul", 4),
+      .max_steps = 60,
+      .num_seeds = 2,
+      .seed = 1234};
   const dse::Engine engine(dse::EngineOptions{2});
   const dse::BatchResult batch = engine.Run({request});
   const std::string request_text = request.ToString();

@@ -380,8 +380,8 @@ TEST(ServeServer, FailedJobReportsErrorAndDaemonStaysUp) {
 
   // A kernel name unknown to the registry parses fine but fails at run
   // time — the job must fail, not the daemon.
-  const std::uint64_t bad =
-      client.Submit(dse::RequestBuilder("no-such-kernel").MaxSteps(50).Build());
+  const std::uint64_t bad = client.Submit(
+      {.kernel = workloads::KernelSpec("no-such-kernel"), .max_steps = 50});
   EXPECT_EQ(client.WaitJob(bad), "failed");
   const std::string status = client.Status(bad);
   EXPECT_EQ(Field(status, "state"), "failed");
@@ -505,13 +505,12 @@ TEST(ServeServer, SharedCacheJobsWarmStartAcrossSubmissions) {
   server.Start();
   auto client = Client::Connect("127.0.0.1", server.Port());
 
-  const auto request = dse::RequestBuilder("matmul")
-                           .Size(5)
-                           .MaxSteps(400)
-                           .Seeds(1)
-                           .Seed(7)
-                           .SharedCache()
-                           .Build();
+  const dse::ExplorationRequest request{
+      .kernel = workloads::KernelSpec("matmul", 5),
+      .max_steps = 400,
+      .num_seeds = 1,
+      .seed = 7,
+      .cache_mode = dse::CacheMode::kShared};
   auto executed = [&](const std::string& json) {
     const std::string key = "\"total_executed_runs\":";
     const std::size_t pos = json.find(key);

@@ -183,15 +183,17 @@ TEST(FirProducts, SharedKernelAcrossEngineWorkersMatchesOneWorker) {
   // through eight seeds; the one-worker run uses a fresh instance.
   const auto run = [](std::size_t workers) {
     const auto kernel = std::make_shared<const FirKernel>(100, 2023);
-    const dse::ExplorationRequest request =
-        dse::RequestBuilder(kernel)
-            .MaxSteps(200)
-            .RewardCap(1e18)
-            .Epsilon(1.0, 0.05, 150)
-            .Seed(3)
-            .Seeds(8)
-            .Cache(dse::CacheMode::kPrivate)
-            .Build();
+    const dse::ExplorationRequest request{
+        .kernel = workloads::KernelSpec(kernel->Name()),
+        .max_steps = 200,
+        .max_cumulative_reward = 1e18,
+        .num_seeds = 8,
+        .seed = 3,
+        .cache_mode = dse::CacheMode::kPrivate,
+        .epsilon_start = 1.0,
+        .epsilon_end = 0.05,
+        .epsilon_decay_steps = 150,
+        .kernel_override = kernel};
     dse::BatchResult batch;
     batch.results.push_back(dse::Engine(dse::EngineOptions{workers})
                                 .Run({request})

@@ -328,15 +328,12 @@ TEST(PipelineExploration, SuspendResumeMatchesUninterruptedRun) {
 
 TEST(PipelineExploration, EngineSurfacesPerStageCounts) {
   for (const PipelineCase& c : BuiltinCases()) {
-    const workloads::KernelSpec spec = KernelSpec::Parse(c.spec);
-    dse::ExplorationRequest request = dse::RequestBuilder(spec.name)
-                                          .Size(spec.size)
-                                          .KernelSeed(2023)
-                                          .MaxSteps(40)
-                                          .RewardCap(1e18)
-                                          .Seed(1)
-                                          .Build();
-    request.kernel = spec;  // keep the extras (width, channels, ...)
+    // The parsed spec keeps the extras (width, channels, ...).
+    const dse::ExplorationRequest request{.kernel = KernelSpec::Parse(c.spec),
+                                          .kernel_seed = 2023,
+                                          .max_steps = 40,
+                                          .max_cumulative_reward = 1e18,
+                                          .seed = 1};
     const dse::RequestResult result =
         dse::Engine(dse::EngineOptions{1}).Run({request}).results.front();
     ASSERT_EQ(result.runs.size(), 1u) << c.spec;
@@ -366,15 +363,13 @@ TEST(PipelineExploration, EngineSurfacesPerStageCounts) {
 }
 
 TEST(PipelineExploration, SingleStageKernelsReportNoStages) {
-  const dse::RequestResult result = dse::Engine(dse::EngineOptions{1})
-                                        .Run({dse::RequestBuilder("matmul")
-                                                  .Size(5)
-                                                  .KernelSeed(2023)
-                                                  .MaxSteps(30)
-                                                  .RewardCap(1e18)
-                                                  .Seed(1)
-                                                  .Build()})
-                                        .results.front();
+  const dse::ExplorationRequest request{.kernel = KernelSpec("matmul", 5),
+                                        .kernel_seed = 2023,
+                                        .max_steps = 30,
+                                        .max_cumulative_reward = 1e18,
+                                        .seed = 1};
+  const dse::RequestResult result =
+      dse::Engine(dse::EngineOptions{1}).Run({request}).results.front();
   ASSERT_EQ(result.runs.size(), 1u);
   EXPECT_TRUE(result.runs.front().stage_counts.empty());
 }
