@@ -229,15 +229,29 @@ CampaignCell ReadCell(util::RecordReader& reader) {
 
 // --- CampaignSpec -----------------------------------------------------------
 
+namespace {
+
+/// a * b, or SIZE_MAX when the product overflows.
+std::size_t SaturatingProduct(std::size_t a, std::size_t b) noexcept {
+  std::size_t product = 0;
+  if (__builtin_mul_overflow(a, b, &product))
+    return std::numeric_limits<std::size_t>::max();
+  return product;
+}
+
+}  // namespace
+
 std::size_t CampaignSpec::NumCells() const noexcept {
-  auto axis = [](std::size_t n) { return n == 0 ? std::size_t{1} : n; };
-  return kernels.size() * axis(agents.size()) * axis(action_spaces.size()) *
-         axis(acc_factors.size()) * axis(power_factors.size()) *
-         axis(time_factors.size()) * axis(cache_modes.size());
+  std::size_t cells = kernels.size();
+  for (const std::size_t n :
+       {agents.size(), action_spaces.size(), acc_factors.size(),
+        power_factors.size(), time_factors.size(), cache_modes.size()})
+    if (n != 0) cells = SaturatingProduct(cells, n);
+  return cells;
 }
 
 std::size_t CampaignSpec::NumJobs() const noexcept {
-  return NumCells() * base.num_seeds;
+  return SaturatingProduct(NumCells(), base.num_seeds);
 }
 
 std::vector<ExplorationRequest> CampaignSpec::Expand() const {
@@ -308,10 +322,14 @@ void CampaignSpec::Validate() const {
   if (kernels.empty()) SpecError("the kernel axis is empty");
   for (const workloads::KernelSpec& kernel : kernels)
     if (kernel.name.empty()) SpecError("kernel entry has an empty name");
-  for (std::size_t a = 0; a < kernels.size(); ++a)
-    for (std::size_t b = a + 1; b < kernels.size(); ++b)
-      if (kernels[a] == kernels[b])
-        SpecError("duplicate kernel entry '" + kernels[a].ToString() + "'");
+  // KernelSpec::ToString() is canonical: equal specs, equal strings.
+  std::unordered_set<std::string> distinct_kernels;
+  for (const workloads::KernelSpec& kernel : kernels)
+    if (!distinct_kernels.insert(kernel.ToString()).second)
+      SpecError("duplicate kernel entry '" + kernel.ToString() + "'");
+  if (NumJobs() > kMaxCampaignJobs)
+    SpecError("the grid holds more than " + std::to_string(kMaxCampaignJobs) +
+              " explorations (cells x seeds)");
   const std::vector<ExplorationRequest> grid = Expand();
   std::unordered_set<std::string> seen;
   seen.reserve(grid.size());

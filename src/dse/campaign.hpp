@@ -33,6 +33,10 @@
 
 namespace axdse::dse {
 
+/// Ceiling on CampaignSpec::NumJobs(), which Validate() enforces before it
+/// expands the grid.
+inline constexpr std::size_t kMaxCampaignJobs = std::size_t{1} << 20;
+
 /// Declarative sweep specification. Non-empty axis vectors multiply into
 /// the grid; empty optional axes inherit the base request's single value.
 ///
@@ -64,16 +68,19 @@ struct CampaignSpec {
   /// key collisions).
   ExplorationRequest base;
 
-  /// Checks the axes (kernels present with non-empty names, axis values
-  /// valid) and that the expanded grid is well-formed: every cell request
-  /// validates and no two cells are identical.
+  /// Checks the axes (kernels present with non-empty names and distinct),
+  /// that NumJobs() is at most kMaxCampaignJobs, and that the expanded grid
+  /// is well-formed: every cell request validates and no two cells are
+  /// identical. The size is checked before the grid is expanded.
   /// Throws std::invalid_argument.
   void Validate() const;
 
-  /// Grid size (product of the non-empty axis lengths).
+  /// Grid size (product of the non-empty axis lengths), saturated at
+  /// SIZE_MAX when the product overflows.
   std::size_t NumCells() const noexcept;
 
-  /// NumCells() * base.num_seeds — the explorations the campaign runs.
+  /// NumCells() * base.num_seeds — the explorations the campaign runs —
+  /// saturated at SIZE_MAX like NumCells().
   std::size_t NumJobs() const noexcept;
 
   /// Cartesian-product expansion into one request per cell, kernel-major

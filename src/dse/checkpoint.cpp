@@ -119,6 +119,110 @@ Entries ReadEntries(util::RecordReader& reader, const char* tag,
   return entries;
 }
 
+/// The result sections of a finished snapshot.
+void WriteResult(util::RecordWriter& out, const ExplorationResult& result) {
+  out.Line("result-steps").U64(result.steps);
+  out.Line("result-stop").Word(rl::ToString(result.stop_reason));
+  out.Line("result-reward").Double(result.cumulative_reward);
+  out.Line("result-episodes").U64(result.episodes);
+  out.Line("result-counters")
+      .U64(result.kernel_runs)
+      .U64(result.cache_hits)
+      .U64(result.kernel_runs_executed)
+      .U64(result.shared_cache_hits)
+      .U64(result.surrogate_hits)
+      .U64(result.kernel_runs_deferred);
+  WriteRange(out, "range-power", result.delta_power);
+  WriteRange(out, "range-time", result.delta_time);
+  WriteRange(out, "range-acc", result.delta_acc);
+  WriteConfigRecord(out.Line("solution"), result.solution);
+  WriteMeasurement(out.Line("solution-measurement"),
+                   result.solution_measurement);
+  out.Line("solution-operators")
+      .Text(result.solution_adder)
+      .Text(result.solution_multiplier);
+  out.Line("best-feasible").Flag(result.has_best_feasible);
+  if (result.has_best_feasible) WriteConfigRecord(out, result.best_feasible);
+  WriteMeasurement(out.Line("best-measurement"),
+                   result.best_feasible_measurement);
+  out.Line("rewards").U64(result.rewards.size());
+  for (const double reward : result.rewards) out.Double(reward);
+  out.Line("trace").U64(result.trace.size());
+  for (const StepRecord& record : result.trace) {
+    out.Line("t")
+        .U64(record.step)
+        .U64(record.action)
+        .Double(record.reward)
+        .Double(record.cumulative_reward);
+    WriteConfigRecord(out, record.config);
+    WriteMeasurement(out, record.measurement);
+  }
+}
+
+/// Inverse of WriteResult.
+ExplorationResult ReadResult(util::RecordReader& reader) {
+  ExplorationResult result;
+  result.steps = reader.Expect("result-steps", 1).Size("result steps");
+  result.stop_reason = rl::StopReasonFromName(
+      std::string(reader.Expect("result-stop", 1).Word("stop reason")));
+  result.cumulative_reward =
+      reader.Expect("result-reward", 1).Finite("result cumulative reward");
+  result.episodes = reader.Expect("result-episodes", 1).Size("result episodes");
+  {
+    util::RecordCursor cursor = reader.Expect("result-counters", 6);
+    result.kernel_runs = cursor.Size("result kernel runs");
+    result.cache_hits = cursor.Size("result cache hits");
+    result.kernel_runs_executed = cursor.Size("result executed runs");
+    result.shared_cache_hits = cursor.Size("result shared hits");
+    result.surrogate_hits = cursor.Size("result surrogate hits");
+    result.kernel_runs_deferred = cursor.Size("result kernel runs deferred");
+  }
+  result.delta_power = ReadRange(reader, "range-power");
+  result.delta_time = ReadRange(reader, "range-time");
+  result.delta_acc = ReadRange(reader, "range-acc");
+  result.solution = ReadConfigLine(reader, "solution");
+  result.solution_measurement =
+      ReadMeasurementLine(reader, "solution-measurement");
+  {
+    util::RecordCursor cursor = reader.Expect("solution-operators", 2);
+    result.solution_adder = cursor.Text("solution adder");
+    result.solution_multiplier = cursor.Text("solution multiplier");
+  }
+  {
+    util::RecordCursor cursor = reader.Expect("best-feasible");
+    result.has_best_feasible = cursor.Flag("best-feasible flag");
+    if (result.has_best_feasible)
+      result.best_feasible = ReadConfigRecord(cursor);
+    cursor.Done("best-feasible");
+  }
+  result.best_feasible_measurement =
+      ReadMeasurementLine(reader, "best-measurement");
+  {
+    util::RecordCursor cursor = reader.Expect("rewards");
+    const std::size_t count = cursor.Size("reward count");
+    if (cursor.Remaining() != count)
+      cursor.Fail("rewards list length does not match its count");
+    result.rewards.reserve(count);
+    for (std::size_t i = 0; i < count; ++i)
+      result.rewards.push_back(cursor.Finite("reward value"));
+  }
+  const std::size_t trace = reader.Expect("trace", 1).Count("trace count");
+  result.trace.reserve(trace);
+  for (std::size_t i = 0; i < trace; ++i) {
+    util::RecordCursor cursor = reader.Expect("t");
+    StepRecord record;
+    record.step = cursor.Size("trace step");
+    record.action = cursor.Size("trace action");
+    record.reward = cursor.Finite("trace reward");
+    record.cumulative_reward = cursor.Finite("trace cumulative");
+    record.config = ReadConfigRecord(cursor);
+    record.measurement = ReadMeasurement(cursor);
+    cursor.Done("trace record");
+    result.trace.push_back(std::move(record));
+  }
+  return result;
+}
+
 }  // namespace
 
 // --------------------------------------------------------------------------
@@ -270,87 +374,17 @@ std::string Checkpoint::Serialize() const {
   out.Line("seed").U64(seed);
   out.Line("agent-kind").Text(agent_kind);
   out.Line("finished").Flag(finished);
-  out.Line("progress").U64(episode).U64(episode_steps).U64(state);
-  out.Line("progress-reward").Double(episode_cumulative).Double(trace_cumulative);
-  out.Line("env-round-robin").U64(env.round_robin_variable);
-  WriteConfigRecord(out.Line("env-config"), env.config);
-  WriteMeasurement(out.Line("env-measurement"), env.measurement);
-  out.Line("interned").U64(env.interned.size());
-  for (const Configuration& config : env.interned)
-    WriteConfigRecord(out.Line("i"), config);
-  // The agent block is embedded verbatim, framed by its line count so the
-  // outer parser never has to understand agent internals.
-  std::size_t agent_lines = static_cast<std::size_t>(
-      std::count(agent_state.begin(), agent_state.end(), '\n'));
-  if (!agent_state.empty() && agent_state.back() != '\n') ++agent_lines;
-  out.Line("agent-lines").U64(agent_lines).Block(agent_state);
-  out.Line("result-steps").U64(result.steps);
-  out.Line("result-stop").Word(rl::ToString(result.stop_reason));
-  out.Line("result-reward").Double(result.cumulative_reward);
-  out.Line("result-episodes").U64(result.episodes);
-  out.Line("result-counters")
-      .U64(result.kernel_runs)
-      .U64(result.cache_hits)
-      .U64(result.kernel_runs_executed)
-      .U64(result.shared_cache_hits);
-  WriteRange(out, "range-power", result.delta_power);
-  WriteRange(out, "range-time", result.delta_time);
-  WriteRange(out, "range-acc", result.delta_acc);
-  WriteConfigRecord(out.Line("solution"), result.solution);
-  WriteMeasurement(out.Line("solution-measurement"),
-                   result.solution_measurement);
-  out.Line("solution-operators")
-      .Text(result.solution_adder)
-      .Text(result.solution_multiplier);
-  out.Line("best-feasible").Flag(result.has_best_feasible);
-  if (result.has_best_feasible) WriteConfigRecord(out, result.best_feasible);
-  WriteMeasurement(out.Line("best-measurement"),
-                   result.best_feasible_measurement);
-  out.Line("rewards").U64(result.rewards.size());
-  for (const double reward : result.rewards) out.Double(reward);
-  out.Line("trace").U64(result.trace.size());
-  for (const StepRecord& record : result.trace) {
-    out.Line("t")
-        .U64(record.step)
-        .U64(record.action)
-        .Double(record.reward)
-        .Double(record.cumulative_reward);
-    WriteConfigRecord(out, record.config);
-    WriteMeasurement(out, record.measurement);
-  }
-  out.Line("memo")
-      .U64(evaluator.entries.size())
-      .U64(evaluator.kernel_runs)
-      .U64(evaluator.cache_hits)
-      .U64(evaluator.cache_misses)
-      .U64(evaluator.shared_hits);
-  WriteEntries(out, "e", evaluator.entries);
-  // Optional surrogate-tier section. Omitted entirely for surrogate-off
-  // snapshots with zero counters, so the byte format (and the golden
-  // fixture) of every pre-surrogate checkpoint is unchanged. Finished
-  // snapshots carry no model but still need the result counters.
-  const Evaluator::CacheState::SurrogateState& surrogate = evaluator.surrogate;
-  if (surrogate.enabled || result.surrogate_hits > 0 ||
-      result.kernel_runs_deferred > 0) {
-    out.Line("surrogate")
-        .Flag(surrogate.enabled)
-        .U64(surrogate.hits)
-        .U64(surrogate.deferred)
-        .U64(result.surrogate_hits)
-        .U64(result.kernel_runs_deferred);
-    if (surrogate.enabled) {
-      out.Line("s-state")
-          .U64(surrogate.model.audit_counter)
-          .Flag(surrogate.model.counts_unstable);
-      // Observations keep their insertion order: the restore path replays
-      // them through the model so refits happen at the same counts as the
-      // original run.
-      out.Line("s-observations").U64(surrogate.model.observations.size());
-      for (const Configuration& config : surrogate.model.observations)
-        WriteConfigRecord(out.Line("o"), config);
-      out.Line("s-predicted").U64(surrogate.model.predicted.size());
-      WriteEntries(out, "p", surrogate.model.predicted);
-    }
+  if (finished) {
+    WriteResult(out, result);
+  } else {
+    out.Line("steps").U64(steps);
+    out.Line("memo")
+        .U64(evaluator.entries.size())
+        .U64(evaluator.kernel_runs)
+        .U64(evaluator.cache_hits)
+        .U64(evaluator.cache_misses)
+        .U64(evaluator.shared_hits);
+    WriteEntries(out, "e", evaluator.entries);
   }
   return out.End();
 }
@@ -364,92 +398,10 @@ Checkpoint Checkpoint::Deserialize(const std::string& text) {
         c.seed = reader.Expect("seed", 1).U64("seed");
         c.agent_kind = reader.Expect("agent-kind", 1).Text("agent kind");
         c.finished = reader.Expect("finished", 1).Flag("finished flag");
-        {
-          util::RecordCursor cursor = reader.Expect("progress", 3);
-          c.episode = cursor.Size("progress episode");
-          c.episode_steps = cursor.Size("progress episode steps");
-          c.state = cursor.U64("progress state id");
-        }
-        {
-          util::RecordCursor cursor = reader.Expect("progress-reward", 2);
-          c.episode_cumulative = cursor.Finite("episode cumulative");
-          c.trace_cumulative = cursor.Finite("trace cumulative");
-        }
-        c.env.round_robin_variable =
-            reader.Expect("env-round-robin", 1).Size("round-robin");
-        c.env.config = ReadConfigLine(reader, "env-config");
-        c.env.measurement = ReadMeasurementLine(reader, "env-measurement");
-        const std::size_t interned =
-            reader.Expect("interned", 1).Count("interned count");
-        c.env.interned.reserve(interned);
-        for (std::size_t i = 0; i < interned; ++i)
-          c.env.interned.push_back(ReadConfigLine(reader, "i"));
-        const std::size_t agent_lines =
-            reader.Expect("agent-lines", 1).Count("agent line count");
-        for (std::size_t l = 0; l < agent_lines; ++l) {
-          c.agent_state += reader.RawLine();
-          c.agent_state += '\n';
-        }
-
-        ExplorationResult& result = c.result;
-        result.steps = reader.Expect("result-steps", 1).Size("result steps");
-        result.stop_reason = rl::StopReasonFromName(
-            std::string(reader.Expect("result-stop", 1).Word("stop reason")));
-        result.cumulative_reward =
-            reader.Expect("result-reward", 1).Finite("result cumulative reward");
-        result.episodes =
-            reader.Expect("result-episodes", 1).Size("result episodes");
-        {
-          util::RecordCursor cursor = reader.Expect("result-counters", 4);
-          result.kernel_runs = cursor.Size("result kernel runs");
-          result.cache_hits = cursor.Size("result cache hits");
-          result.kernel_runs_executed = cursor.Size("result executed runs");
-          result.shared_cache_hits = cursor.Size("result shared hits");
-        }
-        result.delta_power = ReadRange(reader, "range-power");
-        result.delta_time = ReadRange(reader, "range-time");
-        result.delta_acc = ReadRange(reader, "range-acc");
-        result.solution = ReadConfigLine(reader, "solution");
-        result.solution_measurement =
-            ReadMeasurementLine(reader, "solution-measurement");
-        {
-          util::RecordCursor cursor = reader.Expect("solution-operators", 2);
-          result.solution_adder = cursor.Text("solution adder");
-          result.solution_multiplier = cursor.Text("solution multiplier");
-        }
-        {
-          util::RecordCursor cursor = reader.Expect("best-feasible");
-          result.has_best_feasible = cursor.Flag("best-feasible flag");
-          if (result.has_best_feasible)
-            result.best_feasible = ReadConfigRecord(cursor);
-          cursor.Done("best-feasible");
-        }
-        result.best_feasible_measurement =
-            ReadMeasurementLine(reader, "best-measurement");
-        {
-          util::RecordCursor cursor = reader.Expect("rewards");
-          const std::size_t count = cursor.Size("reward count");
-          if (cursor.Remaining() != count)
-            cursor.Fail("rewards list length does not match its count");
-          result.rewards.reserve(count);
-          for (std::size_t i = 0; i < count; ++i)
-            result.rewards.push_back(cursor.Finite("reward value"));
-        }
-        const std::size_t trace = reader.Expect("trace", 1).Count("trace count");
-        result.trace.reserve(trace);
-        for (std::size_t i = 0; i < trace; ++i) {
-          util::RecordCursor cursor = reader.Expect("t");
-          StepRecord record;
-          record.step = cursor.Size("trace step");
-          record.action = cursor.Size("trace action");
-          record.reward = cursor.Finite("trace reward");
-          record.cumulative_reward = cursor.Finite("trace cumulative");
-          record.config = ReadConfigRecord(cursor);
-          record.measurement = ReadMeasurement(cursor);
-          cursor.Done("trace record");
-          result.trace.push_back(std::move(record));
-        }
-        {
+        if (c.finished) {
+          c.result = ReadResult(reader);
+        } else {
+          c.steps = reader.Expect("steps", 1).Size("steps");
           util::RecordCursor cursor = reader.Expect("memo", 5);
           const std::size_t count = cursor.Count("memo entry count");
           c.evaluator.kernel_runs = cursor.Size("memo kernel runs");
@@ -458,45 +410,14 @@ Checkpoint Checkpoint::Deserialize(const std::string& text) {
           c.evaluator.shared_hits = cursor.Size("memo shared hits");
           c.evaluator.entries = ReadEntries(reader, "e", count);
         }
-
-        if (reader.PeekTag() == "surrogate") {
-          Evaluator::CacheState::SurrogateState& surrogate =
-              c.evaluator.surrogate;
-          {
-            util::RecordCursor cursor = reader.Expect("surrogate", 5);
-            surrogate.enabled = cursor.Flag("surrogate enabled flag");
-            surrogate.hits = cursor.Size("surrogate hits");
-            surrogate.deferred = cursor.Size("surrogate deferred");
-            result.surrogate_hits = cursor.Size("result surrogate hits");
-            result.kernel_runs_deferred =
-                cursor.Size("result kernel runs deferred");
-          }
-          if (surrogate.enabled) {
-            {
-              util::RecordCursor cursor = reader.Expect("s-state", 2);
-              surrogate.model.audit_counter =
-                  cursor.U64("surrogate audit counter");
-              surrogate.model.counts_unstable =
-                  cursor.Flag("surrogate counts-unstable flag");
-            }
-            const std::size_t observations =
-                reader.Expect("s-observations", 1)
-                    .Count("surrogate observation count");
-            surrogate.model.observations.reserve(observations);
-            for (std::size_t i = 0; i < observations; ++i)
-              surrogate.model.observations.push_back(
-                  ReadConfigLine(reader, "o"));
-            const std::size_t predictions =
-                reader.Expect("s-predicted", 1)
-                    .Count("surrogate prediction count");
-            surrogate.model.predicted = ReadEntries(reader, "p", predictions);
-          }
-        }
         reader.ExpectEnd();
         return c;
       });
 
   // Internal consistency (structural corruption that parses token-by-token).
+  if (!checkpoint.finished && checkpoint.steps == 0)
+    throw CheckpointError(
+        "checkpoint inconsistent: mid-run snapshot has taken no steps");
   if (checkpoint.result.rewards.size() != checkpoint.result.steps)
     throw CheckpointError(
         "checkpoint inconsistent: rewards count does not match step count");
@@ -504,17 +425,6 @@ Checkpoint Checkpoint::Deserialize(const std::string& text) {
       checkpoint.result.trace.size() != checkpoint.result.steps)
     throw CheckpointError(
         "checkpoint inconsistent: trace length does not match step count");
-  if (!checkpoint.finished) {
-    if (checkpoint.env.interned.empty())
-      throw CheckpointError(
-          "checkpoint inconsistent: mid-run snapshot has no interned states");
-    if (checkpoint.state >= checkpoint.env.interned.size())
-      throw CheckpointError(
-          "checkpoint inconsistent: current state id is not interned");
-    if (checkpoint.agent_state.empty())
-      throw CheckpointError(
-          "checkpoint inconsistent: mid-run snapshot has no agent state");
-  }
   return checkpoint;
 }
 

@@ -1,22 +1,29 @@
 #pragma once
-// dse::Checkpoint — versioned, deterministic text serialization of the FULL
-// exploration state of one (request, seed) job: agent internals (Q-table
-// rows, DoubleQ's second table, Q(lambda) eligibility traces, SARSA's
-// pending on-policy update, the epsilon-schedule step counter, the
-// xoshiro256** RNG words), the environment (current configuration, interning
-// order, round-robin pointer, last measurement), the partial
-// ExplorationResult (trace, rewards, objective ranges, best-feasible), and
-// the evaluator's private memo plus every cost counter. The headline
-// invariant: a run suspended at ANY step k and resumed from its checkpoint
-// produces byte-identical solutions, traces, rewards, and JSON/CSV exports
-// to the uninterrupted run — for every agent kind, cache mode, and worker
-// count.
+// dse::Checkpoint — versioned, deterministic text snapshot of one
+// (request, seed) exploration job. Exploration is a pure function of the
+// request, the seed and the measurements the kernel returns, and the kernel
+// runs are the only expensive part of a step, so a mid-run snapshot is the
+// job's input log rather than a dump of its components: the identity
+// (request, seed, agent kind), the number of steps taken, the evaluator's
+// private memo (every ground-truth measurement seen) and its four cost
+// counters. Explorer::ResumeFrom replays the steps on a fresh explorer,
+// answering every ground-truth miss from the memo instead of the kernel or
+// any shared cache; the agent's values and RNG, the environment's interning
+// order, the trace, rewards and the surrogate model come back through the
+// replay itself. The headline invariant: a run suspended at ANY step k and
+// resumed from its checkpoint produces byte-identical solutions, traces,
+// rewards, and JSON/CSV exports to the uninterrupted run — for every agent
+// kind, cache mode, and worker count.
 //
-// Format: a util::record_io document ("axdse-checkpoint v1"), strict field
+// A finished snapshot (Engine batch resume) holds the final
+// ExplorationResult instead of the log, so a finished job is never run
+// again.
+//
+// Format: a util::record_io document ("axdse-checkpoint v2"), strict field
 // order, shortest-round-trip doubles. Anything unexpected — truncation,
-// version or agent mismatch, reordered fields, NaN-injected values — raises
-// CheckpointError from the parser, BEFORE any Explorer/Engine state is
-// touched.
+// another version (a v1 snapshot included), reordered fields, NaN-injected
+// values — raises CheckpointError from the parser, BEFORE any
+// Explorer/Engine state is touched.
 
 #include <cstdint>
 #include <stdexcept>
@@ -24,7 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "dse/environment.hpp"
 #include "dse/evaluator.hpp"
 #include "dse/explorer.hpp"
 #include "instrument/shared_evaluation_cache.hpp"
@@ -32,20 +38,23 @@
 
 namespace axdse::dse {
 
-/// Typed failure of checkpoint parsing, validation, or file IO. Thrown
-/// before any exploration state is mutated: a failed load leaves the
-/// Explorer/Engine exactly as it was.
+/// Typed failure of checkpoint parsing, validation, replay, or file IO.
+/// Parsing and validation throw before any exploration state is mutated: a
+/// failed load leaves the Explorer/Engine exactly as it was. Only a replay
+/// that diverges from its log throws after mutating (see
+/// Explorer::ResumeFrom).
 class CheckpointError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 
-/// One job's complete suspend/resume snapshot.
+/// One job's suspend/resume snapshot: the input log of a mid-run job, or
+/// the result of a finished one.
 struct Checkpoint {
   /// Bumped on any incompatible format change; loading another version
-  /// throws CheckpointError (format drift is pinned by the golden fixture
-  /// under tests/golden/).
-  static constexpr unsigned kFormatVersion = 1;
+  /// throws CheckpointError naming it (format drift is pinned by the golden
+  /// fixtures under tests/golden/).
+  static constexpr unsigned kFormatVersion = 2;
 
   // --- identity ------------------------------------------------------------
   /// ExplorationRequest::ToString() of the run this snapshot belongs to
@@ -57,28 +66,17 @@ struct Checkpoint {
   /// ToString(AgentKind) of the suspended run; verified on resume.
   std::string agent_kind;
   /// True for a completed run persisted for batch resume: `result` is final
-  /// and the mid-run sections below are empty.
+  /// and the mid-run fields below are empty.
   bool finished = false;
 
-  // --- mid-episode progress ------------------------------------------------
-  std::size_t episode = 0;         ///< episode index being executed
-  std::size_t episode_steps = 0;   ///< steps taken inside that episode
-  double episode_cumulative = 0.0; ///< reward accumulated inside it
-  double trace_cumulative = 0.0;   ///< cross-episode running reward (traces)
-  rl::StateId state = 0;           ///< the state the agent acts from next
-
-  // --- environment ---------------------------------------------------------
-  AxDseEnvironment::State env;
-
-  // --- agent ---------------------------------------------------------------
-  /// Opaque rl::Agent::SaveState() text block.
-  std::string agent_state;
-
-  // --- partial (or final) result -------------------------------------------
-  ExplorationResult result;
-
-  // --- evaluator -----------------------------------------------------------
+  // --- mid-run log -----------------------------------------------------------
+  /// Environment steps taken (across episodes); the replay length.
+  std::size_t steps = 0;
+  /// The evaluator's private memo entries and counters.
   Evaluator::CacheState evaluator;
+
+  // --- finished result -------------------------------------------------------
+  ExplorationResult result;
 
   /// Deterministic text serialization: identical state => identical bytes
   /// (all unordered containers are sorted on the way out).

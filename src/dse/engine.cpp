@@ -374,9 +374,11 @@ BatchResult Engine::Run(const std::vector<ExplorationRequest>& requests,
           return snapshot;
         };
 
-        // Resume: a mid-run snapshot restores the explorer; a finished one
-        // short-circuits the job entirely (its queries must not hit the
-        // shared cache a second time).
+        // Resume: the explorer replays a mid-run snapshot's steps from its
+        // memo (never touching the shared cache); a finished one
+        // short-circuits the job entirely. A snapshot that fails to load,
+        // validate or replay fails the job, which discards the explorer
+        // and its evaluator with it.
         bool done = false;
         std::error_code ec;
         if (checkpointing && fs::exists(path, ec)) {

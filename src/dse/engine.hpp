@@ -76,7 +76,7 @@ struct EngineOptions {
 /// the uninterrupted run. Requires registry-named kernels
 /// (kernel_override is not serializable; Run() throws otherwise).
 ///
-/// When snapshots are written: a suspended job's mid-run state, a finished
+/// When snapshots are written: a suspended job's mid-run log, a finished
 /// job's result and the shared-cache groups are all saved after every
 /// worker has joined, and only when the batch ends unfinished (a suspended
 /// or failed job). A batch that completes writes no job snapshot and
@@ -307,8 +307,8 @@ class Engine {
   /// when checkpointing is combined with kernel_override requests, and when
   /// `hooks.should_suspend` is set without a checkpoint directory. The
   /// first failing job's exception (in job order) is rethrown after all
-  /// workers finish: a snapshot that fails to load or validate surfaces as
-  /// that CheckpointError itself, unwrapped; any other failure, a snapshot
+  /// workers finish: a snapshot that fails to load, validate or replay
+  /// surfaces as that CheckpointError itself, unwrapped; any other failure, a snapshot
   /// that fails to save included, is that job's BatchJobError.
   BatchResult Run(const std::vector<ExplorationRequest>& requests,
                   const CheckpointOptions& checkpoint = {},

@@ -1,8 +1,6 @@
 #include "dse/environment.hpp"
 
 #include <stdexcept>
-#include <unordered_set>
-#include <utility>
 
 namespace axdse::dse {
 
@@ -22,7 +20,8 @@ AxDseEnvironment::AxDseEnvironment(Evaluator& evaluator,
 }
 
 std::size_t AxDseEnvironment::NumActions() const noexcept {
-  return NumActionsFor(action_space_, shape_.num_variables);
+  return action_space_ == ActionSpaceKind::kFull ? 4 + shape_.num_variables
+                                                 : 3;
 }
 
 std::string AxDseEnvironment::ActionName(std::size_t action) const {
@@ -111,65 +110,6 @@ rl::StepResult AxDseEnvironment::Step(std::size_t action) {
   result.terminated = outcome.saturated;
   result.truncated = false;
   return result;
-}
-
-AxDseEnvironment::State AxDseEnvironment::GetState() const {
-  State state;
-  state.config = config_;
-  state.measurement = last_measurement_;
-  state.round_robin_variable = round_robin_variable_;
-  state.interned.reserve(states_.size());
-  for (const Interned& interned : states_)
-    state.interned.push_back(*interned.config);
-  return state;
-}
-
-void AxDseEnvironment::ValidateState(const SpaceShape& shape,
-                                     const State& state) {
-  if (state.interned.empty())
-    throw std::invalid_argument(
-        "AxDseEnvironment::ValidateState: no interned configurations");
-  if (state.round_robin_variable >= shape.num_variables)
-    throw std::invalid_argument(
-        "AxDseEnvironment::ValidateState: round-robin variable out of range");
-  const auto validate = [&](const Configuration& config) {
-    if (!FitsShape(shape, config))
-      throw std::invalid_argument(
-          "AxDseEnvironment::ValidateState: configuration does not match "
-          "the kernel's space");
-  };
-  validate(state.config);
-  std::unordered_set<Configuration, Configuration::Hash> seen;
-  seen.reserve(state.interned.size());
-  for (const Configuration& config : state.interned) {
-    validate(config);
-    if (!seen.insert(config).second)
-      throw std::invalid_argument(
-          "AxDseEnvironment::ValidateState: duplicate interned "
-          "configuration");
-  }
-  if (seen.find(state.config) == seen.end())
-    throw std::invalid_argument(
-        "AxDseEnvironment::ValidateState: current configuration is not "
-        "interned");
-}
-
-void AxDseEnvironment::SetState(const State& state) {
-  ValidateState(shape_, state);
-  std::unordered_map<Configuration, rl::StateId, Configuration::Hash> ids;
-  ids.reserve(state.interned.size());
-  std::vector<Interned> states;
-  states.reserve(state.interned.size());
-  for (std::size_t i = 0; i < state.interned.size(); ++i)
-    states.push_back(
-        {&ids.emplace(state.interned[i], static_cast<rl::StateId>(i))
-              .first->first});
-
-  config_ = state.config;
-  last_measurement_ = state.measurement;
-  round_robin_variable_ = state.round_robin_variable;
-  states_ = std::move(states);
-  ids_ = std::move(ids);
 }
 
 rl::StateId AxDseEnvironment::Visit() {

@@ -27,15 +27,6 @@ enum class ActionSpaceKind {
   kCompact,
 };
 
-/// Action count `kind` induces over `num_variables` approximable variables.
-/// The single source of truth for the environment's action space — also
-/// used by the checkpoint resume path, which rebuilds agents before an
-/// environment exists.
-constexpr std::size_t NumActionsFor(ActionSpaceKind kind,
-                                    std::size_t num_variables) noexcept {
-  return kind == ActionSpaceKind::kFull ? 4 + num_variables : 3;
-}
-
 /// Gymnasium-style environment over the approximate-configuration space of
 /// one kernel. States are interned configuration ids, dense in first-visit
 /// order (0, 1, 2, ...) so agents index their Q-tables by them; the full
@@ -46,9 +37,9 @@ constexpr std::size_t NumActionsFor(ActionSpaceKind kind,
 /// state keeps the evaluator's memo handle of its ground-truth measurement
 /// once it has one, so a revisit reads the measurement through the handle
 /// (Evaluator::Recall) instead of hashing again; a state without a handle
-/// (first visit, surrogate-predicted answer, or restored by SetState) is
-/// evaluated with Evaluator::Evaluate. Handles live as long as the
-/// evaluator, which must outlive the environment anyway.
+/// (first visit or surrogate-predicted answer) is evaluated with
+/// Evaluator::Evaluate. Handles live as long as the evaluator, which must
+/// outlive the environment anyway.
 class AxDseEnvironment final : public rl::Env {
  public:
   /// The evaluator must outlive the environment.
@@ -86,35 +77,6 @@ class AxDseEnvironment final : public rl::Env {
   const RewardConfig& Reward() const noexcept { return reward_; }
   const SpaceShape& Shape() const noexcept { return shape_; }
   ActionSpaceKind ActionSpace() const noexcept { return action_space_; }
-
-  /// Snapshot of the environment's mutable exploration state (for
-  /// dse::Checkpoint). `interned` lists every visited configuration in
-  /// StateId order — resumed Q-tables key on those ids, so the interning
-  /// order must be restored verbatim.
-  struct State {
-    Configuration config;
-    instrument::Measurement measurement;
-    std::size_t round_robin_variable = 0;
-    std::vector<Configuration> interned;
-  };
-
-  State GetState() const;
-
-  /// Checks that `state` is restorable into a space of shape `shape`:
-  /// every configuration fits, `interned` is non-empty, duplicate-free, and
-  /// contains `config`, and the round-robin pointer is in range. Throws
-  /// std::invalid_argument otherwise. The single validator behind
-  /// SetState() — the checkpoint resume path calls it up front (before an
-  /// environment exists) so a bad snapshot can be rejected before anything
-  /// is mutated.
-  static void ValidateState(const SpaceShape& shape, const State& state);
-
-  /// Restores a snapshot taken by GetState(), after ValidateState(). The
-  /// stored measurement is trusted verbatim — re-evaluating here would
-  /// distort cache statistics that the checkpoint restores separately.
-  /// Throws std::invalid_argument on an invalid snapshot; the environment
-  /// is only modified once everything validated.
-  void SetState(const State& state);
 
  private:
   /// One interned state: its configuration (the key inside ids_, whose

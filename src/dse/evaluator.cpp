@@ -256,26 +256,7 @@ Evaluator::CacheState Evaluator::CaptureCacheState() const {
   state.cache_hits = cache_.Hits();
   state.cache_misses = cache_.Misses();
   state.shared_hits = shared_hits_;
-  state.surrogate.enabled = surrogate_ != nullptr;
-  state.surrogate.hits = surrogate_hits_;
-  state.surrogate.deferred = kernel_runs_deferred_;
-  if (surrogate_) state.surrogate.model = surrogate_->CaptureState();
   return state;
-}
-
-void Evaluator::PrewarmCache(
-    const std::vector<std::pair<Configuration, instrument::Measurement>>&
-        entries) {
-  // Validate everything first: a throw must leave the memo untouched.
-  for (const auto& [config, measurement] : entries) {
-    (void)measurement;
-    if (!FitsShape(shape_, config))
-      throw std::invalid_argument(
-          "Evaluator::PrewarmCache: entry does not match the kernel's "
-          "configuration space");
-  }
-  for (const auto& [config, measurement] : entries)
-    cache_.Insert(config, measurement);
 }
 
 void Evaluator::RestoreCounters(std::size_t kernel_runs,
@@ -285,25 +266,6 @@ void Evaluator::RestoreCounters(std::size_t kernel_runs,
   kernel_runs_ = kernel_runs;
   shared_hits_ = shared_hits;
   cache_.RestoreStats(cache_hits, cache_misses);
-}
-
-void Evaluator::RestoreSurrogate(const CacheState::SurrogateState& state) {
-  if (state.enabled != (surrogate_ != nullptr))
-    throw std::invalid_argument(
-        "Evaluator::RestoreSurrogate: snapshot surrogate enablement does not "
-        "match this evaluator");
-  surrogate_hits_ = state.hits;
-  kernel_runs_deferred_ = state.deferred;
-  if (!surrogate_) return;
-  surrogate_->RestoreState(
-      state.model, [this](const Configuration& config) {
-        const instrument::Measurement* cached = cache_.Find(config);
-        if (cached == nullptr)
-          throw std::invalid_argument(
-              "Evaluator::RestoreSurrogate: observation is missing from the "
-              "restored memo");
-        return *cached;
-      });
 }
 
 const instrument::Measurement& Evaluator::ComputeAndCache(

@@ -166,52 +166,36 @@ class Evaluator {
     return shared_cache_.get();
   }
 
-  /// Snapshot of the evaluator's mutable state (for dse::Checkpoint): the
-  /// private memo entries plus every counter a resumed run must reproduce.
+  /// Replaces the cache consulted on private-cache misses (null for none)
+  /// and returns the previous one. Explorer::ResumeFrom installs a cache
+  /// restored from the snapshot's memo for the length of its replay, so the
+  /// replay runs no kernel for a memoized configuration and never touches
+  /// the batch's shared cache, then puts the previous cache back.
+  std::shared_ptr<instrument::SharedEvaluationCache> ExchangeSharedCache(
+      std::shared_ptr<instrument::SharedEvaluationCache> cache) noexcept {
+    std::swap(cache, shared_cache_);
+    return cache;
+  }
+
+  /// The evaluator's part of a dse::Checkpoint: the private memo entries
+  /// plus the four cost counters a resume restores after its replay (the
+  /// replay's own kernel runs and shared hits depend on the caches it met).
   struct CacheState {
     std::vector<std::pair<Configuration, instrument::Measurement>> entries;
     std::size_t kernel_runs = 0;
     std::size_t cache_hits = 0;
     std::size_t cache_misses = 0;
     std::size_t shared_hits = 0;
-
-    /// Surrogate-tier state riding along with the memo snapshot. `model` is
-    /// only meaningful when `enabled`.
-    struct SurrogateState {
-      bool enabled = false;
-      std::size_t hits = 0;
-      std::size_t deferred = 0;
-      SurrogateModel::State model;
-    };
-    SurrogateState surrogate;
   };
 
   /// Captures the current memo contents and counters. Entry order is
   /// unspecified — the checkpoint serializer sorts.
   CacheState CaptureCacheState() const;
 
-  /// Inserts memo entries without touching any counter (Insert() does not
-  /// count as a hit or miss). Called BEFORE the environment is rebuilt on
-  /// resume so its constructor evaluation is a private hit — it must never
-  /// reach the shared cache, whose statistics would drift.
-  void PrewarmCache(
-      const std::vector<std::pair<Configuration, instrument::Measurement>>&
-          entries);
-
-  /// Overwrites the counters with checkpointed values. Called LAST on
-  /// resume, after the rebuild evaluations above bumped them.
+  /// Overwrites the counters with checkpointed values. Called last on
+  /// resume, after the replay bumped them.
   void RestoreCounters(std::size_t kernel_runs, std::size_t cache_hits,
                        std::size_t cache_misses, std::size_t shared_hits);
-
-  /// Restores the surrogate tier from a snapshot: replays the observation
-  /// sequence against the (already prewarmed) private memo so the model
-  /// refits exactly as the original run did, then installs the memoized
-  /// predictions and counters. The enablement flag must match
-  /// SurrogateEnabled() and every observation must be present in the memo
-  /// (the resume path pre-validates both); violations throw
-  /// std::invalid_argument. Call after PrewarmCache(), before
-  /// RestoreCounters().
-  void RestoreSurrogate(const CacheState::SurrogateState& state);
 
  private:
   /// Runs the kernel under `config` and builds the measurement (the

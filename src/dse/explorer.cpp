@@ -1,9 +1,9 @@
 #include "dse/explorer.hpp"
 
 #include <cassert>
-#include <sstream>
+#include <limits>
 #include <stdexcept>
-#include <unordered_set>
+#include <string>
 #include <utility>
 
 #include "dse/baselines.hpp"
@@ -325,17 +325,7 @@ Checkpoint Explorer::Suspend() const {
         "and persist the final result instead");
   Checkpoint checkpoint;
   checkpoint.agent_kind = ToString(config_.agent_kind);
-  checkpoint.finished = false;
-  checkpoint.episode = run_->episode;
-  checkpoint.episode_steps = run_->episode_steps;
-  checkpoint.episode_cumulative = run_->episode_cumulative;
-  checkpoint.trace_cumulative = run_->trace_cumulative;
-  checkpoint.state = run_->state;
-  checkpoint.env = run_->env.GetState();
-  std::ostringstream agent;
-  run_->agent->SaveState(agent);
-  checkpoint.agent_state = agent.str();
-  checkpoint.result = run_->result;
+  checkpoint.steps = run_->result.steps;
   checkpoint.evaluator = evaluator_->CaptureCacheState();
   return checkpoint;
 }
@@ -354,118 +344,57 @@ void Explorer::ResumeFrom(const Checkpoint& checkpoint) {
                           "agent '" +
                           checkpoint.agent_kind + "', this explorer runs '" +
                           ToString(config_.agent_kind) + "'");
-  if (checkpoint.result.episodes != config_.episodes ||
-      checkpoint.episode >= config_.episodes)
+  // The replay length is bounded by the run's own budget before anything
+  // runs: a corrupt count must not buy an unbounded replay.
+  std::size_t budget = 0;
+  if (__builtin_mul_overflow(config_.max_steps, config_.episodes, &budget))
+    budget = std::numeric_limits<std::size_t>::max();
+  if (checkpoint.steps == 0 || checkpoint.steps > budget)
     throw CheckpointError(
-        "Explorer::ResumeFrom: episode configuration mismatch");
-  if (checkpoint.episode_steps >= config_.max_steps)
-    throw CheckpointError(
-        "Explorer::ResumeFrom: episode step counter exceeds max_steps");
-  if (config_.record_trace
-          ? checkpoint.result.trace.size() != checkpoint.result.steps
-          : !checkpoint.result.trace.empty())
-    throw CheckpointError(
-        "Explorer::ResumeFrom: trace does not match the record_trace "
-        "setting");
+        "Explorer::ResumeFrom: checkpoint step count " +
+        std::to_string(checkpoint.steps) + " is outside this run's budget (" +
+        std::to_string(budget) + ")");
+  for (const auto& [config, measurement] : checkpoint.evaluator.entries) {
+    (void)measurement;
+    if (!FitsShape(evaluator_->Shape(), config))
+      throw CheckpointError(
+          "Explorer::ResumeFrom: memo entry does not match the kernel's "
+          "configuration space");
+  }
 
-  // Validate the environment snapshot against THIS kernel's space up front
-  // (same validator SetState uses): a failure below must leave the explorer
-  // and its evaluator untouched.
-  const SpaceShape& shape = evaluator_->Shape();
+  // Replay. Every ground-truth miss is answered from the memo, through a
+  // cache standing in for the evaluator's shared one, so the replay runs no
+  // kernel for a memoized configuration and never touches a shared cache.
+  // The agent, environment, partial result and surrogate model come back
+  // exactly as the original steps left them; only the cost counters, which
+  // depend on the caches the original run met, are restored from the log.
+  auto memo = std::make_shared<instrument::SharedEvaluationCache>();
+  memo->Restore(checkpoint.evaluator.entries, {});
+  std::shared_ptr<instrument::SharedEvaluationCache> shared =
+      evaluator_->ExchangeSharedCache(std::move(memo));
+  std::size_t taken = 0;
   try {
-    AxDseEnvironment::ValidateState(shape, checkpoint.env);
-  } catch (const std::exception& error) {
+    taken = RunSteps(checkpoint.steps);
+  } catch (...) {
+    evaluator_->ExchangeSharedCache(std::move(shared));
+    throw;
+  }
+  evaluator_->ExchangeSharedCache(std::move(shared));
+  // A snapshot is only ever taken of an unfinished run, so a replay that
+  // finishes within its step count contradicts its log: the explorer and
+  // its evaluator have stepped and must be discarded.
+  if (taken != checkpoint.steps || Finished()) {
+    run_.reset();
+    consumed_ = true;
     throw CheckpointError(
-        std::string("Explorer::ResumeFrom: environment state: ") +
-        error.what());
+        "Explorer::ResumeFrom: the replay finished after " +
+        std::to_string(taken) + " of the checkpoint's " +
+        std::to_string(checkpoint.steps) +
+        " steps; discard this explorer and its evaluator");
   }
-  if (checkpoint.state >= checkpoint.env.interned.size())
-    throw CheckpointError(
-        "Explorer::ResumeFrom: current state id is not interned");
-
-  // Surrogate snapshot validation, also up front: the enablement flags must
-  // agree and every model observation must be replayable from the memo
-  // entries about to be prewarmed, so RestoreSurrogate() below cannot fail
-  // after state was mutated.
-  const Evaluator::CacheState::SurrogateState& surrogate_ckpt =
-      checkpoint.evaluator.surrogate;
-  if (surrogate_ckpt.enabled != evaluator_->SurrogateEnabled())
-    throw CheckpointError(
-        "Explorer::ResumeFrom: checkpoint surrogate enablement does not "
-        "match this explorer's evaluator");
-  if (surrogate_ckpt.enabled) {
-    std::unordered_set<Configuration, Configuration::Hash> memo_configs;
-    memo_configs.reserve(checkpoint.evaluator.entries.size());
-    for (const auto& [config, measurement] : checkpoint.evaluator.entries) {
-      (void)measurement;
-      memo_configs.insert(config);
-    }
-    for (const Configuration& config : surrogate_ckpt.model.observations)
-      if (memo_configs.find(config) == memo_configs.end())
-        throw CheckpointError(
-            "Explorer::ResumeFrom: surrogate observation is not among the "
-            "checkpoint's memo entries");
-    for (const auto& [config, measurement] : surrogate_ckpt.model.predicted) {
-      (void)measurement;
-      if (!FitsShape(shape, config))
-        throw CheckpointError(
-            "Explorer::ResumeFrom: surrogate prediction does not fit the "
-            "kernel's configuration space");
-    }
-  }
-
-  // 1. Rebuild the agent from the blob. Failures here are pure: the agent is
-  //    a local until everything committed. Every state id in the blob must
-  //    name an interned state — Q rows are indexed by id, so an
-  //    out-of-range one would size an allocation.
-  std::unique_ptr<rl::Agent> agent = MakeAgent(
-      config_.agent_kind,
-      NumActionsFor(config_.action_space, shape.num_variables), config_.agent,
-      config_.lambda, config_.seed);
-  std::istringstream agent_in(checkpoint.agent_state);
-  try {
-    agent->LoadState(agent_in, checkpoint.env.interned.size());
-  } catch (const std::exception& error) {
-    throw CheckpointError(std::string("Explorer::ResumeFrom: agent state: ") +
-                          error.what());
-  }
-
-  // 2. Prewarm the private memo BEFORE the environment rebuild, so the
-  //    rebuild's evaluation of the initial configuration is a private hit
-  //    and never reaches a shared cache (whose statistics the engine
-  //    restores separately and byte-compares). PrewarmCache validates every
-  //    entry before inserting any, so a throw here mutates nothing.
-  try {
-    evaluator_->PrewarmCache(checkpoint.evaluator.entries);
-  } catch (const std::exception& error) {
-    throw CheckpointError(std::string("Explorer::ResumeFrom: memo state: ") +
-                          error.what());
-  }
-
-  // 3. Rebuild the environment and restore its position/interning.
-  auto run = std::make_unique<Run>(*evaluator_, reward_, config_.action_space);
-  run->env.SetState(checkpoint.env);  // revalidates; known-good here
-
-  // 3b. Replay the surrogate model (validated above; reads the prewarmed
-  //     memo, so it must run before the counter overwrite).
-  evaluator_->RestoreSurrogate(surrogate_ckpt);
-
-  // 4. Counters last: overwrite the rebuild's bumps with the exact
-  //    checkpointed values.
   evaluator_->RestoreCounters(
       checkpoint.evaluator.kernel_runs, checkpoint.evaluator.cache_hits,
       checkpoint.evaluator.cache_misses, checkpoint.evaluator.shared_hits);
-
-  run->agent = std::move(agent);
-  run->result = checkpoint.result;
-  run->result.episodes = config_.episodes;
-  run->state = checkpoint.state;
-  run->episode = checkpoint.episode;
-  run->episode_steps = checkpoint.episode_steps;
-  run->episode_cumulative = checkpoint.episode_cumulative;
-  run->trace_cumulative = checkpoint.trace_cumulative;
-  run->finished = false;
-  run_ = std::move(run);
 }
 
 }  // namespace axdse::dse

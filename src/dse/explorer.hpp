@@ -160,11 +160,12 @@ struct Checkpoint;  // dse/checkpoint.hpp
 ///   * Explore() — the historical one-shot call: runs every episode to its
 ///     stop condition and returns the finished result.
 ///   * the incremental API — RunSteps() advances the exploration a bounded
-///     number of environment steps; Suspend() serializes the complete
-///     mid-run state into a dse::Checkpoint; a FRESH explorer (same
-///     evaluator kernel, reward, and config) restored via ResumeFrom()
-///     continues the run so that the final result, trace, rewards, and
-///     counters are byte-identical to an uninterrupted Explore().
+///     number of environment steps; Suspend() captures the run's input log
+///     (steps taken, evaluator memo and counters) into a dse::Checkpoint; a
+///     FRESH explorer (same evaluator kernel, reward, and config) resumed
+///     via ResumeFrom() replays those steps and continues the run so that
+///     the final result, trace, rewards, and counters are byte-identical to
+///     an uninterrupted Explore().
 class Explorer {
  public:
   /// The evaluator must outlive the explorer. The evaluator must be fresh
@@ -217,17 +218,22 @@ class Explorer {
 
   // --- checkpointing ------------------------------------------------------
 
-  /// Serializes the complete mid-run state (agent, environment, partial
-  /// result, evaluator memo and counters). The caller owns the identity
-  /// fields (Checkpoint::request/seed) — Suspend() fills everything else.
-  /// Throws std::logic_error before the first step or after Finish().
+  /// Captures the mid-run snapshot: agent kind, steps taken, and the
+  /// evaluator's memo and counters. The caller owns the identity fields
+  /// (Checkpoint::request/seed). Throws std::logic_error before the first
+  /// step or once the run finished.
   Checkpoint Suspend() const;
 
-  /// Restores a mid-run snapshot into this (freshly constructed, never
-  /// stepped) explorer. Validates agent kind, episode bounds, and every
-  /// configuration against this explorer's kernel space BEFORE mutating
-  /// anything: on CheckpointError the explorer (and its evaluator) is
-  /// exactly as it was and may still run from scratch.
+  /// Resumes a mid-run snapshot on this freshly constructed, never stepped
+  /// explorer by replaying its steps. Checks the agent kind, that the step
+  /// count is within episodes x max_steps, and that every memo entry fits
+  /// this explorer's kernel space BEFORE anything runs: on those failures
+  /// the explorer and its evaluator are untouched and may still run from
+  /// scratch. The replay answers every ground-truth miss from the memo,
+  /// never from the kernel or the evaluator's shared cache, then restores
+  /// the four evaluator counters. A replay that finishes within the
+  /// snapshot's step count also throws CheckpointError; the explorer is
+  /// then consumed, and it and its evaluator must be discarded.
   void ResumeFrom(const Checkpoint& checkpoint);
 
   const ExplorerConfig& Config() const noexcept { return config_; }

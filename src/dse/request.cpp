@@ -203,6 +203,11 @@ void ExplorationRequest::Validate() const {
     throw std::invalid_argument("ExplorationRequest: episodes == 0");
   if (num_seeds == 0)
     throw std::invalid_argument("ExplorationRequest: num_seeds == 0");
+  // Engine::Run allocates one job per seed, and requests arrive from the
+  // wire: bound the count before anything is allocated.
+  if (num_seeds > kMaxSeeds)
+    throw std::invalid_argument("ExplorationRequest: num_seeds exceeds " +
+                                std::to_string(kMaxSeeds));
   if (!(alpha > 0.0 && alpha <= 1.0))
     throw std::invalid_argument("ExplorationRequest: alpha not in (0, 1]");
   RequireInRange("gamma", gamma, 0.0, 1.0);

@@ -64,6 +64,10 @@ AgentKind AgentKindFromName(const std::string& name);
 /// Inverse of ToString(ActionSpaceKind). Throws std::invalid_argument.
 ActionSpaceKind ActionSpaceFromName(const std::string& name);
 
+/// Ceiling on ExplorationRequest::num_seeds, which Validate() enforces.
+/// The paper and every bundled bench use at most 8 seeds.
+inline constexpr std::size_t kMaxSeeds = 65536;
+
 /// A complete, self-contained exploration job description. Every member
 /// has a default (`{}` where there is no other), so designated initializers
 /// may name any subset, in declaration order.
@@ -87,6 +91,7 @@ struct ExplorationRequest {
   double max_cumulative_reward = 500.0;
   std::size_t episodes = 1;
   /// Number of repeated explorations; run i uses agent seed `seed + i`.
+  /// At most kMaxSeeds.
   std::size_t num_seeds = 1;
   std::uint64_t seed = 1;
   std::size_t greedy_rollout_steps = 0;
@@ -132,8 +137,8 @@ struct ExplorationRequest {
   /// const-thread-safe (all built-ins are).
   std::shared_ptr<const workloads::Kernel> kernel_override{};
 
-  /// Checks invariants (budget > 0, rates in range, finite initial Q, a
-  /// kernel name or non-null instance present). Registry membership of the
+  /// Checks invariants (budget > 0, 1 <= num_seeds <= kMaxSeeds, rates in
+  /// range, finite initial Q, a kernel name or non-null instance present). Registry membership of the
   /// name is checked by the engine, which knows the registry. Throws
   /// std::invalid_argument.
   void Validate() const;

@@ -264,7 +264,6 @@ void SurrogateModel::Observe(const Configuration& config,
     }
   }
 
-  observations_.push_back(config);
   rows_.push_back(Features(config));
   targets_.push_back(std::clamp(
       std::log(std::max(m.delta_acc, 0.0) + kEps), cut_ - kClampBelow,
@@ -348,40 +347,6 @@ bool SurrogateModel::TrySkip(const Configuration& config,
 
 void SurrogateModel::Invalidate(const Configuration& config) {
   predicted_.erase(FullKeyOf(config));
-}
-
-SurrogateModel::State SurrogateModel::CaptureState() const {
-  State state;
-  state.audit_counter = audit_counter_;
-  state.counts_unstable = counts_unstable_;
-  state.observations = observations_;
-  state.predicted.reserve(predicted_.size());
-  for (const auto& [key, measurement] : predicted_) {
-    Configuration config(shape_.num_variables);
-    config.SetAdderIndex(static_cast<std::uint32_t>(key[0]));
-    config.SetMultiplierIndex(static_cast<std::uint32_t>(key[1]));
-    for (std::size_t v = 0; v < shape_.num_variables; ++v)
-      if ((key[2 + v / 64] >> (v % 64)) & 1u) config.SetVariable(v, true);
-    state.predicted.emplace_back(std::move(config), measurement);
-  }
-  return state;
-}
-
-void SurrogateModel::RestoreState(
-    const State& state,
-    const std::function<instrument::Measurement(const Configuration&)>&
-        measurement_of) {
-  for (const Configuration& config : state.observations)
-    Observe(config, measurement_of(config));
-  audit_counter_ = state.audit_counter;
-  counts_unstable_ = counts_unstable_ || state.counts_unstable;
-  for (const auto& [config, measurement] : state.predicted) {
-    if (!FitsShape(shape_, config))
-      throw std::invalid_argument(
-          "SurrogateModel::RestoreState: predicted configuration does not "
-          "fit the space");
-    predicted_.insert_or_assign(FullKeyOf(config), measurement);
-  }
 }
 
 }  // namespace axdse::dse

@@ -43,9 +43,8 @@
 // Model: ridge regression (util::FitLinearModel) in log(Δacc) space over
 // one-hot operator features gated by "any variable selected" plus
 // per-variable indicators. Predictions are memoized so repeat visits of a
-// skipped configuration are answered identically forever (determinism across
-// suspend/resume), and all state is capturable/replayable for the checkpoint
-// subsystem.
+// skipped configuration are answered identically forever. A resumed run
+// rebuilds the model by replaying its steps (see dse/checkpoint.hpp).
 //
 // Deterministic by construction: the model trains only on this evaluator's
 // own evaluation sequence (never on shared-cache traffic, which is
@@ -54,9 +53,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <utility>
 #include <vector>
 
 #include "dse/configuration.hpp"
@@ -123,33 +120,6 @@ class SurrogateModel {
   /// Distinct configurations currently answered by prediction only.
   std::size_t NumPredicted() const noexcept { return predicted_.size(); }
 
-  /// Serializable model state (see dse/checkpoint.hpp): everything a
-  /// replayed restore cannot rebuild from the observation sequence itself.
-  struct State {
-    std::uint64_t audit_counter = 0;
-    bool counts_unstable = false;
-    /// Ground-truth observations in insertion order (measurements are
-    /// re-read from the restored private memo on replay).
-    std::vector<Configuration> observations;
-    /// Memoized predictions (order unspecified; serializer sorts).
-    std::vector<std::pair<Configuration, instrument::Measurement>> predicted;
-  };
-
-  State CaptureState() const;
-
-  /// Rebuilds the model by replaying `state.observations` through
-  /// `measurement_of` (ground-truth lookup, normally the restored private
-  /// memo), then installs the memoized predictions and counters verbatim.
-  /// Must be called on a freshly constructed model. Throws
-  /// std::invalid_argument when a configuration does not fit the space;
-  /// `measurement_of` may itself throw on a failed lookup. The caller
-  /// (checkpoint resume) pre-validates, so a throw here indicates snapshot
-  /// corruption.
-  void RestoreState(
-      const State& state,
-      const std::function<instrument::Measurement(const Configuration&)>&
-          measurement_of);
-
  private:
   /// Deterministic map key of a full configuration: adder index, multiplier
   /// index, then mask words.
@@ -198,7 +168,6 @@ class SurrogateModel {
 
   std::vector<std::vector<double>> rows_;    ///< training features
   std::vector<double> targets_;              ///< clamped log(Δacc)
-  std::vector<Configuration> observations_;  ///< insertion order, for capture
   util::LinearModelFit fit_;
   double margin_ = 0.0;
   /// Permanent margin floor raised past every confidently-misclassified
@@ -219,7 +188,7 @@ class SurrogateModel {
   std::uint64_t audit_counter_ = 0;
 
   /// Quadratic counts model (one fit per OpCounts field), derived purely
-  /// from the observation sequence so restore-by-replay reproduces it.
+  /// from the observation sequence.
   std::size_t counts_dim_ = 0;  ///< 0 disables the model (space too large)
   std::vector<std::vector<double>> counts_rows_;  ///< one row per new mask
   std::vector<double> counts_targets_[4];

@@ -22,37 +22,6 @@ void WritePoint(std::ostream& out, const dse::ParetoPoint& point) {
       << ",\"delta_acc\":" << JsonNum(point.measurement.delta_acc) << "}";
 }
 
-void WriteStages(std::ostream& out,
-                 const std::vector<workloads::StageOpCounts>& stages) {
-  out << "[";
-  for (std::size_t i = 0; i < stages.size(); ++i) {
-    if (i > 0) out << ",";
-    out << "{\"stage\":\"" << JsonEscape(stages[i].stage)
-        << "\",\"precise_adds\":" << stages[i].counts.precise_adds
-        << ",\"approx_adds\":" << stages[i].counts.approx_adds
-        << ",\"precise_muls\":" << stages[i].counts.precise_muls
-        << ",\"approx_muls\":" << stages[i].counts.approx_muls << "}";
-  }
-  out << "]";
-}
-
-/// Compact one-cell CSV form of the per-stage counts:
-/// "dct=pa:aa:pm:am|quantize=..." — empty for single-stage kernels.
-std::string StageCountsCell(
-    const std::vector<workloads::StageOpCounts>& stages) {
-  std::string cell;
-  for (const workloads::StageOpCounts& stage : stages) {
-    if (!cell.empty()) cell.push_back('|');
-    cell += stage.stage;
-    cell.push_back('=');
-    cell += std::to_string(stage.counts.precise_adds) + ":" +
-            std::to_string(stage.counts.approx_adds) + ":" +
-            std::to_string(stage.counts.precise_muls) + ":" +
-            std::to_string(stage.counts.approx_muls);
-  }
-  return cell;
-}
-
 void WriteCell(std::ostream& out, const dse::CampaignCell& cell) {
   out << "{\"request\":\"" << JsonEscape(cell.request.ToString())
       << "\",\"label\":\"" << JsonEscape(cell.request.DisplayName())

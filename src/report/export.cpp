@@ -64,20 +64,6 @@ void WriteSummaryJson(std::ostream& out, const util::Summary& summary) {
       << ",\"max\":" << JsonNum(summary.max) << "}";
 }
 
-namespace {
-
-void WriteVotes(std::ostream& out,
-                const std::map<std::string, std::size_t>& votes) {
-  out << "{";
-  bool first = true;
-  for (const auto& [code, count] : votes) {
-    if (!first) out << ",";
-    first = false;
-    out << "\"" << JsonEscape(code) << "\":" << count;
-  }
-  out << "}";
-}
-
 void WriteStages(std::ostream& out,
                  const std::vector<workloads::StageOpCounts>& stages) {
   out << "[";
@@ -92,8 +78,6 @@ void WriteStages(std::ostream& out,
   out << "]";
 }
 
-/// Compact one-cell CSV form of the per-stage counts:
-/// "dct=pa:aa:pm:am|quantize=..." — empty for single-stage kernels.
 std::string StageCountsCell(
     const std::vector<workloads::StageOpCounts>& stages) {
   std::string cell;
@@ -107,6 +91,20 @@ std::string StageCountsCell(
             std::to_string(stage.counts.approx_muls);
   }
   return cell;
+}
+
+namespace {
+
+void WriteVotes(std::ostream& out,
+                const std::map<std::string, std::size_t>& votes) {
+  out << "{";
+  bool first = true;
+  for (const auto& [code, count] : votes) {
+    if (!first) out << ",";
+    first = false;
+    out << "\"" << JsonEscape(code) << "\":" << count;
+  }
+  out << "}";
 }
 
 void WriteRun(std::ostream& out, const dse::ExplorationResult& run,

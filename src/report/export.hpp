@@ -8,6 +8,7 @@
 
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "dse/engine.hpp"
 
@@ -15,6 +16,17 @@ namespace axdse::report {
 
 /// JSON string escaping shared by every exporter in this library.
 std::string JsonEscape(const std::string& text);
+
+/// Writes per-stage operation counts as a JSON array of
+/// {"stage":..,"precise_adds":..,"approx_adds":..,"precise_muls":..,
+/// "approx_muls":..} objects ("[]" for single-stage kernels).
+void WriteStages(std::ostream& out,
+                 const std::vector<workloads::StageOpCounts>& stages);
+
+/// Compact one-cell CSV form of the per-stage counts:
+/// "dct=pa:aa:pm:am|quantize=..." — empty for single-stage kernels.
+std::string StageCountsCell(
+    const std::vector<workloads::StageOpCounts>& stages);
 
 /// Deterministic JSON number: shortest-round-trip formatting; inf/NaN are
 /// emitted as quoted strings (JSON has no non-finite numbers).

@@ -51,33 +51,11 @@ class Agent {
   /// reset it here; value tables persist across episodes.
   virtual void BeginEpisode() {}
 
-  /// Writes the agent's complete dynamic state (value tables, RNG,
-  /// exploration-schedule step, episode-scoped internals) as deterministic
-  /// text lines, tagged with the agent name. Hyper-parameters are NOT
-  /// serialized — a resumed agent is constructed from its config first and
-  /// then restored via LoadState().
+  /// Kept so decorators that forward them still compile; no agent
+  /// serializes its state (a resumed exploration replays its steps, see
+  /// dse/checkpoint.hpp). Both throw std::logic_error.
   virtual void SaveState(std::ostream& out) const;
-
-  /// Inverse of SaveState(). Must be called on an agent constructed with the
-  /// same action count and kind as the saved one. Throws
-  /// std::invalid_argument on malformed input, agent-kind mismatch, action
-  /// count mismatch, or NaN-injected values; on failure the agent keeps its
-  /// pre-call state. Virtual so decorators can forward it; the body is
-  /// RestoreState().
-  virtual void LoadState(std::istream& in) { RestoreState(in, kAnyStateId); }
-
-  /// LoadState() of untrusted bytes into an environment that interned
-  /// `num_states` states: every state id in the blob (Q rows, pending
-  /// transitions, eligibility traces) must be below `num_states`, or
-  /// std::invalid_argument is thrown before any row is allocated.
-  void LoadState(std::istream& in, StateId num_states) {
-    RestoreState(in, num_states);
-  }
-
- protected:
-  /// The agent-specific body of both LoadState() overloads. The default
-  /// throws std::logic_error (checkpointing unsupported).
-  virtual void RestoreState(std::istream& in, StateId num_states);
+  virtual void LoadState(std::istream& in);
 };
 
 /// Watkins Q-learning: off-policy TD update
@@ -97,11 +75,7 @@ class QLearningAgent final : public Agent {
   /// Exploration rate at the current internal step (for traces).
   double CurrentEpsilon() const noexcept;
 
-  void SaveState(std::ostream& out) const override;
-
  private:
-  void RestoreState(std::istream& in, StateId num_states) override;
-
   AgentConfig config_;
   QTable table_;
   util::Rng rng_;
@@ -123,11 +97,7 @@ class SarsaAgent final : public Agent {
   std::string Name() const override { return "sarsa"; }
   void BeginEpisode() override { pending_.reset(); }
 
-  void SaveState(std::ostream& out) const override;
-
  private:
-  void RestoreState(std::istream& in, StateId num_states) override;
-
   struct Pending {
     StateId state;
     std::size_t action;
@@ -161,11 +131,7 @@ class DoubleQLearningAgent final : public Agent {
   const QTable& TableA() const noexcept { return table_a_; }
   const QTable& TableB() const noexcept { return table_b_; }
 
-  void SaveState(std::ostream& out) const override;
-
  private:
-  void RestoreState(std::istream& in, StateId num_states) override;
-
   std::size_t GreedyOnSum(StateId state);
 
   AgentConfig config_;
@@ -194,11 +160,7 @@ class QLambdaAgent final : public Agent {
   double Lambda() const noexcept { return lambda_; }
   std::size_t ActiveTraces() const noexcept { return traces_.size(); }
 
-  void SaveState(std::ostream& out) const override;
-
  private:
-  void RestoreState(std::istream& in, StateId num_states) override;
-
   /// One eligibility trace e(state, action) > 0.
   struct Trace {
     StateId state;
@@ -230,11 +192,7 @@ class ExpectedSarsaAgent final : public Agent {
   const QTable& Table() const noexcept override { return table_; }
   std::string Name() const override { return "expected-sarsa"; }
 
-  void SaveState(std::ostream& out) const override;
-
  private:
-  void RestoreState(std::istream& in, StateId num_states) override;
-
   AgentConfig config_;
   QTable table_;
   util::Rng rng_;

@@ -11,8 +11,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -20,9 +18,6 @@
 #include "util/rng.hpp"
 
 namespace axdse::rl {
-
-/// State-id bound meaning "no bound" (LoadState() of trusted bytes).
-inline constexpr StateId kAnyStateId = std::numeric_limits<StateId>::max();
 
 /// Q(s,a) table with a configurable initial value (optimistic init > 0
 /// encourages systematic exploration).
@@ -53,23 +48,6 @@ class QTable {
 
   /// Number of rows materialized (distinct states written).
   std::size_t NumStates() const noexcept { return num_rows_; }
-
-  /// Writes the table as deterministic text (rows in ascending state id):
-  ///   table <num_actions> <initial_value> <num_rows>
-  ///   row <state> <q_0> ... <q_{num_actions-1}>     (x num_rows)
-  /// Doubles use shortest-round-trip formatting, so LoadState(SaveState())
-  /// restores bit-identical values.
-  void SaveState(std::ostream& out) const;
-
-  /// Inverse of SaveState: replaces all rows (num_actions in the stream must
-  /// match this table's; the stored initial value replaces the current one).
-  /// Throws std::invalid_argument on malformed input, NaN values, action
-  /// count mismatch, duplicate rows, or a state id >= `num_states`; the
-  /// table is only modified once the whole stream parsed cleanly, and no row
-  /// is allocated before every id passed the bound. Row storage is sized by
-  /// the largest id, so callers restoring untrusted bytes pass the number of
-  /// states their environment interned.
-  void LoadState(std::istream& in, StateId num_states = kAnyStateId);
 
  private:
   static constexpr std::size_t kBlockRows = 64;

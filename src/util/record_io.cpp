@@ -18,6 +18,19 @@ constexpr const char* kHexDigits = "0123456789abcdef";
 
 bool IsSeparator(char c) noexcept { return c == ' ' || c == '\t' || c == '\r'; }
 
+/// Splits `line` on runs of space, tab and CR into `tokens` (cleared first).
+void SplitRecord(std::string_view line,
+                 std::vector<std::string_view>& tokens) {
+  tokens.clear();
+  std::size_t i = 0;
+  while (i < line.size()) {
+    while (i < line.size() && IsSeparator(line[i])) ++i;
+    const std::size_t begin = i;
+    while (i < line.size() && !IsSeparator(line[i])) ++i;
+    if (i > begin) tokens.push_back(line.substr(begin, i - begin));
+  }
+}
+
 bool MustEscape(char c, std::string_view also) noexcept {
   switch (c) {
     case '%':
@@ -83,18 +96,6 @@ std::string Unescape(std::string_view text) {
     out.push_back(text[i]);
   }
   return out;
-}
-
-void SplitRecord(std::string_view line,
-                 std::vector<std::string_view>& tokens) {
-  tokens.clear();
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && IsSeparator(line[i])) ++i;
-    const std::size_t begin = i;
-    while (i < line.size() && !IsSeparator(line[i])) ++i;
-    if (i > begin) tokens.push_back(line.substr(begin, i - begin));
-  }
 }
 
 std::optional<std::string> ReadWholeFile(const std::string& path) {
@@ -187,13 +188,6 @@ RecordWriter& RecordWriter::Word(std::string_view word) {
   return *this;
 }
 
-RecordWriter& RecordWriter::Block(std::string_view lines) {
-  CloseLine();
-  out_ << lines;
-  if (!lines.empty() && lines.back() != '\n') out_.put('\n');
-  return *this;
-}
-
 std::string RecordWriter::End() {
   Line("end");
   return Take();
@@ -276,15 +270,6 @@ std::string_view RecordReader::PeekTag() const {
   while (end < text_.size() && !IsSeparator(text_[end]) && text_[end] != '\n')
     ++end;
   return text_.substr(begin, end - begin);
-}
-
-std::string_view RecordReader::RawLine() {
-  std::string_view line;
-  if (!NextLine(line)) {
-    ++line_;
-    Fail("truncated: unexpected end of input");
-  }
-  return line;
 }
 
 void RecordReader::ExpectEnd() {

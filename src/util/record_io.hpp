@@ -48,10 +48,6 @@ void AppendEscaped(std::string& out, std::string_view text,
 /// digits decodes to that byte; anything else stays literal.
 std::string Unescape(std::string_view text);
 
-/// Splits `line` on runs of space, tab and CR into `tokens` (cleared
-/// first). The embedded rl agent-state blocks use the same splitter.
-void SplitRecord(std::string_view line, std::vector<std::string_view>& tokens);
-
 /// Whole content of `path`; nullopt when it is missing or unreadable.
 std::optional<std::string> ReadWholeFile(const std::string& path);
 
@@ -73,8 +69,6 @@ class RecordWriter {
   /// Verbatim: names, enum spellings, and the rest-of-line values that
   /// RecordReader::ExpectRest reads back.
   RecordWriter& Word(std::string_view word);
-  /// Verbatim lines (an embedded block); a missing final LF is added.
-  RecordWriter& Block(std::string_view lines);
 
   /// The document with its "end" trailer.
   std::string End();
@@ -143,8 +137,6 @@ class RecordReader {
   std::string_view ExpectRest(std::string_view tag);
   /// Tag of the next line without consuming it ("" at end of input).
   std::string_view PeekTag() const;
-  /// Consumes the next line verbatim (embedded blocks).
-  std::string_view RawLine();
   /// Consumes the "end" trailer and requires end of input after it.
   void ExpectEnd();
   /// Requires end of input (documents without a trailer).

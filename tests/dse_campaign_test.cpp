@@ -12,6 +12,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -118,6 +119,43 @@ TEST(CampaignSpec, ValidateRejectsDuplicates) {
   CampaignSpec spec = CampaignSpec::Parse("kernels=dot@32 steps=100");
   spec.kernels.push_back(spec.kernels[0]);  // identical entry
   EXPECT_THROW(spec.Validate(), std::invalid_argument);
+}
+
+TEST(CampaignSpec, ValidateBoundsTheGridBeforeExpandingIt) {
+  // 1024 entries on each of the seven axes: the cell count (2^70) wraps a
+  // 64-bit size_t to 0. Repeated axis values are only caught as duplicate
+  // cells after expansion, so the size check must come first.
+  std::string text = "kernels=";
+  for (int k = 0; k < 1024; ++k)
+    text += (k > 0 ? ",dot@" : "dot@") + std::to_string(k + 1);
+  const auto axis = [&](const char* key, const char* value) {
+    text += std::string(" ") + key + "=" + value;
+    for (int i = 1; i < 1024; ++i) text += std::string(",") + value;
+  };
+  axis("agents", "q-learning");
+  axis("action-spaces", "full");
+  axis("acc-factors", "0.4");
+  axis("power-factors", "0.5");
+  axis("time-factors", "0.5");
+  axis("cache-modes", "private");
+  const CampaignSpec spec = CampaignSpec::Parse(text);
+  EXPECT_EQ(spec.NumCells(), std::numeric_limits<std::size_t>::max());
+  EXPECT_EQ(spec.NumJobs(), std::numeric_limits<std::size_t>::max());
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+
+  // The ceiling counts cells x seeds: 16 kernels at the most seeds a request
+  // may ask for reach it exactly, 17 pass it.
+  const auto kernels_with_max_seeds = [](int count) {
+    std::string kernels = "kernels=";
+    for (int k = 0; k < count; ++k)
+      kernels += (k > 0 ? ",dot@" : "dot@") + std::to_string(k + 1);
+    CampaignSpec spec = CampaignSpec::Parse(kernels + " steps=10");
+    spec.base.num_seeds = kMaxSeeds;
+    return spec;
+  };
+  ASSERT_EQ(kernels_with_max_seeds(16).NumJobs(), kMaxCampaignJobs);
+  EXPECT_NO_THROW(kernels_with_max_seeds(16).Validate());
+  EXPECT_THROW(kernels_with_max_seeds(17).Validate(), std::invalid_argument);
 }
 
 TEST(CampaignSpec, ExpandProducesTheCartesianGrid) {

@@ -1,23 +1,27 @@
 // Checkpoint/resume subsystem tests.
 //
 // The headline invariant under test: an exploration suspended at ANY step k
-// and resumed from its serialized checkpoint finishes with byte-identical
-// results — solution, trace, rewards, objective ranges, best-feasible, and
-// every cost counter — to the same exploration run uninterrupted. Proven
-// here for every AgentKind x several registry kernels x suspend points
-// {1, k/2, k-1}, through a full serialize -> parse -> restore cycle each
-// time. On top of that: corrupt-input hardening (truncated, version-
-// mismatched, field-reordered, NaN-injected files throw CheckpointError and
-// leave the explorer untouched) and a golden fixture pinning the on-disk
-// format (regenerate with AXDSE_UPDATE_GOLDEN=1).
+// and resumed from its serialized checkpoint (by replaying its steps from
+// the recorded memo) finishes with byte-identical results — solution,
+// trace, rewards, objective ranges, best-feasible, and every cost counter —
+// to the same exploration run uninterrupted. Proven here for every
+// AgentKind x several registry kernels x suspend points {1, k/2, k-1},
+// through a full serialize -> parse -> replay cycle each time. On top of
+// that: replay isolation (no kernel run but the golden one, no shared-cache
+// traffic), corrupt-input hardening (truncated, version-mismatched,
+// field-reordered, NaN-injected files and out-of-range snapshots throw
+// CheckpointError and leave the explorer untouched) and golden fixtures
+// pinning the on-disk format (regenerate with AXDSE_UPDATE_GOLDEN=1).
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -282,13 +286,24 @@ TEST(CheckpointCorruption, TruncatedFilesThrow) {
 
 TEST(CheckpointCorruption, VersionMismatchThrows) {
   std::string text = ValidSerializedCheckpoint();
-  const std::string header = "axdse-checkpoint v1";
+  const std::string header = "axdse-checkpoint v2";
   ASSERT_EQ(text.compare(0, header.size(), header), 0);
-  text.replace(0, header.size(), "axdse-checkpoint v2");
+  text.replace(0, header.size(), "axdse-checkpoint v3");
   EXPECT_THROW(Checkpoint::Deserialize(text), CheckpointError);
   std::string garbage = ValidSerializedCheckpoint();
   garbage.replace(0, header.size(), "not-a-checkpoint!!!");
   EXPECT_THROW(Checkpoint::Deserialize(garbage), CheckpointError);
+  // A snapshot written in the v1 component-dump format is refused with an
+  // error naming its version.
+  std::string v1 = ValidSerializedCheckpoint();
+  v1.replace(0, header.size(), "axdse-checkpoint v1");
+  try {
+    Checkpoint::Deserialize(v1);
+    ADD_FAILURE() << "a v1 snapshot was accepted";
+  } catch (const CheckpointError& error) {
+    EXPECT_NE(std::string(error.what()).find("'v1'"), std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(CheckpointCorruption, ReorderedFieldsThrow) {
@@ -307,9 +322,11 @@ TEST(CheckpointCorruption, ReorderedFieldsThrow) {
 }
 
 TEST(CheckpointCorruption, NaNInjectionThrows) {
-  // Replace the first reward value with nan: strict parsers reject NaN in
-  // every numeric field that is not explicitly non-finite-tolerant.
-  std::string text = ValidSerializedCheckpoint();
+  // Replace the first reward value of a finished snapshot with nan: strict
+  // parsers reject NaN in every numeric field that is not explicitly
+  // non-finite-tolerant.
+  std::string text = testsupport::ReadGolden(
+      AXDSE_SOURCE_DIR "/tests/golden/matmul_finished_seed1.ckpt");
   const std::size_t rewards = text.find("\nrewards ");
   ASSERT_NE(rewards, std::string::npos);
   // "rewards <N> <first> ..." — replace <first>.
@@ -318,25 +335,6 @@ TEST(CheckpointCorruption, NaNInjectionThrows) {
   const std::size_t end = text.find_first_of(" \n", pos + 1);
   text.replace(pos + 1, end - pos - 1, "nan");
   EXPECT_THROW(Checkpoint::Deserialize(text), CheckpointError);
-
-  // And inside the agent's Q-table rows: the outer parser frames the agent
-  // block verbatim (it cannot know agent internals), so the NaN surfaces as
-  // CheckpointError when the agent state is actually restored — still
-  // before any explorer state is mutated.
-  std::string qtable = ValidSerializedCheckpoint();
-  const std::size_t row = qtable.find("\nrow ");
-  ASSERT_NE(row, std::string::npos);
-  const std::size_t value = qtable.find(' ', row + 5);
-  const std::size_t value_end = qtable.find_first_of(" \n", value + 1);
-  qtable.replace(value + 1, value_end - value - 1, "nan");
-  const Checkpoint poisoned = Checkpoint::Deserialize(qtable);
-  Harness h = MakeExplorerHarness("matmul", 4);
-  const ExplorerConfig config = SmallExplorerConfig(AgentKind::kQLearning, 3);
-  Explorer explorer(*h.evaluator, h.reward, config);
-  EXPECT_THROW(explorer.ResumeFrom(poisoned), CheckpointError);
-  // The failed restore left the explorer pristine.
-  EXPECT_EQ(PayloadOf(explorer.Explore()),
-            PayloadOf(RunUninterrupted("matmul", 4, config)));
 }
 
 TEST(CheckpointCorruption, TrailingGarbageAndBadValuesThrow) {
@@ -355,12 +353,19 @@ TEST(CheckpointCorruption, TrailingGarbageAndBadValuesThrow) {
   // An operator index wider than 32 bits must fail, not silently truncate
   // to a different in-range configuration.
   std::string wide_index = ValidSerializedCheckpoint();
-  const std::size_t env_cfg = wide_index.find("\nenv-config ");
-  ASSERT_NE(env_cfg, std::string::npos);
-  const std::size_t adder_start = env_cfg + 12;
+  const std::size_t memo_entry = wide_index.find("\ne ");
+  ASSERT_NE(memo_entry, std::string::npos);
+  const std::size_t adder_start = memo_entry + 3;
   const std::size_t adder_end = wide_index.find(' ', adder_start);
   wide_index.replace(adder_start, adder_end - adder_start, "4294967296");
   EXPECT_THROW(Checkpoint::Deserialize(wide_index), CheckpointError);
+  // A mid-run snapshot with no steps is no snapshot any run writes.
+  std::string no_steps = ValidSerializedCheckpoint();
+  const std::size_t steps_pos = no_steps.find("\nsteps ");
+  ASSERT_NE(steps_pos, std::string::npos);
+  const std::size_t steps_end = no_steps.find('\n', steps_pos + 1);
+  no_steps.replace(steps_pos, steps_end - steps_pos, "\nsteps 0");
+  EXPECT_THROW(Checkpoint::Deserialize(no_steps), CheckpointError);
 }
 
 TEST(CheckpointCorruption, FailedResumeLeavesExplorerFullyUsable) {
@@ -411,100 +416,132 @@ TEST(CheckpointCorruption, FailedResumeLeavesExplorerFullyUsable) {
     EXPECT_THROW(explorer.ResumeFrom(finished), CheckpointError);
     EXPECT_EQ(PayloadOf(explorer.Explore()), reference);
   }
+
+  // A step count past episodes x max_steps is rejected before any replay.
+  for (const std::size_t steps :
+       {q_config.max_steps + 1, std::numeric_limits<std::size_t>::max()}) {
+    Checkpoint checkpoint =
+        Checkpoint::Deserialize(ValidSerializedCheckpoint());
+    checkpoint.steps = steps;
+    Harness h = MakeExplorerHarness("matmul", 4);
+    Explorer explorer(*h.evaluator, h.reward, q_config);
+    EXPECT_THROW(explorer.ResumeFrom(checkpoint), CheckpointError) << steps;
+    EXPECT_EQ(PayloadOf(explorer.Explore()), reference);
+  }
+
+  // One memo entry outside the kernel's space (an adder index past the
+  // operator set) fails the whole snapshot up front.
+  {
+    Checkpoint checkpoint =
+        Checkpoint::Deserialize(ValidSerializedCheckpoint());
+    Configuration foreign(3);
+    foreign.SetAdderIndex(999);
+    checkpoint.evaluator.entries.emplace_back(foreign,
+                                              instrument::Measurement{});
+    Harness h = MakeExplorerHarness("matmul", 4);
+    Explorer explorer(*h.evaluator, h.reward, q_config);
+    EXPECT_THROW(explorer.ResumeFrom(checkpoint), CheckpointError);
+    EXPECT_EQ(PayloadOf(explorer.Explore()), reference);
+  }
 }
 
-/// Replaces token `field` (0 = the first after the tag) of the first line
-/// starting with `tag` that follows the `table`-th (0-based) "table "
-/// header of an agent blob with `id`. Returns false when there is none.
-bool ReplaceStateId(std::string& blob, const std::string& tag,
-                    std::size_t field, std::size_t table,
-                    const std::string& id) {
-  std::istringstream in(blob);
-  std::string out;
-  std::string line;
-  std::size_t tables = 0;
-  bool replaced = false;
-  while (std::getline(in, line)) {
-    if (line.rfind("table ", 0) == 0) ++tables;
-    if (!replaced && tables > table && line.rfind(tag + " ", 0) == 0) {
-      std::istringstream fields(line.substr(tag.size() + 1));
-      std::vector<std::string> tokens;
-      for (std::string token; fields >> token;) tokens.push_back(token);
-      if (field < tokens.size()) {
-        tokens[field] = id;
-        line = tag;
-        for (const std::string& token : tokens) line += " " + token;
-        replaced = true;
-      }
-    }
-    out += line + "\n";
+// ---------------------------------------------------------------------------
+// Replay isolation: a resume reads its log — it runs no kernel for a
+// memoized configuration and never touches a shared cache.
+// ---------------------------------------------------------------------------
+
+/// Forwards to a registry kernel and counts Run() calls.
+class CountingKernel final : public workloads::Kernel {
+ public:
+  explicit CountingKernel(std::unique_ptr<workloads::Kernel> inner)
+      : inner_(std::move(inner)) {}
+  const std::string& Name() const noexcept override { return inner_->Name(); }
+  const axc::OperatorSet& Operators() const noexcept override {
+    return inner_->Operators();
   }
-  blob = out;
-  return replaced;
+  const std::vector<workloads::VariableInfo>& Variables()
+      const noexcept override {
+    return inner_->Variables();
+  }
+  std::vector<double> Run(instrument::ApproxContext& ctx) const override {
+    ++runs;
+    return inner_->Run(ctx);
+  }
+  double AccuracyError(std::span<const double> precise,
+                       std::span<const double> approx) const override {
+    return inner_->AccuracyError(precise, approx);
+  }
+
+  mutable std::size_t runs = 0;
+
+ private:
+  std::unique_ptr<workloads::Kernel> inner_;
+};
+
+std::unique_ptr<CountingKernel> CountingMatmul() {
+  workloads::KernelParams params;
+  params.size = 4;
+  params.seed = 7;
+  return std::make_unique<CountingKernel>(
+      workloads::KernelRegistry::Global().Create("matmul", params));
 }
 
-TEST(CheckpointCorruption, OutOfRangeAgentStateIdsAreRejected) {
-  // Q rows are indexed by state id, so an id read from the agent blob sizes
-  // an allocation. ResumeFrom must reject every id that names no interned
-  // state — Q rows (both Double-Q tables), SARSA's pending transition,
-  // Q(lambda)'s traces — with a CheckpointError from the bound check, and
-  // leave the explorer untouched.
-  struct Site {
-    AgentKind kind;
-    const char* tag;
-    std::size_t field;
-    std::size_t table;
-  };
-  const Site sites[] = {
-      {AgentKind::kQLearning, "row", 0, 0},
-      {AgentKind::kExpectedSarsa, "row", 0, 0},
-      {AgentKind::kDoubleQ, "row", 0, 0},
-      {AgentKind::kDoubleQ, "row", 0, 1},
-      {AgentKind::kSarsa, "row", 0, 0},
-      {AgentKind::kSarsa, "pending", 1, 0},
-      {AgentKind::kSarsa, "pending", 4, 0},
-      {AgentKind::kQLambda, "row", 0, 0},
-      {AgentKind::kQLambda, "trace", 0, 0},
-  };
-  for (const Site& site : sites) {
-    SCOPED_TRACE(std::string(ToString(site.kind)) + " " + site.tag +
-                 " field " + std::to_string(site.field) + " table " +
-                 std::to_string(site.table));
-    const ExplorerConfig config = SmallExplorerConfig(site.kind, 3);
-    // The first suspend point whose blob carries the site (Q(lambda) cuts
-    // its traces on exploratory actions).
-    Checkpoint checkpoint;
-    std::string probe;
-    for (std::size_t at = 20; at < config.max_steps; ++at) {
-      Harness h = MakeExplorerHarness("matmul", 4);
-      Explorer explorer(*h.evaluator, h.reward, config);
-      explorer.RunSteps(at);
-      checkpoint = explorer.Suspend();
-      probe = checkpoint.agent_state;
-      if (ReplaceStateId(probe, site.tag, site.field, site.table, "0")) break;
-    }
-    const std::string interned =
-        std::to_string(checkpoint.env.interned.size());
-    const std::string reference =
-        PayloadOf(RunUninterrupted("matmul", 4, config));
-    for (const std::string& id : {std::string("18446744073709551615"),
-                                  interned}) {
-      Checkpoint mutated = checkpoint;
-      ASSERT_TRUE(ReplaceStateId(mutated.agent_state, site.tag, site.field,
-                                 site.table, id));
-      Harness h = MakeExplorerHarness("matmul", 4);
-      Explorer explorer(*h.evaluator, h.reward, config);
-      try {
-        explorer.ResumeFrom(mutated);
-        ADD_FAILURE() << "state id " << id << " was accepted";
-      } catch (const CheckpointError& error) {
-        EXPECT_NE(std::string(error.what()).find("out of range"),
-                  std::string::npos)
-            << error.what();
-      }
-      EXPECT_EQ(PayloadOf(explorer.Explore()), reference);
-    }
+TEST(ReplayIsolation, SharedCacheUntouchedAndOnlyTheGoldenRunExecutes) {
+  const ExplorerConfig config =
+      SmallExplorerConfig(AgentKind::kQLambda, 5, /*max_steps=*/60);
+  std::string reference;  // uninterrupted, on a shared cache of its own
+  {
+    const std::unique_ptr<CountingKernel> kernel = CountingMatmul();
+    Evaluator evaluator(*kernel,
+                        std::make_shared<instrument::SharedEvaluationCache>());
+    Explorer explorer(evaluator, MakePaperRewardConfig(evaluator), config);
+    reference = PayloadOf(explorer.Explore());
   }
+  // The suspended half publishes its measurements to `cache`, as a job of
+  // a CacheMode::kShared batch does.
+  const auto cache = std::make_shared<instrument::SharedEvaluationCache>();
+  std::string serialized;
+  {
+    const std::unique_ptr<CountingKernel> kernel = CountingMatmul();
+    Evaluator evaluator(*kernel, cache);
+    Explorer explorer(evaluator, MakePaperRewardConfig(evaluator), config);
+    ASSERT_EQ(explorer.RunSteps(25), 25u);
+    serialized = explorer.Suspend().Serialize();
+  }
+  const Checkpoint checkpoint = Checkpoint::Deserialize(serialized);
+  ASSERT_GT(checkpoint.evaluator.entries.size(), 1u);
+
+  const std::unique_ptr<CountingKernel> kernel = CountingMatmul();
+  Evaluator evaluator(*kernel, cache);
+  ASSERT_EQ(kernel->runs, 1u);  // the golden run
+  Explorer explorer(evaluator, MakePaperRewardConfig(evaluator), config);
+  const std::string stats = cache->Stats().ToString();
+  explorer.ResumeFrom(checkpoint);
+  EXPECT_EQ(kernel->runs, 1u) << "the replay executed the kernel";
+  EXPECT_EQ(cache->Stats().ToString(), stats);
+  EXPECT_EQ(explorer.StepsTaken(), 25u);
+  EXPECT_EQ(PayloadOf(explorer.Explore()), reference);
+}
+
+TEST(ReplayIsolation, ReplayThatFinishesWithinItsStepCountThrows) {
+  const ExplorerConfig config =
+      SmallExplorerConfig(AgentKind::kSarsa, 3, /*max_steps=*/40);
+  Checkpoint checkpoint;
+  {
+    Harness h = MakeExplorerHarness("matmul", 4);
+    Explorer explorer(*h.evaluator, h.reward, config);
+    ASSERT_EQ(explorer.RunSteps(39), 39u);
+    ASSERT_FALSE(explorer.Finished());
+    checkpoint = Checkpoint::Deserialize(explorer.Suspend().Serialize());
+  }
+  // Within budget, but the run ends at its 40-step limit: no unfinished run
+  // wrote this log.
+  checkpoint.steps = config.max_steps;
+  Harness h = MakeExplorerHarness("matmul", 4);
+  Explorer explorer(*h.evaluator, h.reward, config);
+  EXPECT_THROW(explorer.ResumeFrom(checkpoint), CheckpointError);
+  // The explorer stepped during the replay and is consumed.
+  EXPECT_THROW(explorer.RunSteps(1), std::logic_error);
 }
 
 TEST(CheckpointCorruption, SharedCacheCheckpointHardening) {
@@ -601,6 +638,30 @@ TEST(EngineSnapshots, UnloadableJobSnapshotsThrowCheckpointErrorInJobOrder) {
           << error.what();
     }
   }
+}
+
+TEST(EngineSnapshots, ReplayThatFinishesEarlyIsACheckpointError) {
+  const std::vector<ExplorationRequest> batch = TwoMatmulRequests(60, 60);
+  const Engine engine(EngineOptions{1});
+  testsupport::ScopedTempDir dir("engine-replay-early");
+  ASSERT_EQ(engine.Run(batch, {.directory = dir.Str(), .step_budget = 20})
+                .unfinished_jobs,
+            2u);
+  // The first job's log now claims the run's whole 60-step budget, so its
+  // replay finishes within it.
+  const std::string first = JobSnapshotPath(dir.Str(), batch[0]);
+  Checkpoint snapshot = Checkpoint::Load(first);
+  ASSERT_EQ(snapshot.steps, 20u);
+  snapshot.steps = 60;
+  snapshot.Save(first);
+  EXPECT_THROW(engine.Run(batch, {.directory = dir.Str()}), CheckpointError);
+
+  // Dropping the bad snapshot recomputes that job from scratch, as the
+  // shard path does, and the batch still matches an uninterrupted run.
+  std::filesystem::remove(first);
+  const BatchResult resumed = engine.Run(batch, {.directory = dir.Str()});
+  EXPECT_TRUE(resumed.Complete());
+  EXPECT_EQ(report::BatchJson(resumed), report::BatchJson(engine.Run(batch)));
 }
 
 TEST(EngineSnapshots, FailedFinishedSnapshotSaveIsTheJobsBatchJobError) {

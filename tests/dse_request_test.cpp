@@ -10,6 +10,8 @@
 #include <limits>
 #include <string>
 
+#include "dse/engine.hpp"
+
 namespace axdse::dse {
 namespace {
 
@@ -75,6 +77,7 @@ TEST(ExplorationRequest, ValidateRejectsOutOfRangeFields) {
       invalid([](ExplorationRequest& r) { r.kernel.name.clear(); }),
       invalid([](ExplorationRequest& r) { r.max_steps = 0; }),
       invalid([](ExplorationRequest& r) { r.num_seeds = 0; }),
+      invalid([](ExplorationRequest& r) { r.num_seeds = kMaxSeeds + 1; }),
       invalid([](ExplorationRequest& r) { r.episodes = 0; }),
       invalid([](ExplorationRequest& r) { r.alpha = 0.0; }),
       invalid([](ExplorationRequest& r) { r.gamma = 1.5; }),
@@ -91,6 +94,18 @@ TEST(ExplorationRequest, ValidateRejectsOutOfRangeFields) {
   for (const ExplorationRequest& request : cases)
     EXPECT_THROW(request.Validate(), std::invalid_argument)
         << request.ToString();
+}
+
+TEST(ExplorationRequest, ValidateBoundsTheSeedCountBeforeAnyJobExists) {
+  // Engine::Run allocates one job per seed: a wire request asking for
+  // 2^64 - 1 seeds must fail validation, not the allocator.
+  const ExplorationRequest huge =
+      ExplorationRequest::Parse("kernel=dot seeds=18446744073709551615");
+  EXPECT_THROW(huge.Validate(), std::invalid_argument);
+  EXPECT_THROW(Engine(EngineOptions{1}).Run({huge}), std::invalid_argument);
+  ExplorationRequest most{.kernel = workloads::KernelSpec("dot")};
+  most.num_seeds = kMaxSeeds;
+  EXPECT_NO_THROW(most.Validate());
 }
 
 TEST(ExplorationRequest, ValidateRequiresANameOrANonNullInstance) {

@@ -619,8 +619,15 @@ TEST(ShardWorker, CorruptSnapshotRecoveryDropsOnlyItsOwnChunk) {
   const std::vector<ExplorationRequest> grid = spec.Expand();
   ASSERT_EQ(grid.size(), 2 * kCells);
 
-  for (const char* corrupted : {"cache-", "job-"}) {
-    ScopedTempDir dir(std::string("shard-corrupt-snapshot-") + corrupted);
+  // A torn cache or job snapshot, or a job snapshot of the older v1
+  // format, which this build refuses by version.
+  const struct {
+    const char* corrupted;
+    bool v1;
+  } cases[] = {{"cache-", false}, {"job-", false}, {"job-", true}};
+  for (const auto& [corrupted, v1] : cases) {
+    ScopedTempDir dir(std::string("shard-corrupt-snapshot-") + corrupted +
+                      (v1 ? "v1" : ""));
     ASSERT_GT(engine
                   .Run({grid.begin(), grid.begin() + kCells},
                        {.directory = dir.Str(), .step_budget = 20})
@@ -637,7 +644,14 @@ TEST(ShardWorker, CorruptSnapshotRecoveryDropsOnlyItsOwnChunk) {
                        {.directory = dir.Str(), .step_budget = 20})
                   .unfinished_jobs,
               0u);
-    WriteRaw(PathIn(dir.Str(), victim), "corrupt\n");
+    if (v1) {
+      std::string text = util::ReadWholeFile(PathIn(dir.Str(), victim)).value();
+      ASSERT_EQ(text.rfind("axdse-checkpoint v2\n", 0), 0u);
+      text[text.find('2')] = '1';
+      WriteRaw(PathIn(dir.Str(), victim), text);
+    } else {
+      WriteRaw(PathIn(dir.Str(), victim), "corrupt\n");
+    }
 
     ShardOptions options = QuickShardOptions(dir.Str(), "recoverer");
     options.chunk_cells = kCells;

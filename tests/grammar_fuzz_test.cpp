@@ -548,8 +548,7 @@ std::string Golden(const char* name) {
       std::string(AXDSE_SOURCE_DIR "/tests/golden/") + name);
 }
 
-/// A mid-run job snapshot with the optional surrogate section (model
-/// state, observations and predictions), which the fixtures do not carry.
+/// A mid-run job snapshot of a surrogate run, as the engine writes it.
 std::string SurrogateCheckpoint() {
   testsupport::ScopedTempDir dir("fuzz-surrogate-checkpoint");
   dse::CheckpointOptions options;
@@ -594,7 +593,8 @@ void FuzzRecordDocument(std::uint64_t seed, std::vector<std::string> corpus) {
 
 TEST(GrammarFuzz, CheckpointMutationsParseOrFailTyped) {
   FuzzRecordDocument<dse::Checkpoint>(
-      1101, {Golden("matmul_checkpoint_seed1.ckpt"), SurrogateCheckpoint()});
+      1101, {Golden("matmul_checkpoint_seed1.ckpt"),
+             Golden("matmul_finished_seed1.ckpt"), SurrogateCheckpoint()});
 }
 
 TEST(GrammarFuzz, SharedCacheCheckpointMutationsParseOrFailTyped) {

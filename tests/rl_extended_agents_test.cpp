@@ -226,135 +226,17 @@ TEST(QLearning, SolvesSlipperyChain) {
 }
 
 // ---------------------------------------------------------------------------
-// Agent SaveState/LoadState: a restored agent must act and learn exactly
-// like the original from the save point onwards (same actions, same value
-// tables), for every agent kind.
+// Agent SaveState/LoadState: no agent serializes its state (a resumed
+// exploration replays its steps instead); the interface keeps throwing
+// defaults.
 // ---------------------------------------------------------------------------
 
-/// Feeds `agent` a deterministic synthetic stream of transitions.
-void Drive(Agent& agent, std::size_t from, std::size_t to,
-           std::vector<std::size_t>* actions = nullptr) {
-  for (std::size_t i = from; i < to; ++i) {
-    const StateId state = i % 7;
-    const std::size_t action = agent.SelectAction(state);
-    if (actions) actions->push_back(action);
-    const double reward = static_cast<double>(i % 5) * 0.25 - 0.5;
-    const StateId next_state = (i * 3 + 1) % 7;
-    const bool terminated = i % 37 == 36;
-    agent.Observe(state, action, reward, next_state, terminated);
-    if (terminated) agent.BeginEpisode();
-  }
-}
-
-template <typename AgentT, typename... Extra>
-void ExpectSaveLoadStreamEquivalence(Extra... extra) {
-  AgentT original(4, FastConfig(), extra..., /*seed=*/7);
-  Drive(original, 0, 200);
-  std::ostringstream saved;
-  original.SaveState(saved);
-
-  AgentT restored(4, FastConfig(), extra..., /*seed=*/999);  // wrong seed
-  std::istringstream in(saved.str());
-  restored.LoadState(in);
-
-  // Same actions, same learning, from the restore point on.
-  std::vector<std::size_t> original_actions;
-  std::vector<std::size_t> restored_actions;
-  Drive(original, 200, 400, &original_actions);
-  Drive(restored, 200, 400, &restored_actions);
-  EXPECT_EQ(original_actions, restored_actions);
-
-  std::ostringstream original_final;
-  original.SaveState(original_final);
-  std::ostringstream restored_final;
-  restored.SaveState(restored_final);
-  EXPECT_EQ(original_final.str(), restored_final.str());
-}
-
-TEST(AgentCheckpoint, QLearningStreamEquivalence) {
-  ExpectSaveLoadStreamEquivalence<QLearningAgent>();
-}
-
-TEST(AgentCheckpoint, SarsaStreamEquivalence) {
-  ExpectSaveLoadStreamEquivalence<SarsaAgent>();
-}
-
-TEST(AgentCheckpoint, ExpectedSarsaStreamEquivalence) {
-  ExpectSaveLoadStreamEquivalence<ExpectedSarsaAgent>();
-}
-
-TEST(AgentCheckpoint, DoubleQStreamEquivalence) {
-  ExpectSaveLoadStreamEquivalence<DoubleQLearningAgent>();
-}
-
-TEST(AgentCheckpoint, QLambdaStreamEquivalence) {
-  ExpectSaveLoadStreamEquivalence<QLambdaAgent>(0.8);
-}
-
-TEST(AgentCheckpoint, LoadRejectsWrongAgentKind) {
-  QLearningAgent q(4, FastConfig(), 7);
-  std::ostringstream saved;
-  q.SaveState(saved);
-  SarsaAgent sarsa(4, FastConfig(), 7);
-  std::istringstream in(saved.str());
-  EXPECT_THROW(sarsa.LoadState(in), std::invalid_argument);
-}
-
-TEST(AgentCheckpoint, LoadRejectsActionCountMismatchAndKeepsState) {
-  QLearningAgent original(4, FastConfig(), 7);
-  Drive(original, 0, 50);
-  std::ostringstream saved;
-  original.SaveState(saved);
-
-  QLearningAgent other(5, FastConfig(), 3);
-  Drive(other, 0, 10);
-  std::ostringstream before;
-  other.SaveState(before);
-  std::istringstream in(saved.str());
-  EXPECT_THROW(other.LoadState(in), std::invalid_argument);
-  std::ostringstream after;
-  other.SaveState(after);
-  EXPECT_EQ(before.str(), after.str());  // failed load mutated nothing
-}
-
-TEST(AgentCheckpoint, LoadRejectsNaNQValueAndKeepsState) {
-  QLearningAgent original(2, FastConfig(), 7);
-  Drive(original, 0, 50);
-  std::ostringstream saved;
-  std::string text;
-  original.SaveState(saved);
-  text = saved.str();
-  const std::size_t row = text.find("\nrow ");
-  ASSERT_NE(row, std::string::npos);
-  const std::size_t value = text.find(' ', row + 5);
-  const std::size_t value_end = text.find_first_of(" \n", value + 1);
-  text.replace(value + 1, value_end - value - 1, "nan");
-
-  QLearningAgent victim(2, FastConfig(), 9);
-  Drive(victim, 0, 20);
-  std::ostringstream before;
-  victim.SaveState(before);
-  std::istringstream in(text);
-  EXPECT_THROW(victim.LoadState(in), std::invalid_argument);
-  std::ostringstream after;
-  victim.SaveState(after);
-  EXPECT_EQ(before.str(), after.str());
-}
-
-TEST(AgentCheckpoint, LoadRejectsTruncatedState) {
-  SarsaAgent original(3, FastConfig(), 7);
-  Drive(original, 0, 100);
-  std::ostringstream saved;
-  original.SaveState(saved);
-  const std::string text = saved.str();
-  SarsaAgent victim(3, FastConfig(), 1);
-  for (const double fraction : {0.1, 0.5, 0.9}) {
-    std::istringstream in(text.substr(
-        0, static_cast<std::size_t>(static_cast<double>(text.size()) *
-                                    fraction)));
-    EXPECT_THROW(victim.LoadState(in), std::invalid_argument)
-        << "fraction=" << fraction;
-  }
+TEST(AgentCheckpoint, StateSerializationThrows) {
+  QLambdaAgent agent(4, FastConfig(), 0.8, /*seed=*/7);
+  std::ostringstream out;
+  EXPECT_THROW(agent.SaveState(out), std::logic_error);
+  std::istringstream in("agent q-lambda\n");
+  EXPECT_THROW(agent.LoadState(in), std::logic_error);
 }
 
 }  // namespace

@@ -239,7 +239,8 @@ TEST(LocaleIndependence, SerializationsAreByteStableUnderHostileLocale) {
   checkpoint.request = request_text;
   checkpoint.seed = 1234567;
   checkpoint.agent_kind = "q-learning";
-  checkpoint.episode_cumulative = 1234.5;
+  checkpoint.finished = true;
+  checkpoint.result.cumulative_reward = 1234.5;
   const std::string serialized = checkpoint.Serialize();
   EXPECT_NE(serialized.find("seed 1234567"), std::string::npos) << serialized;
   EXPECT_NE(serialized.find("1234.5"), std::string::npos) << serialized;

@@ -356,6 +356,12 @@ TEST(ServeServer, MalformedInputErrorsWithoutTouchingOtherTenantsJobs) {
     EXPECT_EQ(raw.RoundTrip("STATUS abc").rfind("ERR bad-job-id", 0), 0u);
     EXPECT_EQ(raw.RoundTrip("SUBMIT garbage==").rfind("ERR bad-request", 0),
               0u);
+    // A well-formed request asking for more seeds than a request may hold
+    // is refused before any job exists.
+    EXPECT_EQ(raw.RoundTrip("SUBMIT kernel=matmul@4 seeds=18446744073709551615")
+                  .rfind("ERR bad-request", 0),
+              0u);
+    EXPECT_EQ(raw.RoundTrip("PING"), "OK pong");
     EXPECT_EQ(raw.RoundTrip("RESULTS").rfind("ERR bad-job-id", 0), 0u);
     // An oversized line is rejected and the stream resynchronizes.
     EXPECT_EQ(
