@@ -16,8 +16,8 @@ namespace axdse::dse {
 namespace {
 
 // --------------------------------------------------------------------------
-// Schema pieces shared by job and shared-cache snapshots: the Measurement
-// token layout, objective ranges and the sorted cache-entry lines.
+// Schema pieces of shared-cache snapshots: the Measurement token layout and
+// the sorted cache-entry lines.
 // --------------------------------------------------------------------------
 
 void WriteMeasurement(util::RecordWriter& out,
@@ -54,34 +54,7 @@ instrument::Measurement ReadMeasurement(util::RecordCursor& cursor) {
   return m;
 }
 
-instrument::Measurement ReadMeasurementLine(util::RecordReader& reader,
-                                            const char* tag) {
-  util::RecordCursor cursor = reader.Expect(tag, 11);
-  return ReadMeasurement(cursor);
-}
-
-Configuration ReadConfigLine(util::RecordReader& reader, const char* tag) {
-  util::RecordCursor cursor = reader.Expect(tag);
-  Configuration config = ReadConfigRecord(cursor);
-  cursor.Done(tag);
-  return config;
-}
-
-void WriteRange(util::RecordWriter& out, const char* tag,
-                const ObjectiveRange& range) {
-  out.Line(tag).Double(range.min).Double(range.max);
-}
-
-// The ObjectiveRange sentinels are legitimately infinite, never NaN.
-ObjectiveRange ReadRange(util::RecordReader& reader, const char* tag) {
-  util::RecordCursor cursor = reader.Expect(tag, 2);
-  ObjectiveRange range;
-  range.min = cursor.NonNan("objective range min");
-  range.max = cursor.NonNan("objective range max");
-  return range;
-}
-
-/// Deterministic order for memo/cache entries: by (adder, multiplier, mask).
+/// Deterministic order for cache entries: by (adder, multiplier, mask).
 bool ConfigLess(const Configuration& a, const Configuration& b) {
   if (a.AdderIndex() != b.AdderIndex()) return a.AdderIndex() < b.AdderIndex();
   if (a.MultiplierIndex() != b.MultiplierIndex())
@@ -117,110 +90,6 @@ Entries ReadEntries(util::RecordReader& reader, const char* tag,
     entries.emplace_back(std::move(config), measurement);
   }
   return entries;
-}
-
-/// The result sections of a finished snapshot.
-void WriteResult(util::RecordWriter& out, const ExplorationResult& result) {
-  out.Line("result-steps").U64(result.steps);
-  out.Line("result-stop").Word(rl::ToString(result.stop_reason));
-  out.Line("result-reward").Double(result.cumulative_reward);
-  out.Line("result-episodes").U64(result.episodes);
-  out.Line("result-counters")
-      .U64(result.kernel_runs)
-      .U64(result.cache_hits)
-      .U64(result.kernel_runs_executed)
-      .U64(result.shared_cache_hits)
-      .U64(result.surrogate_hits)
-      .U64(result.kernel_runs_deferred);
-  WriteRange(out, "range-power", result.delta_power);
-  WriteRange(out, "range-time", result.delta_time);
-  WriteRange(out, "range-acc", result.delta_acc);
-  WriteConfigRecord(out.Line("solution"), result.solution);
-  WriteMeasurement(out.Line("solution-measurement"),
-                   result.solution_measurement);
-  out.Line("solution-operators")
-      .Text(result.solution_adder)
-      .Text(result.solution_multiplier);
-  out.Line("best-feasible").Flag(result.has_best_feasible);
-  if (result.has_best_feasible) WriteConfigRecord(out, result.best_feasible);
-  WriteMeasurement(out.Line("best-measurement"),
-                   result.best_feasible_measurement);
-  out.Line("rewards").U64(result.rewards.size());
-  for (const double reward : result.rewards) out.Double(reward);
-  out.Line("trace").U64(result.trace.size());
-  for (const StepRecord& record : result.trace) {
-    out.Line("t")
-        .U64(record.step)
-        .U64(record.action)
-        .Double(record.reward)
-        .Double(record.cumulative_reward);
-    WriteConfigRecord(out, record.config);
-    WriteMeasurement(out, record.measurement);
-  }
-}
-
-/// Inverse of WriteResult.
-ExplorationResult ReadResult(util::RecordReader& reader) {
-  ExplorationResult result;
-  result.steps = reader.Expect("result-steps", 1).Size("result steps");
-  result.stop_reason = rl::StopReasonFromName(
-      std::string(reader.Expect("result-stop", 1).Word("stop reason")));
-  result.cumulative_reward =
-      reader.Expect("result-reward", 1).Finite("result cumulative reward");
-  result.episodes = reader.Expect("result-episodes", 1).Size("result episodes");
-  {
-    util::RecordCursor cursor = reader.Expect("result-counters", 6);
-    result.kernel_runs = cursor.Size("result kernel runs");
-    result.cache_hits = cursor.Size("result cache hits");
-    result.kernel_runs_executed = cursor.Size("result executed runs");
-    result.shared_cache_hits = cursor.Size("result shared hits");
-    result.surrogate_hits = cursor.Size("result surrogate hits");
-    result.kernel_runs_deferred = cursor.Size("result kernel runs deferred");
-  }
-  result.delta_power = ReadRange(reader, "range-power");
-  result.delta_time = ReadRange(reader, "range-time");
-  result.delta_acc = ReadRange(reader, "range-acc");
-  result.solution = ReadConfigLine(reader, "solution");
-  result.solution_measurement =
-      ReadMeasurementLine(reader, "solution-measurement");
-  {
-    util::RecordCursor cursor = reader.Expect("solution-operators", 2);
-    result.solution_adder = cursor.Text("solution adder");
-    result.solution_multiplier = cursor.Text("solution multiplier");
-  }
-  {
-    util::RecordCursor cursor = reader.Expect("best-feasible");
-    result.has_best_feasible = cursor.Flag("best-feasible flag");
-    if (result.has_best_feasible)
-      result.best_feasible = ReadConfigRecord(cursor);
-    cursor.Done("best-feasible");
-  }
-  result.best_feasible_measurement =
-      ReadMeasurementLine(reader, "best-measurement");
-  {
-    util::RecordCursor cursor = reader.Expect("rewards");
-    const std::size_t count = cursor.Size("reward count");
-    if (cursor.Remaining() != count)
-      cursor.Fail("rewards list length does not match its count");
-    result.rewards.reserve(count);
-    for (std::size_t i = 0; i < count; ++i)
-      result.rewards.push_back(cursor.Finite("reward value"));
-  }
-  const std::size_t trace = reader.Expect("trace", 1).Count("trace count");
-  result.trace.reserve(trace);
-  for (std::size_t i = 0; i < trace; ++i) {
-    util::RecordCursor cursor = reader.Expect("t");
-    StepRecord record;
-    record.step = cursor.Size("trace step");
-    record.action = cursor.Size("trace action");
-    record.reward = cursor.Finite("trace reward");
-    record.cumulative_reward = cursor.Finite("trace cumulative");
-    record.config = ReadConfigRecord(cursor);
-    record.measurement = ReadMeasurement(cursor);
-    cursor.Done("trace record");
-    result.trace.push_back(std::move(record));
-  }
-  return result;
 }
 
 }  // namespace
@@ -374,18 +243,8 @@ std::string Checkpoint::Serialize() const {
   out.Line("seed").U64(seed);
   out.Line("agent-kind").Text(agent_kind);
   out.Line("finished").Flag(finished);
-  if (finished) {
-    WriteResult(out, result);
-  } else {
-    out.Line("steps").U64(steps);
-    out.Line("memo")
-        .U64(evaluator.entries.size())
-        .U64(evaluator.kernel_runs)
-        .U64(evaluator.cache_hits)
-        .U64(evaluator.cache_misses)
-        .U64(evaluator.shared_hits);
-    WriteEntries(out, "e", evaluator.entries);
-  }
+  out.Line("steps").U64(steps);
+  out.Line("shared-hits").U64(shared_hits);
   return out.End();
 }
 
@@ -398,33 +257,14 @@ Checkpoint Checkpoint::Deserialize(const std::string& text) {
         c.seed = reader.Expect("seed", 1).U64("seed");
         c.agent_kind = reader.Expect("agent-kind", 1).Text("agent kind");
         c.finished = reader.Expect("finished", 1).Flag("finished flag");
-        if (c.finished) {
-          c.result = ReadResult(reader);
-        } else {
-          c.steps = reader.Expect("steps", 1).Size("steps");
-          util::RecordCursor cursor = reader.Expect("memo", 5);
-          const std::size_t count = cursor.Count("memo entry count");
-          c.evaluator.kernel_runs = cursor.Size("memo kernel runs");
-          c.evaluator.cache_hits = cursor.Size("memo cache hits");
-          c.evaluator.cache_misses = cursor.Size("memo cache misses");
-          c.evaluator.shared_hits = cursor.Size("memo shared hits");
-          c.evaluator.entries = ReadEntries(reader, "e", count);
-        }
+        c.steps = reader.Expect("steps", 1).Size("steps");
+        c.shared_hits = reader.Expect("shared-hits", 1).Size("shared hits");
         reader.ExpectEnd();
         return c;
       });
-
-  // Internal consistency (structural corruption that parses token-by-token).
-  if (!checkpoint.finished && checkpoint.steps == 0)
-    throw CheckpointError(
-        "checkpoint inconsistent: mid-run snapshot has taken no steps");
-  if (checkpoint.result.rewards.size() != checkpoint.result.steps)
-    throw CheckpointError(
-        "checkpoint inconsistent: rewards count does not match step count");
-  if (!checkpoint.result.trace.empty() &&
-      checkpoint.result.trace.size() != checkpoint.result.steps)
-    throw CheckpointError(
-        "checkpoint inconsistent: trace length does not match step count");
+  // Every run a snapshot is taken of has stepped at least once.
+  if (checkpoint.steps == 0)
+    throw CheckpointError("checkpoint inconsistent: snapshot has taken no steps");
   return checkpoint;
 }
 

@@ -1,29 +1,31 @@
 #pragma once
 // dse::Checkpoint — versioned, deterministic text snapshot of one
 // (request, seed) exploration job. Exploration is a pure function of the
-// request, the seed and the measurements the kernel returns, and the kernel
-// runs are the only expensive part of a step, so a mid-run snapshot is the
-// job's input log rather than a dump of its components: the identity
-// (request, seed, agent kind), the number of steps taken, the evaluator's
-// private memo (every ground-truth measurement seen) and its four cost
-// counters. Explorer::ResumeFrom replays the steps on a fresh explorer,
-// answering every ground-truth miss from the memo instead of the kernel or
-// any shared cache; the agent's values and RNG, the environment's interning
-// order, the trace, rewards and the surrogate model come back through the
-// replay itself. The headline invariant: a run suspended at ANY step k and
-// resumed from its checkpoint produces byte-identical solutions, traces,
-// rewards, and JSON/CSV exports to the uninterrupted run — for every agent
-// kind, cache mode, and worker count.
+// request, the seed and the measurements the kernel returns, and
+// measurements are a pure function of the configuration, so a snapshot is
+// the job's input log rather than a dump of its components: the identity
+// (request, seed, agent kind), whether the run had finished, the number of
+// steps taken, and how many evaluations the shared cache answered. Mid-run
+// and finished jobs write the same few lines, whatever their length.
 //
-// A finished snapshot (Engine batch resume) holds the final
-// ExplorationResult instead of the log, so a finished job is never run
-// again.
+// Explorer::ResumeFrom replays the steps on a fresh explorer with the
+// evaluator's shared cache detached, so every distinct configuration the
+// run met is executed once more on the job's private cache. The agent's
+// values and RNG, the environment's interning order, the trace, rewards,
+// the surrogate model and the private hit/miss counters come back through
+// the replay itself; the shared-hit count is the one number a private
+// replay cannot reproduce, so it is re-applied from the log. The headline
+// invariant: a run suspended at ANY step k and resumed from its checkpoint
+// produces byte-identical solutions, traces, rewards, and JSON/CSV exports
+// to the uninterrupted run — for every agent kind, cache mode, and worker
+// count. The price is resume time: a replay re-executes at most the work
+// done before the snapshot.
 //
-// Format: a util::record_io document ("axdse-checkpoint v2"), strict field
-// order, shortest-round-trip doubles. Anything unexpected — truncation,
-// another version (a v1 snapshot included), reordered fields, NaN-injected
-// values — raises CheckpointError from the parser, BEFORE any
-// Explorer/Engine state is touched.
+// Format: a util::record_io document ("axdse-checkpoint v3"), strict field
+// order. Anything unexpected — truncation, another version (v1 and v2
+// snapshots included), reordered fields, bad values — raises
+// CheckpointError from the parser, BEFORE any Explorer/Engine state is
+// touched.
 
 #include <cstdint>
 #include <stdexcept>
@@ -31,8 +33,7 @@
 #include <utility>
 #include <vector>
 
-#include "dse/evaluator.hpp"
-#include "dse/explorer.hpp"
+#include "dse/configuration.hpp"
 #include "instrument/shared_evaluation_cache.hpp"
 #include "util/record_io.hpp"
 
@@ -48,43 +49,35 @@ class CheckpointError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// One job's suspend/resume snapshot: the input log of a mid-run job, or
-/// the result of a finished one.
+/// One job's suspend/resume snapshot: the input log of a mid-run or a
+/// finished job.
 struct Checkpoint {
   /// Bumped on any incompatible format change; loading another version
   /// throws CheckpointError naming it (format drift is pinned by the golden
   /// fixtures under tests/golden/).
-  static constexpr unsigned kFormatVersion = 2;
+  static constexpr unsigned kFormatVersion = 3;
 
-  // --- identity ------------------------------------------------------------
   /// ExplorationRequest::ToString() of the run this snapshot belongs to
   /// (empty for standalone Explorer use; the Engine always fills and
   /// verifies it).
   std::string request;
   /// Absolute agent seed of the job (request seed + seed index).
   std::uint64_t seed = 0;
-  /// ToString(AgentKind) of the suspended run; verified on resume.
+  /// ToString(AgentKind) of the run; verified on resume.
   std::string agent_kind;
-  /// True for a completed run persisted for batch resume: `result` is final
-  /// and the mid-run fields below are empty.
+  /// True when the run had finished (taken after Explorer::Finish()).
   bool finished = false;
-
-  // --- mid-run log -----------------------------------------------------------
   /// Environment steps taken (across episodes); the replay length.
   std::size_t steps = 0;
-  /// The evaluator's private memo entries and counters.
-  Evaluator::CacheState evaluator;
+  /// Evaluations the shared cache answered (Evaluator::SharedHits()).
+  std::size_t shared_hits = 0;
 
-  // --- finished result -------------------------------------------------------
-  ExplorationResult result;
-
-  /// Deterministic text serialization: identical state => identical bytes
-  /// (all unordered containers are sorted on the way out).
+  /// Deterministic text serialization: identical state => identical bytes.
   std::string Serialize() const;
 
   /// Strict inverse of Serialize(). Throws CheckpointError (with a line
-  /// number) on truncated, version-mismatched, reordered, NaN-injected, or
-  /// otherwise malformed input.
+  /// number) on truncated, version-mismatched, reordered, or otherwise
+  /// malformed input, and on a snapshot of zero steps.
   static Checkpoint Deserialize(const std::string& text);
 
   /// Atomically writes Serialize() to `path` (temp file + rename), creating

@@ -311,7 +311,7 @@ BatchResult Engine::Run(const std::vector<ExplorationRequest>& requests,
       if (index >= jobs.size()) return;
       const Job& job = jobs[index];
       JobOutcome& out = outcomes[index];
-      bool restoring = false;  // the job's snapshot loads and validates
+      bool restoring = false;  // the job's snapshot loads and replays
       try {
         const ExplorationRequest& request = requests[job.request_index];
         // Resolve the kernel: the caller's instance when overridden (shared
@@ -336,29 +336,24 @@ BatchResult Engine::Run(const std::vector<ExplorationRequest>& requests,
         config.seed = request.seed + job.seed_index;
         Explorer explorer(*evaluator, reward, config);
 
-        const auto report = [&](std::size_t steps, double cumulative_reward,
-                                const instrument::Measurement* best,
-                                bool finished, bool suspended) {
+        // Progress snapshot from the live explorer (must be called before
+        // Finish(), which consumes the run state).
+        const auto emit = [&](bool finished, bool suspended) {
           if (!hooks.on_progress) return;
           JobProgress progress;
           progress.request_index = job.request_index;
           progress.seed_index = job.seed_index;
           progress.seed = config.seed;
-          progress.steps = steps;
-          progress.cumulative_reward = cumulative_reward;
-          if (best) {
+          progress.steps = explorer.StepsTaken();
+          progress.cumulative_reward = explorer.CumulativeRewardSoFar();
+          if (const instrument::Measurement* best =
+                  explorer.BestFeasibleSoFar()) {
             progress.has_best = true;
             progress.best = *best;
           }
           progress.finished = finished;
           progress.suspended = suspended;
           hooks.on_progress(progress);
-        };
-        // Progress snapshot from the live explorer (must be called before
-        // Finish(), which consumes the run state).
-        const auto emit = [&](bool finished, bool suspended) {
-          report(explorer.StepsTaken(), explorer.CumulativeRewardSoFar(),
-                 explorer.BestFeasibleSoFar(), finished, suspended);
         };
 
         const std::string& request_text = request_texts[job.request_index];
@@ -374,84 +369,71 @@ BatchResult Engine::Run(const std::vector<ExplorationRequest>& requests,
           return snapshot;
         };
 
-        // Resume: the explorer replays a mid-run snapshot's steps from its
-        // memo (never touching the shared cache); a finished one
-        // short-circuits the job entirely. A snapshot that fails to load,
-        // validate or replay fails the job, which discards the explorer
-        // and its evaluator with it.
-        bool done = false;
+        // Resume: the explorer replays the snapshot's steps privately (the
+        // shared cache sees no traffic); a finished one comes back at its
+        // last step, so the loop below takes no step and goes to Finish().
+        // A snapshot that fails to load, validate or replay fails the job,
+        // which discards the explorer and its evaluator with it.
         std::error_code ec;
         if (checkpointing && fs::exists(path, ec)) {
           restoring = true;
-          Checkpoint snapshot = Checkpoint::Load(path);
+          const Checkpoint snapshot = Checkpoint::Load(path);
           if (snapshot.request != request_text || snapshot.seed != config.seed)
             throw CheckpointError(
                 "Engine::Run: snapshot at " + path +
                 " belongs to a different job (request/seed mismatch)");
-          if (!snapshot.finished) explorer.ResumeFrom(snapshot);
-          restoring = false;
-          if (snapshot.finished) {
-            out.result = std::move(snapshot.result);
-            // stage_counts is derived data (recomputed from the solution at
-            // Finish()), not part of the snapshot format.
-            out.result.stage_counts = kernel->StageCounts(out.result.solution);
-            done = true;
-            // The explorer never ran; report from the restored result.
-            report(out.result.steps, out.result.cumulative_reward,
-                   out.result.has_best_feasible
-                       ? &out.result.best_feasible_measurement
-                       : nullptr,
-                   true, false);
-          }
+          explorer.ResumeFrom(snapshot);
+          // A finished log's replay ends in the Finish() below.
+          restoring = snapshot.finished;
         }
 
-        if (!done) {
-          // The one stepping loop. A chunk ends at the next autosave, hook
-          // poll or budget edge; with none of them set the job runs as one
-          // chunk, the same StepOnce sequence as Explorer::Explore().
-          // Autosave and budget apply only with a checkpoint directory.
-          const std::size_t interval =
-              !checkpointing                    ? 0
-              : request.checkpoint_interval > 0 ? request.checkpoint_interval
-                                                : checkpoint.interval;
-          const std::size_t budget =
-              checkpointing ? checkpoint.step_budget : 0;
-          std::size_t new_steps = 0;
-          std::size_t since_save = 0;
-          bool suspended = false;
-          while (true) {
-            std::size_t chunk = std::numeric_limits<std::size_t>::max();
-            if (interval > 0) chunk = interval;
-            if (hook_interval > 0) chunk = std::min(chunk, hook_interval);
-            if (budget > 0) chunk = std::min(chunk, budget - new_steps);
-            const std::size_t taken = explorer.RunSteps(chunk);
-            new_steps += taken;
-            since_save += taken;
-            if (explorer.Finished()) break;
-            suspended = (budget > 0 && new_steps >= budget) ||
-                        (hooks.should_suspend && hooks.should_suspend());
-            if (suspended) break;
-            emit(false, false);
-            if (interval > 0 && since_save >= interval) {
-              take_snapshot().Save(path);
-              since_save = 0;
-            }
+        // The one stepping loop. A chunk ends at the next autosave, hook
+        // poll or budget edge; with none of them set the job runs as one
+        // chunk, the same StepOnce sequence as Explorer::Explore().
+        // Autosave and budget apply only with a checkpoint directory.
+        const std::size_t interval =
+            !checkpointing                    ? 0
+            : request.checkpoint_interval > 0 ? request.checkpoint_interval
+                                              : checkpoint.interval;
+        const std::size_t budget = checkpointing ? checkpoint.step_budget : 0;
+        std::size_t new_steps = 0;
+        std::size_t since_save = 0;
+        bool suspended = false;
+        while (!explorer.Finished()) {
+          std::size_t chunk = std::numeric_limits<std::size_t>::max();
+          if (interval > 0) chunk = interval;
+          if (hook_interval > 0) chunk = std::min(chunk, hook_interval);
+          if (budget > 0) chunk = std::min(chunk, budget - new_steps);
+          const std::size_t taken = explorer.RunSteps(chunk);
+          new_steps += taken;
+          since_save += taken;
+          if (explorer.Finished()) break;
+          suspended = (budget > 0 && new_steps >= budget) ||
+                      (hooks.should_suspend && hooks.should_suspend());
+          if (suspended) break;
+          emit(false, false);
+          if (interval > 0 && since_save >= interval) {
+            take_snapshot().Save(path);
+            since_save = 0;
           }
-          if (suspended) {
-            out.suspended = take_snapshot();  // written at batch end
-            out.result = explorer.PartialResult();
-            emit(false, true);
-          } else {
-            emit(true, false);
-            out.result = explorer.Finish();
-            out.finished_here = true;  // snapshot written at batch end
-          }
+        }
+        if (suspended) {
+          out.suspended = take_snapshot();  // written at batch end
+          out.result = explorer.PartialResult();
+          emit(false, true);
+        } else {
+          emit(true, false);
+          out.result = explorer.Finish();
+          restoring = false;
+          // A job restored as finished takes no new step and keeps the
+          // snapshot it has; any other owes one if the batch stops short.
+          out.finished_here = new_steps > 0;
         }
         out.reward = reward;
         out.kernel_name = kernel->Name();
       } catch (const CheckpointError&) {
-        // A snapshot that fails to load or validate surfaces unwrapped, as
-        // Run's documented CheckpointError.
+        // A snapshot that fails to load, validate or replay surfaces
+        // unwrapped, as Run's documented CheckpointError.
         out.error = restoring ? std::current_exception()
                               : JobFailure(requests[job.request_index], job);
       } catch (...) {
@@ -482,9 +464,9 @@ BatchResult Engine::Run(const std::vector<ExplorationRequest>& requests,
   if (checkpointing && (unfinished > 0 || failed)) {
     // The batch stops short (a step budget, should_suspend, or a failed
     // sibling job), so the next invocation against this directory resumes
-    // it. Jobs that suspended persist their mid-run state now, and jobs that
-    // finished in this invocation persist their results: the next
-    // invocation loads those instead of re-running them against the
+    // it. Jobs that suspended or finished in this invocation persist their
+    // logs now: the next invocation replays those privately with their
+    // logged shared-hit counts instead of re-running them against the
     // persisted shared caches, which would distort the exported statistics.
     // Writing both only here, before the cache snapshots below, means a
     // crash mid-batch leaves no job snapshot newer than its cache state (bar
@@ -504,7 +486,8 @@ BatchResult Engine::Run(const std::vector<ExplorationRequest>& requests,
           snapshot.seed = request.seed + job.seed_index;
           snapshot.agent_kind = dse::ToString(request.agent_kind);
           snapshot.finished = true;
-          snapshot.result = outcome.result;
+          snapshot.steps = outcome.result.steps;
+          snapshot.shared_hits = outcome.result.shared_cache_hits;
         }
         snapshot.Save((fs::path(checkpoint.directory) /
                        JobCheckpointFileName(snapshot.request, snapshot.seed))

@@ -76,13 +76,18 @@ struct EngineOptions {
 /// the uninterrupted run. Requires registry-named kernels
 /// (kernel_override is not serializable; Run() throws otherwise).
 ///
-/// When snapshots are written: a suspended job's mid-run log, a finished
-/// job's result and the shared-cache groups are all saved after every
-/// worker has joined, and only when the batch ends unfinished (a suspended
-/// or failed job). A batch that completes writes no job snapshot and
-/// removes its files. A crash mid-batch therefore leaves only what earlier
-/// invocations and interval autosaves wrote: the rerun recomputes the jobs
-/// of this invocation, byte-identically, against the same cache state.
+/// Every job snapshot is the same small log (identity, step count,
+/// shared-hit count; see dse/checkpoint.hpp), mid-run or finished, and
+/// every restored job is replayed privately: resuming re-executes at most
+/// the work done before the snapshot, without touching the shared caches.
+///
+/// When snapshots are written: a suspended job's log, a finished job's log
+/// and the shared-cache groups are all saved after every worker has joined,
+/// and only when the batch ends unfinished (a suspended or failed job). A
+/// batch that completes writes no job snapshot and removes its files. A
+/// crash mid-batch therefore leaves only what earlier invocations and
+/// interval autosaves wrote: the rerun recomputes the jobs of this
+/// invocation, byte-identically, against the same cache state.
 /// Interval autosaves are the one write during the run, so they keep a
 /// window: a kill after an autosave but before the batch ends leaves a
 /// mid-run snapshot newer than the persisted shared cache. Its rerun
@@ -288,9 +293,10 @@ class Engine {
   /// any worker count. Every job runs through one stepping loop.
   ///
   /// Resume and preemption: with `checkpoint.directory` set, jobs resume
-  /// from snapshots already in the directory (a finished snapshot is not
-  /// run again), autosave every `interval` steps, and suspend after
-  /// `step_budget` new steps or when `hooks.should_suspend` returns true.
+  /// from snapshots already in the directory by replaying them privately (a
+  /// finished snapshot replays to its last step and takes no new one),
+  /// autosave every `interval` steps, and suspend after `step_budget` new
+  /// steps or when `hooks.should_suspend` returns true.
   /// Rerunning the same batch against the same directory continues it; the
   /// final results and JSON/CSV exports are byte-identical to an
   /// uninterrupted run. When the batch ends unfinished, every job that

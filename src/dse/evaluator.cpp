@@ -247,27 +247,6 @@ instrument::Measurement Evaluator::GroundTruth(const Configuration& config) {
   return m;
 }
 
-Evaluator::CacheState Evaluator::CaptureCacheState() const {
-  CacheState state;
-  state.entries.reserve(cache_.Entries().size());
-  for (const auto& [config, measurement] : cache_.Entries())
-    state.entries.emplace_back(config, measurement);
-  state.kernel_runs = kernel_runs_;
-  state.cache_hits = cache_.Hits();
-  state.cache_misses = cache_.Misses();
-  state.shared_hits = shared_hits_;
-  return state;
-}
-
-void Evaluator::RestoreCounters(std::size_t kernel_runs,
-                                std::size_t cache_hits,
-                                std::size_t cache_misses,
-                                std::size_t shared_hits) {
-  kernel_runs_ = kernel_runs;
-  shared_hits_ = shared_hits;
-  cache_.RestoreStats(cache_hits, cache_misses);
-}
-
 const instrument::Measurement& Evaluator::ComputeAndCache(
     const Configuration& config) {
   if (!shared_cache_) return cache_.Insert(config, Measure(config));

@@ -151,6 +151,9 @@ class Evaluator {
   /// path).
   std::size_t CacheHits() const noexcept { return cache_.Hits(); }
 
+  /// Number of private-cache misses (deterministic, like CacheHits()).
+  std::size_t CacheMisses() const noexcept { return cache_.Misses(); }
+
   /// Evaluations answered by the shared cache (0 without one).
   std::size_t SharedHits() const noexcept { return shared_hits_; }
 
@@ -167,35 +170,25 @@ class Evaluator {
   }
 
   /// Replaces the cache consulted on private-cache misses (null for none)
-  /// and returns the previous one. Explorer::ResumeFrom installs a cache
-  /// restored from the snapshot's memo for the length of its replay, so the
-  /// replay runs no kernel for a memoized configuration and never touches
-  /// the batch's shared cache, then puts the previous cache back.
+  /// and returns the previous one. Explorer::ResumeFrom detaches the shared
+  /// cache for the length of its replay, so the replay executes every
+  /// distinct configuration once on the private cache and never touches the
+  /// batch's shared cache, then puts it back.
   std::shared_ptr<instrument::SharedEvaluationCache> ExchangeSharedCache(
       std::shared_ptr<instrument::SharedEvaluationCache> cache) noexcept {
     std::swap(cache, shared_cache_);
     return cache;
   }
 
-  /// The evaluator's part of a dse::Checkpoint: the private memo entries
-  /// plus the four cost counters a resume restores after its replay (the
-  /// replay's own kernel runs and shared hits depend on the caches it met).
-  struct CacheState {
-    std::vector<std::pair<Configuration, instrument::Measurement>> entries;
-    std::size_t kernel_runs = 0;
-    std::size_t cache_hits = 0;
-    std::size_t cache_misses = 0;
-    std::size_t shared_hits = 0;
-  };
-
-  /// Captures the current memo contents and counters. Entry order is
-  /// unspecified — the checkpoint serializer sorts.
-  CacheState CaptureCacheState() const;
-
-  /// Overwrites the counters with checkpointed values. Called last on
-  /// resume, after the replay bumped them.
-  void RestoreCounters(std::size_t kernel_runs, std::size_t cache_hits,
-                       std::size_t cache_misses, std::size_t shared_hits);
+  /// Counts `shared_hits` of this evaluator's kernel executions as shared
+  /// hits instead: the one cost counter a private replay cannot reproduce,
+  /// re-applied from a checkpoint. DistinctEvaluations() is unchanged.
+  /// Requires shared_hits < KernelRuns() (the golden run is always local)
+  /// and no shared hit counted yet.
+  void AttributeSharedHits(std::size_t shared_hits) noexcept {
+    kernel_runs_ -= shared_hits;
+    shared_hits_ += shared_hits;
+  }
 
  private:
   /// Runs the kernel under `config` and builds the measurement (the

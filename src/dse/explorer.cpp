@@ -165,6 +165,8 @@ void Explorer::StepOnce() {
   if (!episode_over) return;
 
   run.result.cumulative_reward += run.episode_cumulative;
+  run.episode_steps = 0;
+  run.episode_cumulative = 0.0;
   ++run.episode;
   if (run.episode >= config_.episodes) {
     run.finished = true;
@@ -172,8 +174,6 @@ void Explorer::StepOnce() {
   }
   // Next episode: the value tables persist, episode-scoped agent state and
   // the environment position reset (same calls the trainer used to make).
-  run.episode_steps = 0;
-  run.episode_cumulative = 0.0;
   run.agent->BeginEpisode();
   run.state = run.env.Reset(config_.seed + run.episode);
 }
@@ -253,43 +253,43 @@ ExplorationResult Explorer::Finish() {
     run.result.delta_acc.Update(truths[0].delta_acc);
     run.result.best_feasible_measurement = truths[1];
     run.result.delta_acc.Update(truths[1].delta_acc);
-    FillSolutionFields(run.result);
-    ExplorationResult result = std::move(run.result);
-    run_.reset();
-    consumed_ = true;
-    return result;
-  }
-  if (evaluator_->IsPredicted(run.result.solution)) {
-    run.result.solution_measurement =
-        evaluator_->GroundTruth(run.result.solution);
-    run.result.delta_acc.Update(run.result.solution_measurement.delta_acc);
-  }
+  } else {
+    if (evaluator_->IsPredicted(run.result.solution)) {
+      run.result.solution_measurement =
+          evaluator_->GroundTruth(run.result.solution);
+      run.result.delta_acc.Update(run.result.solution_measurement.delta_acc);
+    }
 
-  // Optional greedy rollout: follow the learned policy without exploration
-  // and fold the visited configurations into the best-feasible tracking.
-  if (config_.greedy_rollout_steps > 0) {
-    rl::StateId state = run.env.Reset(config_.seed);
-    for (std::size_t i = 0; i < config_.greedy_rollout_steps; ++i) {
-      const std::size_t action = run.agent->Table().GreedyAction(state);
-      const rl::StepResult sr = run.env.Step(action);
-      ConsiderBest(reward_, run.result, run.env.CurrentConfig(),
-                   run.env.LastMeasurement());
-      state = sr.next_state;
-      if (sr.terminated) break;
+    // Optional greedy rollout: follow the learned policy without
+    // exploration and fold the visited configurations into the
+    // best-feasible tracking.
+    if (config_.greedy_rollout_steps > 0) {
+      rl::StateId state = run.env.Reset(config_.seed);
+      for (std::size_t i = 0; i < config_.greedy_rollout_steps; ++i) {
+        const std::size_t action = run.agent->Table().GreedyAction(state);
+        const rl::StepResult sr = run.env.Step(action);
+        ConsiderBest(reward_, run.result, run.env.CurrentConfig(),
+                     run.env.LastMeasurement());
+        state = sr.next_state;
+        if (sr.terminated) break;
+      }
+    }
+
+    // Same valve for the best-feasible point (after the rollout, which may
+    // update it): its selection ranked only by the exact power/time
+    // objective, but its reported Δacc must be a real measurement — it
+    // feeds the best-per-kernel tables and the campaign Pareto fronts.
+    if (run.result.has_best_feasible &&
+        evaluator_->IsPredicted(run.result.best_feasible)) {
+      run.result.best_feasible_measurement =
+          evaluator_->GroundTruth(run.result.best_feasible);
+      run.result.delta_acc.Update(
+          run.result.best_feasible_measurement.delta_acc);
     }
   }
 
-  // Same valve for the best-feasible point (after the rollout, which may
-  // update it): its selection ranked only by the exact power/time objective,
-  // but its reported Δacc must be a real measurement — it feeds the
-  // best-per-kernel tables and the campaign Pareto fronts.
-  if (run.result.has_best_feasible &&
-      evaluator_->IsPredicted(run.result.best_feasible)) {
-    run.result.best_feasible_measurement =
-        evaluator_->GroundTruth(run.result.best_feasible);
-    run.result.delta_acc.Update(run.result.best_feasible_measurement.delta_acc);
-  }
-
+  // A resumed finished log counted its shared hits after this point.
+  ApplySharedHits(finished_log_shared_hits_);
   FillSolutionFields(run.result);
   ExplorationResult result = std::move(run.result);
   run_.reset();
@@ -322,12 +322,28 @@ Checkpoint Explorer::Suspend() const {
   if (run_->finished)
     throw std::logic_error(
         "Explorer::Suspend: the exploration already finished — call Finish() "
-        "and persist the final result instead");
+        "and log its result instead");
   Checkpoint checkpoint;
   checkpoint.agent_kind = ToString(config_.agent_kind);
   checkpoint.steps = run_->result.steps;
-  checkpoint.evaluator = evaluator_->CaptureCacheState();
+  checkpoint.shared_hits = evaluator_->SharedHits();
   return checkpoint;
+}
+
+void Explorer::Discard(const std::string& message) {
+  run_.reset();
+  consumed_ = true;
+  throw CheckpointError(message + "; discard this explorer and its evaluator");
+}
+
+void Explorer::ApplySharedHits(std::size_t shared_hits) {
+  if (shared_hits == 0) return;
+  if (shared_hits >= evaluator_->DistinctEvaluations())
+    Discard("Explorer: checkpoint shared-hit count " +
+            std::to_string(shared_hits) + " is not below the replay's " +
+            std::to_string(evaluator_->DistinctEvaluations()) +
+            " distinct evaluations");
+  evaluator_->AttributeSharedHits(shared_hits);
 }
 
 void Explorer::ResumeFrom(const Checkpoint& checkpoint) {
@@ -335,10 +351,6 @@ void Explorer::ResumeFrom(const Checkpoint& checkpoint) {
     throw CheckpointError(
         "Explorer::ResumeFrom: the exploration already started; resume "
         "requires a freshly constructed explorer");
-  if (checkpoint.finished)
-    throw CheckpointError(
-        "Explorer::ResumeFrom: checkpoint is of a finished run — nothing to "
-        "resume (use its stored result directly)");
   if (checkpoint.agent_kind != ToString(config_.agent_kind))
     throw CheckpointError("Explorer::ResumeFrom: checkpoint was taken with "
                           "agent '" +
@@ -354,24 +366,13 @@ void Explorer::ResumeFrom(const Checkpoint& checkpoint) {
         "Explorer::ResumeFrom: checkpoint step count " +
         std::to_string(checkpoint.steps) + " is outside this run's budget (" +
         std::to_string(budget) + ")");
-  for (const auto& [config, measurement] : checkpoint.evaluator.entries) {
-    (void)measurement;
-    if (!FitsShape(evaluator_->Shape(), config))
-      throw CheckpointError(
-          "Explorer::ResumeFrom: memo entry does not match the kernel's "
-          "configuration space");
-  }
 
-  // Replay. Every ground-truth miss is answered from the memo, through a
-  // cache standing in for the evaluator's shared one, so the replay runs no
-  // kernel for a memoized configuration and never touches a shared cache.
-  // The agent, environment, partial result and surrogate model come back
-  // exactly as the original steps left them; only the cost counters, which
-  // depend on the caches the original run met, are restored from the log.
-  auto memo = std::make_shared<instrument::SharedEvaluationCache>();
-  memo->Restore(checkpoint.evaluator.entries, {});
+  // Replay on the private cache alone: each distinct configuration the run
+  // met executes once, and the shared cache sees no traffic. The agent,
+  // environment, partial result, surrogate model and private counters come
+  // back exactly as the original steps left them.
   std::shared_ptr<instrument::SharedEvaluationCache> shared =
-      evaluator_->ExchangeSharedCache(std::move(memo));
+      evaluator_->ExchangeSharedCache(nullptr);
   std::size_t taken = 0;
   try {
     taken = RunSteps(checkpoint.steps);
@@ -379,22 +380,25 @@ void Explorer::ResumeFrom(const Checkpoint& checkpoint) {
     evaluator_->ExchangeSharedCache(std::move(shared));
     throw;
   }
-  evaluator_->ExchangeSharedCache(std::move(shared));
-  // A snapshot is only ever taken of an unfinished run, so a replay that
-  // finishes within its step count contradicts its log: the explorer and
-  // its evaluator have stepped and must be discarded.
-  if (taken != checkpoint.steps || Finished()) {
-    run_.reset();
-    consumed_ = true;
-    throw CheckpointError(
-        "Explorer::ResumeFrom: the replay finished after " +
-        std::to_string(taken) + " of the checkpoint's " +
-        std::to_string(checkpoint.steps) +
-        " steps; discard this explorer and its evaluator");
+  // A mid-run log was taken before its run finished, a finished one right
+  // at its last step; a replay that disagrees contradicts its log.
+  if (taken != checkpoint.steps || Finished() != checkpoint.finished) {
+    evaluator_->ExchangeSharedCache(std::move(shared));
+    Discard("Explorer::ResumeFrom: the replay " +
+            std::string(Finished() ? "finished" : "was still running") +
+            " after " + std::to_string(taken) + " of the " +
+            (checkpoint.finished ? "finished" : "mid-run") +
+            " checkpoint's " + std::to_string(checkpoint.steps) + " steps");
   }
-  evaluator_->RestoreCounters(
-      checkpoint.evaluator.kernel_runs, checkpoint.evaluator.cache_hits,
-      checkpoint.evaluator.cache_misses, checkpoint.evaluator.shared_hits);
+  // The original counted its shared hits before Finish() for a mid-run log
+  // and after it for a finished one, whose Finish() may still ground-truth
+  // the solution; that Finish() runs privately too.
+  if (checkpoint.finished) {
+    finished_log_shared_hits_ = checkpoint.shared_hits;
+    return;
+  }
+  evaluator_->ExchangeSharedCache(std::move(shared));
+  ApplySharedHits(checkpoint.shared_hits);
 }
 
 }  // namespace axdse::dse

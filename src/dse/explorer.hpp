@@ -161,11 +161,11 @@ struct Checkpoint;  // dse/checkpoint.hpp
 ///     stop condition and returns the finished result.
 ///   * the incremental API — RunSteps() advances the exploration a bounded
 ///     number of environment steps; Suspend() captures the run's input log
-///     (steps taken, evaluator memo and counters) into a dse::Checkpoint; a
-///     FRESH explorer (same evaluator kernel, reward, and config) resumed
-///     via ResumeFrom() replays those steps and continues the run so that
-///     the final result, trace, rewards, and counters are byte-identical to
-///     an uninterrupted Explore().
+///     (steps taken and shared-cache hits) into a dse::Checkpoint; a FRESH
+///     explorer (same evaluator kernel, reward, and config) resumed via
+///     ResumeFrom() replays those steps and continues the run so that the
+///     final result, trace, rewards, and counters are byte-identical to an
+///     uninterrupted Explore().
 class Explorer {
  public:
   /// The evaluator must outlive the explorer. The evaluator must be fresh
@@ -208,6 +208,9 @@ class Explorer {
   /// Finalizes and returns the result (solution fields, optional greedy
   /// rollout, operator codes, cost counters). Requires Finished(); the
   /// explorer is consumed afterwards. Throws std::logic_error otherwise.
+  /// After resuming a finished log, applies its shared-hit count here and
+  /// throws CheckpointError when it is not below the replay's distinct
+  /// evaluations.
   ExplorationResult Finish();
 
   /// Snapshot of the in-progress result for reporting a suspended run:
@@ -219,21 +222,26 @@ class Explorer {
   // --- checkpointing ------------------------------------------------------
 
   /// Captures the mid-run snapshot: agent kind, steps taken, and the
-  /// evaluator's memo and counters. The caller owns the identity fields
+  /// evaluator's shared-hit count. The caller owns the identity fields
   /// (Checkpoint::request/seed). Throws std::logic_error before the first
   /// step or once the run finished.
   Checkpoint Suspend() const;
 
-  /// Resumes a mid-run snapshot on this freshly constructed, never stepped
-  /// explorer by replaying its steps. Checks the agent kind, that the step
-  /// count is within episodes x max_steps, and that every memo entry fits
-  /// this explorer's kernel space BEFORE anything runs: on those failures
+  /// Resumes a snapshot on this freshly constructed, never stepped explorer
+  /// by replaying its steps. Checks the agent kind and that the step count
+  /// is within episodes x max_steps BEFORE anything runs: on those failures
   /// the explorer and its evaluator are untouched and may still run from
-  /// scratch. The replay answers every ground-truth miss from the memo,
-  /// never from the kernel or the evaluator's shared cache, then restores
-  /// the four evaluator counters. A replay that finishes within the
-  /// snapshot's step count also throws CheckpointError; the explorer is
-  /// then consumed, and it and its evaluator must be discarded.
+  /// scratch. The replay runs with the evaluator's shared cache detached,
+  /// so every distinct configuration executes once on the private cache
+  /// and the shared cache sees no traffic. A mid-run log must not finish
+  /// within its step count; its shared-hit count is then applied and the
+  /// shared cache put back. A finished log must finish at exactly its step
+  /// count; the shared cache stays detached and Finish() applies the count,
+  /// after the surrogate valve evaluated what it needs. A replay that
+  /// contradicts its log, or a shared-hit count not below the replay's
+  /// distinct evaluations (the golden run is always local), throws
+  /// CheckpointError; the explorer is then consumed, and it and its
+  /// evaluator must be discarded.
   void ResumeFrom(const Checkpoint& checkpoint);
 
   const ExplorerConfig& Config() const noexcept { return config_; }
@@ -244,12 +252,19 @@ class Explorer {
   void EnsureStarted();
   void StepOnce();
   void FillSolutionFields(ExplorationResult& result) const;
+  /// Consumes the explorer and throws CheckpointError(message).
+  [[noreturn]] void Discard(const std::string& message);
+  /// Applies a resumed log's shared-hit count to the evaluator; Discard()s
+  /// when the count is not below its distinct evaluations.
+  void ApplySharedHits(std::size_t shared_hits);
 
   Evaluator* evaluator_;
   RewardConfig reward_;
   ExplorerConfig config_;
   std::unique_ptr<Run> run_;
   bool consumed_ = false;
+  /// Shared-hit count of a resumed finished log, applied by Finish().
+  std::size_t finished_log_shared_hits_ = 0;
 };
 
 }  // namespace axdse::dse

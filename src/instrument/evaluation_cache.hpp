@@ -47,21 +47,6 @@ class EvaluationCache {
   /// Drops all entries (invalidating every entry pointer) and statistics.
   void Clear() noexcept;
 
-  /// Read access to the stored entries (for checkpointing; iteration order
-  /// is unspecified — sort before serializing).
-  const std::unordered_map<ApproxSelection, Measurement, ApproxSelection::Hash>&
-  Entries() const noexcept {
-    return map_;
-  }
-
-  /// Overwrites the hit/miss statistics (checkpoint restore: Insert() never
-  /// touches them, so prewarming plus this call reproduces a suspended
-  /// cache's observable state exactly).
-  void RestoreStats(std::size_t hits, std::size_t misses) noexcept {
-    hits_ = hits;
-    misses_ = misses;
-  }
-
  private:
   std::unordered_map<ApproxSelection, Measurement, ApproxSelection::Hash> map_;
   std::size_t hits_ = 0;

@@ -31,13 +31,6 @@ Xoshiro256StarStar::result_type Xoshiro256StarStar::operator()() noexcept {
   return result;
 }
 
-void Xoshiro256StarStar::SetState(const std::array<std::uint64_t, 4>& state) {
-  if (state[0] == 0 && state[1] == 0 && state[2] == 0 && state[3] == 0)
-    throw std::invalid_argument(
-        "Xoshiro256StarStar::SetState: all-zero state is invalid");
-  s_ = state;
-}
-
 void Xoshiro256StarStar::Jump() noexcept {
   static constexpr std::array<std::uint64_t, 4> kJump = {
       0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
@@ -123,21 +116,5 @@ std::size_t Rng::PickIndex(std::size_t size) {
 Rng Rng::Fork() { return Rng(gen_()); }
 
 std::uint64_t Rng::NextBits() { return gen_(); }
-
-RngState Rng::GetState() const noexcept {
-  RngState state;
-  state.words = gen_.GetState();
-  state.has_cached_gaussian = has_cached_gaussian_;
-  state.cached_gaussian = cached_gaussian_;
-  return state;
-}
-
-void Rng::SetState(const RngState& state) {
-  if (std::isnan(state.cached_gaussian))
-    throw std::invalid_argument("Rng::SetState: cached Gaussian is NaN");
-  gen_.SetState(state.words);  // validates the generator words
-  has_cached_gaussian_ = state.has_cached_gaussian;
-  cached_gaussian_ = state.cached_gaussian;
-}
 
 }  // namespace axdse::util

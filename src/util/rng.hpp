@@ -53,26 +53,8 @@ class Xoshiro256StarStar {
   /// non-overlapping parallel streams from one seed.
   void Jump() noexcept;
 
-  /// The full 256-bit generator state (for checkpoint/resume).
-  std::array<std::uint64_t, 4> GetState() const noexcept { return s_; }
-
-  /// Restores a state previously obtained from GetState(); the generator
-  /// then continues the exact same output stream. Throws
-  /// std::invalid_argument on the all-zero state (invalid for xoshiro).
-  void SetState(const std::array<std::uint64_t, 4>& state);
-
  private:
   std::array<std::uint64_t, 4> s_{};
-};
-
-/// Complete serializable state of an Rng (generator words plus the cached
-/// Box-Muller second value), for checkpoint/resume.
-struct RngState {
-  std::array<std::uint64_t, 4> words{};
-  bool has_cached_gaussian = false;
-  double cached_gaussian = 0.0;
-
-  friend bool operator==(const RngState&, const RngState&) = default;
 };
 
 /// Convenience façade bundling the generator with the distributions the
@@ -121,14 +103,6 @@ class Rng {
 
   /// Raw 64 random bits (exposes the generator for <random> interop).
   std::uint64_t NextBits();
-
-  /// Full distribution-level state; SetState(GetState()) is an exact
-  /// continuation of the output stream (including a pending Gaussian).
-  RngState GetState() const noexcept;
-
-  /// Restores a captured state. Throws std::invalid_argument on an invalid
-  /// generator state (all-zero words) or a NaN cached Gaussian.
-  void SetState(const RngState& state);
 
  private:
   Xoshiro256StarStar gen_;

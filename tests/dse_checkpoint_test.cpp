@@ -1,17 +1,19 @@
 // Checkpoint/resume subsystem tests.
 //
 // The headline invariant under test: an exploration suspended at ANY step k
-// and resumed from its serialized checkpoint (by replaying its steps from
-// the recorded memo) finishes with byte-identical results — solution,
-// trace, rewards, objective ranges, best-feasible, and every cost counter —
-// to the same exploration run uninterrupted. Proven here for every
-// AgentKind x several registry kernels x suspend points {1, k/2, k-1},
-// through a full serialize -> parse -> replay cycle each time. On top of
-// that: replay isolation (no kernel run but the golden one, no shared-cache
-// traffic), corrupt-input hardening (truncated, version-mismatched,
-// field-reordered, NaN-injected files and out-of-range snapshots throw
-// CheckpointError and leave the explorer untouched) and golden fixtures
-// pinning the on-disk format (regenerate with AXDSE_UPDATE_GOLDEN=1).
+// and resumed from its serialized checkpoint (by replaying its steps on a
+// private cache) finishes with byte-identical results — solution, trace,
+// rewards, objective ranges, best-feasible, and every cost counter — to the
+// same exploration run uninterrupted. Proven here for every AgentKind x
+// several registry kernels x suspend points {1, k/2, k-1}, through a full
+// serialize -> parse -> replay cycle each time. On top of that: replay
+// isolation (each distinct configuration runs once, no shared-cache
+// traffic, logged shared hits re-applied where the log was taken), snapshot
+// size independent of run length, corrupt-input hardening (truncated,
+// version-mismatched, field-reordered, NaN-injected files and out-of-range
+// snapshots throw CheckpointError and leave the explorer untouched) and
+// golden fixtures pinning the on-disk format (regenerate with
+// AXDSE_UPDATE_GOLDEN=1).
 
 #include <gtest/gtest.h>
 
@@ -286,23 +288,26 @@ TEST(CheckpointCorruption, TruncatedFilesThrow) {
 
 TEST(CheckpointCorruption, VersionMismatchThrows) {
   std::string text = ValidSerializedCheckpoint();
-  const std::string header = "axdse-checkpoint v2";
+  const std::string header = "axdse-checkpoint v3";
   ASSERT_EQ(text.compare(0, header.size(), header), 0);
-  text.replace(0, header.size(), "axdse-checkpoint v3");
+  text.replace(0, header.size(), "axdse-checkpoint v4");
   EXPECT_THROW(Checkpoint::Deserialize(text), CheckpointError);
   std::string garbage = ValidSerializedCheckpoint();
   garbage.replace(0, header.size(), "not-a-checkpoint!!!");
   EXPECT_THROW(Checkpoint::Deserialize(garbage), CheckpointError);
-  // A snapshot written in the v1 component-dump format is refused with an
-  // error naming its version.
-  std::string v1 = ValidSerializedCheckpoint();
-  v1.replace(0, header.size(), "axdse-checkpoint v1");
-  try {
-    Checkpoint::Deserialize(v1);
-    ADD_FAILURE() << "a v1 snapshot was accepted";
-  } catch (const CheckpointError& error) {
-    EXPECT_NE(std::string(error.what()).find("'v1'"), std::string::npos)
-        << error.what();
+  // Snapshots written in the v1 component-dump and the v2 memo formats are
+  // refused with an error naming their version.
+  for (const std::string version : {"v1", "v2"}) {
+    std::string old = ValidSerializedCheckpoint();
+    old.replace(0, header.size(), "axdse-checkpoint " + version);
+    try {
+      Checkpoint::Deserialize(old);
+      ADD_FAILURE() << "a " << version << " snapshot was accepted";
+    } catch (const CheckpointError& error) {
+      EXPECT_NE(std::string(error.what()).find("'" + version + "'"),
+                std::string::npos)
+          << error.what();
+    }
   }
 }
 
@@ -322,19 +327,19 @@ TEST(CheckpointCorruption, ReorderedFieldsThrow) {
 }
 
 TEST(CheckpointCorruption, NaNInjectionThrows) {
-  // Replace the first reward value of a finished snapshot with nan: strict
-  // parsers reject NaN in every numeric field that is not explicitly
+  // Replace each count of a finished snapshot with nan: strict parsers
+  // reject NaN in every numeric field that is not explicitly
   // non-finite-tolerant.
-  std::string text = testsupport::ReadGolden(
+  const std::string golden = testsupport::ReadGolden(
       AXDSE_SOURCE_DIR "/tests/golden/matmul_finished_seed1.ckpt");
-  const std::size_t rewards = text.find("\nrewards ");
-  ASSERT_NE(rewards, std::string::npos);
-  // "rewards <N> <first> ..." — replace <first>.
-  std::size_t pos = text.find(' ', rewards + 9);  // after the count
-  ASSERT_NE(pos, std::string::npos);
-  const std::size_t end = text.find_first_of(" \n", pos + 1);
-  text.replace(pos + 1, end - pos - 1, "nan");
-  EXPECT_THROW(Checkpoint::Deserialize(text), CheckpointError);
+  for (const std::string tag : {"\nseed ", "\nsteps ", "\nshared-hits "}) {
+    std::string text = golden;
+    const std::size_t pos = text.find(tag);
+    ASSERT_NE(pos, std::string::npos) << tag;
+    const std::size_t end = text.find('\n', pos + 1);
+    text.replace(pos + tag.size(), end - pos - tag.size(), "nan");
+    EXPECT_THROW(Checkpoint::Deserialize(text), CheckpointError) << tag;
+  }
 }
 
 TEST(CheckpointCorruption, TrailingGarbageAndBadValuesThrow) {
@@ -350,16 +355,7 @@ TEST(CheckpointCorruption, TrailingGarbageAndBadValuesThrow) {
   const std::size_t seed_end = bad_seed.find('\n', seed_pos + 1);
   bad_seed.replace(seed_pos, seed_end - seed_pos, "\nseed soon");
   EXPECT_THROW(Checkpoint::Deserialize(bad_seed), CheckpointError);
-  // An operator index wider than 32 bits must fail, not silently truncate
-  // to a different in-range configuration.
-  std::string wide_index = ValidSerializedCheckpoint();
-  const std::size_t memo_entry = wide_index.find("\ne ");
-  ASSERT_NE(memo_entry, std::string::npos);
-  const std::size_t adder_start = memo_entry + 3;
-  const std::size_t adder_end = wide_index.find(' ', adder_start);
-  wide_index.replace(adder_start, adder_end - adder_start, "4294967296");
-  EXPECT_THROW(Checkpoint::Deserialize(wide_index), CheckpointError);
-  // A mid-run snapshot with no steps is no snapshot any run writes.
+  // A snapshot with no steps is no snapshot any run writes.
   std::string no_steps = ValidSerializedCheckpoint();
   const std::size_t steps_pos = no_steps.find("\nsteps ");
   ASSERT_NE(steps_pos, std::string::npos);
@@ -370,9 +366,9 @@ TEST(CheckpointCorruption, TrailingGarbageAndBadValuesThrow) {
 
 TEST(CheckpointCorruption, FailedResumeLeavesExplorerFullyUsable) {
   // A checkpoint that parses but does not fit this explorer (wrong agent
-  // kind, wrong kernel space) must throw WITHOUT mutating the explorer or
-  // its evaluator: running from scratch afterwards must be byte-identical
-  // to a never-touched run.
+  // kind, a step count past its budget) must throw WITHOUT mutating the
+  // explorer or its evaluator: running from scratch afterwards must be
+  // byte-identical to a never-touched run.
   const ExplorerConfig q_config = SmallExplorerConfig(AgentKind::kQLearning, 3);
   const std::string reference =
       PayloadOf(RunUninterrupted("matmul", 4, q_config));
@@ -390,33 +386,6 @@ TEST(CheckpointCorruption, FailedResumeLeavesExplorerFullyUsable) {
               PayloadOf(RunUninterrupted("matmul", 4, sarsa_config)));
   }
 
-  // Wrong kernel space: a row-col-granularity matmul exposes 9 variables,
-  // the default per-matrix one only 3, so every configuration mismatches.
-  {
-    std::string foreign;
-    {
-      Harness h = MakeExplorerHarness("matmul", 4, {{"granularity", "row-col"}});
-      Explorer explorer(*h.evaluator, h.reward, q_config);
-      explorer.RunSteps(5);
-      foreign = explorer.Suspend().Serialize();
-    }
-    Harness h = MakeExplorerHarness("matmul", 4);
-    Explorer explorer(*h.evaluator, h.reward, q_config);
-    EXPECT_THROW(explorer.ResumeFrom(Checkpoint::Deserialize(foreign)),
-                 CheckpointError);
-    EXPECT_EQ(PayloadOf(explorer.Explore()), reference);
-  }
-
-  // A finished snapshot has nothing to resume.
-  {
-    Checkpoint finished;
-    finished.finished = true;
-    Harness h = MakeExplorerHarness("matmul", 4);
-    Explorer explorer(*h.evaluator, h.reward, q_config);
-    EXPECT_THROW(explorer.ResumeFrom(finished), CheckpointError);
-    EXPECT_EQ(PayloadOf(explorer.Explore()), reference);
-  }
-
   // A step count past episodes x max_steps is rejected before any replay.
   for (const std::size_t steps :
        {q_config.max_steps + 1, std::numeric_limits<std::size_t>::max()}) {
@@ -428,26 +397,12 @@ TEST(CheckpointCorruption, FailedResumeLeavesExplorerFullyUsable) {
     EXPECT_THROW(explorer.ResumeFrom(checkpoint), CheckpointError) << steps;
     EXPECT_EQ(PayloadOf(explorer.Explore()), reference);
   }
-
-  // One memo entry outside the kernel's space (an adder index past the
-  // operator set) fails the whole snapshot up front.
-  {
-    Checkpoint checkpoint =
-        Checkpoint::Deserialize(ValidSerializedCheckpoint());
-    Configuration foreign(3);
-    foreign.SetAdderIndex(999);
-    checkpoint.evaluator.entries.emplace_back(foreign,
-                                              instrument::Measurement{});
-    Harness h = MakeExplorerHarness("matmul", 4);
-    Explorer explorer(*h.evaluator, h.reward, q_config);
-    EXPECT_THROW(explorer.ResumeFrom(checkpoint), CheckpointError);
-    EXPECT_EQ(PayloadOf(explorer.Explore()), reference);
-  }
 }
 
 // ---------------------------------------------------------------------------
-// Replay isolation: a resume reads its log — it runs no kernel for a
-// memoized configuration and never touches a shared cache.
+// Replay isolation: a resume replays its log privately — each distinct
+// configuration runs once, a shared cache sees no traffic, and the logged
+// shared-hit count is re-applied where the log was taken.
 // ---------------------------------------------------------------------------
 
 /// Forwards to a registry kernel and counts Run() calls.
@@ -486,7 +441,7 @@ std::unique_ptr<CountingKernel> CountingMatmul() {
       workloads::KernelRegistry::Global().Create("matmul", params));
 }
 
-TEST(ReplayIsolation, SharedCacheUntouchedAndOnlyTheGoldenRunExecutes) {
+TEST(ReplayIsolation, SharedCacheUntouchedAndEachDistinctConfigurationRunsOnce) {
   const ExplorerConfig config =
       SmallExplorerConfig(AgentKind::kQLambda, 5, /*max_steps=*/60);
   std::string reference;  // uninterrupted, on a shared cache of its own
@@ -496,6 +451,18 @@ TEST(ReplayIsolation, SharedCacheUntouchedAndOnlyTheGoldenRunExecutes) {
                         std::make_shared<instrument::SharedEvaluationCache>());
     Explorer explorer(evaluator, MakePaperRewardConfig(evaluator), config);
     reference = PayloadOf(explorer.Explore());
+  }
+  // Kernel runs of the first 25 steps on a private cache: the golden run
+  // plus each distinct configuration the steps evaluate.
+  std::size_t private_runs = 0;
+  {
+    const std::unique_ptr<CountingKernel> kernel = CountingMatmul();
+    Evaluator evaluator(*kernel);
+    Explorer explorer(evaluator, MakePaperRewardConfig(evaluator), config);
+    ASSERT_EQ(explorer.RunSteps(25), 25u);
+    private_runs = kernel->runs;
+    ASSERT_EQ(private_runs, evaluator.DistinctEvaluations());
+    ASSERT_GT(private_runs, 2u);
   }
   // The suspended half publishes its measurements to `cache`, as a job of
   // a CacheMode::kShared batch does.
@@ -509,7 +476,6 @@ TEST(ReplayIsolation, SharedCacheUntouchedAndOnlyTheGoldenRunExecutes) {
     serialized = explorer.Suspend().Serialize();
   }
   const Checkpoint checkpoint = Checkpoint::Deserialize(serialized);
-  ASSERT_GT(checkpoint.evaluator.entries.size(), 1u);
 
   const std::unique_ptr<CountingKernel> kernel = CountingMatmul();
   Evaluator evaluator(*kernel, cache);
@@ -517,13 +483,60 @@ TEST(ReplayIsolation, SharedCacheUntouchedAndOnlyTheGoldenRunExecutes) {
   Explorer explorer(evaluator, MakePaperRewardConfig(evaluator), config);
   const std::string stats = cache->Stats().ToString();
   explorer.ResumeFrom(checkpoint);
-  EXPECT_EQ(kernel->runs, 1u) << "the replay executed the kernel";
+  EXPECT_EQ(kernel->runs, private_runs)
+      << "the replay did not run each distinct configuration exactly once";
   EXPECT_EQ(cache->Stats().ToString(), stats);
+  EXPECT_EQ(evaluator.SharedCache(), cache.get());  // put back
   EXPECT_EQ(explorer.StepsTaken(), 25u);
   EXPECT_EQ(PayloadOf(explorer.Explore()), reference);
 }
 
-TEST(ReplayIsolation, ReplayThatFinishesWithinItsStepCountThrows) {
+TEST(ReplayIsolation, LoggedSharedHitsAreReappliedAndBounded) {
+  // A second run of the same seed on a warm shared cache answers every
+  // non-golden evaluation from it.
+  const ExplorerConfig config =
+      SmallExplorerConfig(AgentKind::kQLearning, 5, /*max_steps=*/40);
+  const auto cache = std::make_shared<instrument::SharedEvaluationCache>();
+  {
+    const std::unique_ptr<CountingKernel> kernel = CountingMatmul();
+    Evaluator evaluator(*kernel, cache);
+    Explorer explorer(evaluator, MakePaperRewardConfig(evaluator), config);
+    explorer.Explore();
+  }
+  std::string reference;
+  Checkpoint checkpoint;
+  {
+    const std::unique_ptr<CountingKernel> kernel = CountingMatmul();
+    Evaluator evaluator(*kernel, cache);
+    Explorer explorer(evaluator, MakePaperRewardConfig(evaluator), config);
+    ASSERT_EQ(explorer.RunSteps(20), 20u);
+    checkpoint = explorer.Suspend();
+    ASSERT_GT(checkpoint.shared_hits, 0u);
+    ASSERT_EQ(checkpoint.shared_hits + 1, evaluator.DistinctEvaluations());
+    reference = PayloadOf(explorer.Explore());
+  }
+  const auto resume = [&](const Checkpoint& log) {
+    const std::unique_ptr<CountingKernel> kernel = CountingMatmul();
+    Evaluator evaluator(*kernel, cache);
+    Explorer explorer(evaluator, MakePaperRewardConfig(evaluator), config);
+    explorer.ResumeFrom(log);
+    EXPECT_EQ(evaluator.SharedHits(), log.shared_hits);
+    EXPECT_EQ(evaluator.KernelRuns(),
+              evaluator.DistinctEvaluations() - log.shared_hits);
+    return PayloadOf(explorer.Explore());
+  };
+  EXPECT_EQ(resume(checkpoint), reference);
+
+  // One more shared hit than the replay's non-golden evaluations: the
+  // golden run is always local, so no run wrote this log.
+  Checkpoint inflated = checkpoint;
+  ++inflated.shared_hits;
+  EXPECT_THROW(resume(inflated), CheckpointError);
+  inflated.shared_hits = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(resume(inflated), CheckpointError);
+}
+
+TEST(ReplayIsolation, ReplayThatContradictsItsFinishedFlagThrows) {
   const ExplorerConfig config =
       SmallExplorerConfig(AgentKind::kSarsa, 3, /*max_steps=*/40);
   Checkpoint checkpoint;
@@ -534,14 +547,61 @@ TEST(ReplayIsolation, ReplayThatFinishesWithinItsStepCountThrows) {
     ASSERT_FALSE(explorer.Finished());
     checkpoint = Checkpoint::Deserialize(explorer.Suspend().Serialize());
   }
+  const auto expect_rejected = [&](const Checkpoint& log) {
+    Harness h = MakeExplorerHarness("matmul", 4);
+    Explorer explorer(*h.evaluator, h.reward, config);
+    EXPECT_THROW(explorer.ResumeFrom(log), CheckpointError);
+    // The explorer stepped during the replay and is consumed.
+    EXPECT_THROW(explorer.RunSteps(1), std::logic_error);
+  };
   // Within budget, but the run ends at its 40-step limit: no unfinished run
   // wrote this log.
-  checkpoint.steps = config.max_steps;
+  Checkpoint early = checkpoint;
+  early.steps = config.max_steps;
+  expect_rejected(early);
+  // A finished log whose replay is still running at its step count.
+  Checkpoint unfinished = checkpoint;
+  unfinished.finished = true;
+  expect_rejected(unfinished);
+
+  // The finished log of the same run replays to its last step; Finish()
+  // then reproduces the uninterrupted result.
+  Checkpoint finished = checkpoint;
+  finished.finished = true;
+  finished.steps = config.max_steps;
   Harness h = MakeExplorerHarness("matmul", 4);
   Explorer explorer(*h.evaluator, h.reward, config);
-  EXPECT_THROW(explorer.ResumeFrom(checkpoint), CheckpointError);
-  // The explorer stepped during the replay and is consumed.
-  EXPECT_THROW(explorer.RunSteps(1), std::logic_error);
+  explorer.ResumeFrom(finished);
+  EXPECT_TRUE(explorer.Finished());
+  EXPECT_EQ(PayloadOf(explorer.Finish()),
+            PayloadOf(RunUninterrupted("matmul", 4, config)));
+}
+
+TEST(CheckpointFormat, SnapshotSizeDoesNotGrowWithTheRun) {
+  // Every snapshot is the same handful of fields, however long the run.
+  const auto snapshot_at = [](std::size_t steps) {
+    Harness h = MakeExplorerHarness("matmul", 4);
+    ExplorerConfig config =
+        SmallExplorerConfig(AgentKind::kQLearning, 5, /*max_steps=*/steps + 1);
+    config.max_cumulative_reward = 1e18;
+    Explorer explorer(*h.evaluator, h.reward, config);
+    EXPECT_EQ(explorer.RunSteps(steps), steps);
+    Checkpoint checkpoint = explorer.Suspend();
+    checkpoint.request = "kernel=matmul@4";
+    checkpoint.seed = 5;
+    return checkpoint.Serialize();
+  };
+  const auto field_count = [](const std::string& text) {
+    std::istringstream in(text);
+    std::size_t fields = 0;
+    for (std::string token; in >> token;) ++fields;
+    return fields;
+  };
+  const std::string short_run = snapshot_at(50);
+  const std::string long_run = snapshot_at(5000);
+  EXPECT_EQ(field_count(long_run), field_count(short_run));
+  EXPECT_LT(short_run.size(), 1024u);
+  EXPECT_LT(long_run.size(), 1024u);
 }
 
 TEST(CheckpointCorruption, SharedCacheCheckpointHardening) {
@@ -597,6 +657,9 @@ std::vector<ExplorationRequest> TwoMatmulRequests(std::size_t first_steps,
   };
   return {build(first_steps, 3), build(second_steps, 11)};
 }
+
+/// Agent seed of SurrogateSharedBatch()'s finished job.
+constexpr std::uint64_t kSurrogateFinishedSeed = 27;
 
 std::string JobSnapshotPath(const std::string& dir,
                             const ExplorationRequest& request) {
@@ -697,6 +760,70 @@ TEST(EngineSnapshots, FailedFinishedSnapshotSaveIsTheJobsBatchJobError) {
       JobSnapshotPath(dir.Str(), batch[1])));
 }
 
+/// Surrogate-on jobs sharing one cache, in job order: a 30-step job that
+/// warms the cache, a 60-step job that ends on a predicted configuration
+/// (so its Finish() valve evaluates ground truth after its last step) and a
+/// 120-step job. Under a 70-step budget the first two finish and the third
+/// suspends; with one worker the cost split between the requests is the
+/// same in every invocation.
+std::vector<ExplorationRequest> SurrogateSharedBatch() {
+  const auto build = [](std::size_t steps, std::uint64_t seed) {
+    return ExplorationRequest{.kernel = workloads::KernelSpec("matmul", 6),
+                              .kernel_seed = 7,
+                              .max_steps = steps,
+                              .max_cumulative_reward = 1e18,
+                              .seed = seed,
+                              .cache_mode = CacheMode::kShared,
+                              .surrogate = true,
+                              .epsilon_start = 1.0,
+                              .epsilon_end = 0.05,
+                              .epsilon_decay_steps = 20};
+  };
+  return {build(30, 3), build(60, kSurrogateFinishedSeed), build(120, 3)};
+}
+
+TEST(EngineSnapshots, SurrogateSharedBatchResumesByteIdentical) {
+  const std::vector<ExplorationRequest> batch = SurrogateSharedBatch();
+  // The finished job really does reach Finish() on a predicted solution or
+  // best-feasible point (replicated here on a private evaluator: surrogate
+  // decisions never depend on the shared cache).
+  {
+    const ExplorationRequest& request = batch[1];
+    const auto kernel = workloads::KernelRegistry::Global().Create(
+        request.kernel, request.kernel_seed);
+    Evaluator evaluator(*kernel);
+    const RewardConfig reward =
+        MakePaperRewardConfig(evaluator, request.thresholds);
+    evaluator.EnableSurrogate(reward.acc_threshold);
+    Explorer explorer(evaluator, reward, request.ToExplorerConfig());
+    explorer.RunSteps(request.max_steps);
+    ASSERT_TRUE(explorer.Finished());
+    const ExplorationResult partial = explorer.PartialResult();
+    ASSERT_TRUE(evaluator.IsPredicted(partial.solution) ||
+                (partial.has_best_feasible &&
+                 evaluator.IsPredicted(partial.best_feasible)));
+  }
+
+  const Engine engine(EngineOptions{1});
+  const BatchResult reference = engine.Run(batch);
+  ASSERT_GT(reference.results[1].cache.shared_hits, 0u);
+  ASSERT_GT(reference.results[1].cache.deferred_runs, 0u);
+
+  testsupport::ScopedTempDir dir("engine-surrogate-shared");
+  const BatchResult partial =
+      engine.Run(batch, {.directory = dir.Str(), .step_budget = 70});
+  ASSERT_EQ(partial.unfinished_jobs, 1u);
+  const Checkpoint finished =
+      Checkpoint::Load(JobSnapshotPath(dir.Str(), batch[1]));
+  ASSERT_TRUE(finished.finished);
+  EXPECT_EQ(finished.shared_hits, reference.results[1].cache.shared_hits);
+
+  const BatchResult resumed = engine.Run(batch, {.directory = dir.Str()});
+  EXPECT_TRUE(resumed.Complete());
+  EXPECT_EQ(report::BatchJson(resumed), report::BatchJson(reference));
+  EXPECT_EQ(report::BatchCsv(resumed), report::BatchCsv(reference));
+}
+
 // ---------------------------------------------------------------------------
 // Golden fixture: the serialized checkpoint format is pinned byte-for-byte.
 // Regenerate intentionally with AXDSE_UPDATE_GOLDEN=1 and review the diff.
@@ -706,15 +833,8 @@ const char* GoldenFixturePath() {
   return AXDSE_SOURCE_DIR "/tests/golden/matmul_checkpoint_seed1.ckpt";
 }
 
-/// Same pinned exploration as the golden-trace test, suspended at step 10.
-std::string PinnedCheckpointBytes() {
-  workloads::KernelParams params;
-  params.size = 5;
-  params.seed = 2023;
-  const auto kernel =
-      workloads::KernelRegistry::Global().Create("matmul", params);
-  Evaluator evaluator(*kernel);
-  const RewardConfig reward = MakePaperRewardConfig(evaluator);
+/// The pinned exploration of the golden-trace test.
+ExplorerConfig PinnedConfig() {
   ExplorerConfig config;
   config.max_steps = 60;
   config.max_cumulative_reward = 1e18;
@@ -723,7 +843,22 @@ std::string PinnedCheckpointBytes() {
   config.agent.epsilon = rl::EpsilonSchedule::Linear(1.0, 0.05, 45);
   config.seed = 1;
   config.record_trace = true;
-  Explorer explorer(evaluator, reward, config);
+  return config;
+}
+
+std::unique_ptr<workloads::Kernel> PinnedKernel() {
+  workloads::KernelParams params;
+  params.size = 5;
+  params.seed = 2023;
+  return workloads::KernelRegistry::Global().Create("matmul", params);
+}
+
+/// The pinned exploration suspended at step 10.
+std::string PinnedCheckpointBytes() {
+  const auto kernel = PinnedKernel();
+  Evaluator evaluator(*kernel);
+  Explorer explorer(evaluator, MakePaperRewardConfig(evaluator),
+                    PinnedConfig());
   explorer.RunSteps(10);
   Checkpoint checkpoint = explorer.Suspend();
   checkpoint.request = "kernel=matmul@5 kernel-seed=2023";
@@ -746,41 +881,37 @@ TEST(GoldenCheckpoint, ResumingFromTheFixtureReproducesTheFullRun) {
   EXPECT_EQ(checkpoint.seed, 1u);
   EXPECT_FALSE(checkpoint.finished);
 
-  workloads::KernelParams params;
-  params.size = 5;
-  params.seed = 2023;
-  ExplorerConfig config;
-  config.max_steps = 60;
-  config.max_cumulative_reward = 1e18;
-  config.agent.alpha = 0.15;
-  config.agent.gamma = 0.95;
-  config.agent.epsilon = rl::EpsilonSchedule::Linear(1.0, 0.05, 45);
-  config.seed = 1;
-  config.record_trace = true;
-
   const auto run_reference = [&] {
-    const auto kernel =
-        workloads::KernelRegistry::Global().Create("matmul", params);
+    const auto kernel = PinnedKernel();
     Evaluator evaluator(*kernel);
-    Explorer explorer(evaluator, MakePaperRewardConfig(evaluator), config);
+    Explorer explorer(evaluator, MakePaperRewardConfig(evaluator),
+                      PinnedConfig());
     return explorer.Explore();
   };
-  const auto kernel =
-      workloads::KernelRegistry::Global().Create("matmul", params);
+  const auto kernel = PinnedKernel();
   Evaluator evaluator(*kernel);
-  Explorer explorer(evaluator, MakePaperRewardConfig(evaluator), config);
+  Explorer explorer(evaluator, MakePaperRewardConfig(evaluator),
+                    PinnedConfig());
   explorer.ResumeFrom(checkpoint);
   EXPECT_EQ(PayloadOf(explorer.Explore()), PayloadOf(run_reference()));
 }
 
-/// A shared-cache snapshot over the pinned run's memo entries. The
-/// signature carries a space and a '%' so the fixture pins text escaping.
+/// A shared-cache snapshot over the pinned run's first 10 steps: what they
+/// published to a shared cache, plus the golden configuration every
+/// evaluator keeps privately. The signature carries a space and a '%' so
+/// the fixture pins text escaping.
 std::string PinnedSharedCacheBytes() {
-  const Checkpoint pinned = Checkpoint::Deserialize(
-      testsupport::ReadGolden(GoldenFixturePath()));
+  const auto kernel = PinnedKernel();
+  const auto cache = std::make_shared<instrument::SharedEvaluationCache>();
+  Evaluator evaluator(*kernel, cache);
+  Explorer explorer(evaluator, MakePaperRewardConfig(evaluator),
+                    PinnedConfig());
+  explorer.RunSteps(10);
   SharedCacheCheckpoint snapshot;
   snapshot.signature = "kernel=matmul@5 kernel-seed=2023 100%";
-  snapshot.entries = pinned.evaluator.entries;
+  snapshot.entries = cache->Entries();
+  const Configuration golden = InitialConfiguration(evaluator.Shape());
+  snapshot.entries.emplace_back(golden, evaluator.Evaluate(golden));
   snapshot.stats.hits = 3;
   snapshot.stats.misses = snapshot.entries.size();
   snapshot.stats.inserts = snapshot.entries.size();
@@ -846,9 +977,10 @@ TEST(GoldenCheckpoint, FinishedSnapshotMatchesCheckedInFixture) {
   EXPECT_EQ(report::BatchCsv(resumed), report::BatchCsv(reference));
 }
 
-TEST(GoldenCheckpoint, ResumingFromTheFinishedFixtureSkipsTheJob) {
+TEST(GoldenCheckpoint, ResumingFromTheFinishedFixtureReplaysTheJob) {
   // The checked-in finished snapshot, alone in a directory, stands in for
-  // its job: the batch resumes around it and matches the uninterrupted run.
+  // its job: the job replays it privately to its last step without taking
+  // a new one, and the batch matches the uninterrupted run.
   const std::vector<ExplorationRequest> batch = FinishedFixtureBatch();
   const Engine engine(EngineOptions{1});
   testsupport::ScopedTempDir dir("finished-fixture-resume");
@@ -868,7 +1000,7 @@ TEST(GoldenCheckpoint, ResumingFromTheFinishedFixtureSkipsTheJob) {
   checkpoint.directory = dir.Str();
   const BatchResult resumed = engine.Run(batch, checkpoint, hooks);
   EXPECT_TRUE(resumed.Complete());
-  EXPECT_EQ(first_job_reports, 1u);  // one restored report, no stepping
+  EXPECT_EQ(first_job_reports, 1u);  // the finish report, no stepping
   EXPECT_EQ(report::BatchJson(resumed), report::BatchJson(engine.Run(batch)));
   EXPECT_TRUE(std::filesystem::is_empty(dir.Str()));
 }

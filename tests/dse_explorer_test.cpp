@@ -68,6 +68,24 @@ TEST(Explorer, RunsAndProducesConsistentResult) {
   EXPECT_FALSE(result.solution_multiplier.empty());
 }
 
+// Regression: a finished run's progress reading (what the engine reports
+// with its finish event) counted the last episode twice.
+TEST(Explorer, CumulativeRewardSoFarOfAFinishedRunMatchesItsResult) {
+  const workloads::DotProductKernel kernel(64, 4, 7);
+  for (const std::size_t episodes : {std::size_t{1}, std::size_t{3}}) {
+    Evaluator evaluator(kernel);
+    ExplorerConfig config = FastExplorer();
+    config.max_steps = 40;
+    config.max_cumulative_reward = 1e18;
+    config.episodes = episodes;
+    Explorer explorer(evaluator, MakePaperRewardConfig(evaluator), config);
+    explorer.RunSteps(40 * episodes);
+    ASSERT_TRUE(explorer.Finished());
+    const double live = explorer.CumulativeRewardSoFar();
+    EXPECT_EQ(live, explorer.Finish().cumulative_reward) << episodes;
+  }
+}
+
 TEST(Explorer, RangesBracketSolution) {
   const workloads::DotProductKernel kernel(64, 4, 7);
   const ExplorationResult result = Explore(kernel, FastExplorer());

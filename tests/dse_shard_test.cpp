@@ -619,15 +619,15 @@ TEST(ShardWorker, CorruptSnapshotRecoveryDropsOnlyItsOwnChunk) {
   const std::vector<ExplorationRequest> grid = spec.Expand();
   ASSERT_EQ(grid.size(), 2 * kCells);
 
-  // A torn cache or job snapshot, or a job snapshot of the older v1
+  // A torn cache or job snapshot, or a job snapshot of the older v2
   // format, which this build refuses by version.
   const struct {
     const char* corrupted;
-    bool v1;
+    bool v2;
   } cases[] = {{"cache-", false}, {"job-", false}, {"job-", true}};
-  for (const auto& [corrupted, v1] : cases) {
+  for (const auto& [corrupted, v2] : cases) {
     ScopedTempDir dir(std::string("shard-corrupt-snapshot-") + corrupted +
-                      (v1 ? "v1" : ""));
+                      (v2 ? "v2" : ""));
     ASSERT_GT(engine
                   .Run({grid.begin(), grid.begin() + kCells},
                        {.directory = dir.Str(), .step_budget = 20})
@@ -644,10 +644,10 @@ TEST(ShardWorker, CorruptSnapshotRecoveryDropsOnlyItsOwnChunk) {
                        {.directory = dir.Str(), .step_budget = 20})
                   .unfinished_jobs,
               0u);
-    if (v1) {
+    if (v2) {
       std::string text = util::ReadWholeFile(PathIn(dir.Str(), victim)).value();
-      ASSERT_EQ(text.rfind("axdse-checkpoint v2\n", 0), 0u);
-      text[text.find('2')] = '1';
+      ASSERT_EQ(text.rfind("axdse-checkpoint v3\n", 0), 0u);
+      text[text.find('3')] = '2';
       WriteRaw(PathIn(dir.Str(), victim), text);
     } else {
       WriteRaw(PathIn(dir.Str(), victim), "corrupt\n");

@@ -548,20 +548,23 @@ std::string Golden(const char* name) {
       std::string(AXDSE_SOURCE_DIR "/tests/golden/") + name);
 }
 
-/// A mid-run job snapshot of a surrogate run, as the engine writes it.
-std::string SurrogateCheckpoint() {
-  testsupport::ScopedTempDir dir("fuzz-surrogate-checkpoint");
+/// A mid-run job snapshot with a non-zero shared-hit count, as the engine
+/// writes it: the second seed of a shared-cache surrogate batch.
+std::string SharedHitsCheckpoint() {
+  testsupport::ScopedTempDir dir("fuzz-shared-hits-checkpoint");
   dse::CheckpointOptions options;
   options.directory = dir.Str();
   options.step_budget = 40;
   const dse::ExplorationRequest request =
       {.kernel = workloads::KernelSpec("matmul", 4),
        .max_steps = 200,
+       .num_seeds = 2,
+       .cache_mode = dse::CacheMode::kShared,
        .surrogate = true};
   dse::Engine(dse::EngineOptions{1}).Run({request}, options);
   const std::string path =
       (std::filesystem::path(dir.Str()) /
-       dse::JobCheckpointFileName(request.ToString(), request.seed))
+       dse::JobCheckpointFileName(request.ToString(), request.seed + 1))
           .string();
   return util::ReadWholeFile(path).value_or("");
 }
@@ -592,9 +595,11 @@ void FuzzRecordDocument(std::uint64_t seed, std::vector<std::string> corpus) {
 }
 
 TEST(GrammarFuzz, CheckpointMutationsParseOrFailTyped) {
+  const std::string shared_hits = SharedHitsCheckpoint();
+  ASSERT_GT(dse::Checkpoint::Deserialize(shared_hits).shared_hits, 0u);
   FuzzRecordDocument<dse::Checkpoint>(
       1101, {Golden("matmul_checkpoint_seed1.ckpt"),
-             Golden("matmul_finished_seed1.ckpt"), SurrogateCheckpoint()});
+             Golden("matmul_finished_seed1.ckpt"), shared_hits});
 }
 
 TEST(GrammarFuzz, SharedCacheCheckpointMutationsParseOrFailTyped) {

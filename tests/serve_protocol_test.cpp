@@ -234,15 +234,17 @@ TEST(LocaleIndependence, SerializationsAreByteStableUnderHostileLocale) {
   EXPECT_EQ(report::BatchJson(batch), json);
   EXPECT_EQ(report::BatchCsv(batch), csv);
 
-  // The checkpoint text format is a serialization too.
-  dse::Checkpoint checkpoint;
-  checkpoint.request = request_text;
-  checkpoint.seed = 1234567;
-  checkpoint.agent_kind = "q-learning";
-  checkpoint.finished = true;
-  checkpoint.result.cumulative_reward = 1234.5;
+  // The checkpoint text formats are serializations too; a shared-cache
+  // snapshot carries both integers and doubles.
+  dse::SharedCacheCheckpoint checkpoint;
+  checkpoint.signature = request_text;
+  instrument::Measurement measurement;
+  measurement.delta_acc = 1234.5;
+  checkpoint.entries.emplace_back(dse::Configuration(3), measurement);
+  checkpoint.stats.hits = 1234567;
+  checkpoint.stats.size = 1;
   const std::string serialized = checkpoint.Serialize();
-  EXPECT_NE(serialized.find("seed 1234567"), std::string::npos) << serialized;
+  EXPECT_NE(serialized.find("stats 1234567"), std::string::npos) << serialized;
   EXPECT_NE(serialized.find("1234.5"), std::string::npos) << serialized;
   EXPECT_EQ(serialized.find("1.234"), std::string::npos) << serialized;
 }
