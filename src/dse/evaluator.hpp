@@ -164,7 +164,9 @@ class Evaluator {
     return kernel_runs_ + shared_hits_;
   }
 
-  /// The external cache handle (null when running privately).
+  /// The external cache handle (null when running privately). Null for good
+  /// after Explorer::ResumeFrom() of a finished log: that explorer keeps the
+  /// shared cache detached and drops it.
   const instrument::SharedEvaluationCache* SharedCache() const noexcept {
     return shared_cache_.get();
   }
@@ -183,11 +185,13 @@ class Evaluator {
   /// Counts `shared_hits` of this evaluator's kernel executions as shared
   /// hits instead: the one cost counter a private replay cannot reproduce,
   /// re-applied from a checkpoint. DistinctEvaluations() is unchanged.
-  /// Requires shared_hits < KernelRuns() (the golden run is always local)
-  /// and no shared hit counted yet.
-  void AttributeSharedHits(std::size_t shared_hits) noexcept {
+  /// Returns false and counts nothing unless shared_hits < KernelRuns()
+  /// (the golden run is always local) and no shared hit was counted yet.
+  [[nodiscard]] bool AttributeSharedHits(std::size_t shared_hits) noexcept {
+    if (shared_hits >= kernel_runs_ || shared_hits_ != 0) return false;
     kernel_runs_ -= shared_hits;
-    shared_hits_ += shared_hits;
+    shared_hits_ = shared_hits;
+    return true;
   }
 
  private:

@@ -338,12 +338,10 @@ void Explorer::Discard(const std::string& message) {
 
 void Explorer::ApplySharedHits(std::size_t shared_hits) {
   if (shared_hits == 0) return;
-  if (shared_hits >= evaluator_->DistinctEvaluations())
+  if (!evaluator_->AttributeSharedHits(shared_hits))
     Discard("Explorer: checkpoint shared-hit count " +
             std::to_string(shared_hits) + " is not below the replay's " +
-            std::to_string(evaluator_->DistinctEvaluations()) +
-            " distinct evaluations");
-  evaluator_->AttributeSharedHits(shared_hits);
+            std::to_string(evaluator_->KernelRuns()) + " kernel runs");
 }
 
 void Explorer::ResumeFrom(const Checkpoint& checkpoint) {

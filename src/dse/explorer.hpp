@@ -237,7 +237,8 @@ class Explorer {
   /// within its step count; its shared-hit count is then applied and the
   /// shared cache put back. A finished log must finish at exactly its step
   /// count; the shared cache stays detached and Finish() applies the count,
-  /// after the surrogate valve evaluated what it needs. A replay that
+  /// after the surrogate valve evaluated what it needs. The evaluator is
+  /// then left without its shared cache (SharedCache() is null). A replay that
   /// contradicts its log, or a shared-hit count not below the replay's
   /// distinct evaluations (the golden run is always local), throws
   /// CheckpointError; the explorer is then consumed, and it and its
@@ -255,7 +256,7 @@ class Explorer {
   /// Consumes the explorer and throws CheckpointError(message).
   [[noreturn]] void Discard(const std::string& message);
   /// Applies a resumed log's shared-hit count to the evaluator; Discard()s
-  /// when the count is not below its distinct evaluations.
+  /// when the evaluator refuses it (not below its kernel runs).
   void ApplySharedHits(std::size_t shared_hits);
 
   Evaluator* evaluator_;

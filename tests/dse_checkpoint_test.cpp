@@ -636,6 +636,17 @@ TEST(CheckpointCorruption, SharedCacheCheckpointHardening) {
   const std::size_t stats_end = bad_size.find('\n', stats_pos + 1);
   bad_size.replace(stats_pos, stats_end - stats_pos, "\nstats 0 1 1 0 7");
   EXPECT_THROW(SharedCacheCheckpoint::Deserialize(bad_size), CheckpointError);
+  // An operator index wider than 32 bits must fail, not silently truncate
+  // to a different in-range configuration.
+  std::string wide_index = text;
+  const std::size_t entry = wide_index.find("\ne ");
+  ASSERT_NE(entry, std::string::npos);
+  const std::size_t adder_start = entry + 3;
+  const std::size_t adder_end = wide_index.find(' ', adder_start);
+  ASSERT_EQ(wide_index.substr(adder_start, adder_end - adder_start), "0");
+  wide_index.replace(adder_start, adder_end - adder_start, "4294967296");
+  EXPECT_THROW(SharedCacheCheckpoint::Deserialize(wide_index),
+               CheckpointError);
 }
 
 // ---------------------------------------------------------------------------

@@ -69,6 +69,29 @@ TEST(Evaluator, CachesRepeatEvaluations) {
   EXPECT_EQ(evaluator.CacheHits(), 2u);
 }
 
+TEST(Evaluator, AttributeSharedHitsKeepsTheGoldenRunLocalAndCountsOnce) {
+  const workloads::DotProductKernel kernel(32, 4, 1);
+  Evaluator evaluator(kernel);
+  for (std::size_t v = 0; v < 3; ++v) {
+    Configuration config(evaluator.Shape().num_variables);
+    config.SetVariable(v, true);
+    evaluator.Evaluate(config);
+  }
+  const std::size_t runs = evaluator.KernelRuns();
+  ASSERT_EQ(runs, 4u);  // golden run + 3 distinct configurations
+  // Refused, counting nothing: every execution, golden run included.
+  EXPECT_FALSE(evaluator.AttributeSharedHits(runs));
+  EXPECT_EQ(evaluator.KernelRuns(), runs);
+  EXPECT_EQ(evaluator.SharedHits(), 0u);
+  ASSERT_TRUE(evaluator.AttributeSharedHits(runs - 1));
+  EXPECT_EQ(evaluator.KernelRuns(), 1u);
+  EXPECT_EQ(evaluator.SharedHits(), runs - 1);
+  EXPECT_EQ(evaluator.DistinctEvaluations(), runs);
+  // A second attribution would count the same executions twice.
+  EXPECT_FALSE(evaluator.AttributeSharedHits(0));
+  EXPECT_EQ(evaluator.SharedHits(), runs - 1);
+}
+
 TEST(Evaluator, DeltasConsistentWithRawCosts) {
   const workloads::DotProductKernel kernel(48, 3, 2);
   Evaluator evaluator(kernel);
